@@ -48,7 +48,7 @@ from .quadrature import (
     fourier_half_line,
     integrate,
 )
-from .special import AiryRootTable, airy, airy_root, asymptotic_zero, root_table
+from .special import AiryRootTable, airy_root, asymptotic_zero, root_table
 from .spectrum import (
     BoundarySpec,
     BoundState,
@@ -103,7 +103,6 @@ __all__ = [
     "TailRangeError",
     "ToleranceConfig",
     "UnitScale",
-    "airy",
     "airy_root",
     "asymptotic_zero",
     "boundary_residual",

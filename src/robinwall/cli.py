@@ -21,7 +21,6 @@ import numpy as np
 
 from .infomeasures import (
     entropy_crossing,
-    fisher,
     fisher_product_maximum,
     measure_state,
     onicescu,
@@ -31,7 +30,7 @@ from .observables import dipole_matrix, polarization
 from .oracle import fd_energies
 from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .spectrum import BoundarySpec, energy
-from .states import StateFunctions, momentum_density_peak
+from .states import StateFunctions
 
 __all__ = ["FieldGrid", "SweepRequest", "main", "run_sweep"]
 
@@ -39,16 +38,11 @@ __all__ = ["FieldGrid", "SweepRequest", "main", "run_sweep"]
 _QUANTITY_COLUMNS = {
     "energy": ("energy", "residual"),
     "polarization": ("energy", "mean_x", "zero_field_mean_x", "dipole"),
-    "entropy": ("S_x", "S_k", "S_t"),
-    "fisher": ("I_x", "I_k", "fisher_product"),
-    "onicescu": ("O_x", "O_k", "onicescu_product"),
     "cgl": ("CGL_x", "CGL_k", "CGL_product"),
     "measures": (
         "S_x", "S_k", "S_t", "I_x", "I_k", "fisher_product",
         "O_x", "O_k", "onicescu_product", "CGL_x", "CGL_k", "CGL_product",
     ),
-    "wavefunction": ("psi0", "dpsi0", "x_cut"),
-    "momentum_density": ("gamma0",),
     "dipole_matrix": ("m", "dipole"),
 }
 
@@ -127,28 +121,14 @@ class SweepRequest:
 
 
 def _measure_values(sf: StateFunctions, quantities, cfg: ToleranceConfig) -> dict:
-    vals = {}
-    qs = set(quantities)
-    if "measures" in qs:
+    if "measures" in quantities:
         rec = measure_state(sf, cfg)
-        for name in _QUANTITY_COLUMNS["measures"]:
-            vals[name] = getattr(rec, name)
-        return vals
-    s_x = s_k = None
-    if qs & {"entropy", "cgl"}:
-        s_x, s_k = shannon(sf, cfg)
-        vals.update(S_x=s_x, S_k=s_k, S_t=s_x + s_k)
-    if "fisher" in qs:
-        i_x, i_k = fisher(sf, cfg)
-        vals.update(I_x=i_x, I_k=i_k, fisher_product=i_x * i_k)
-    if qs & {"onicescu", "cgl"}:
-        o_x, o_k = onicescu(sf, cfg)
-        vals.update(O_x=o_x, O_k=o_k, onicescu_product=o_x * o_k)
-    if "cgl" in qs:
-        cgl_x = math.exp(s_x) * vals["O_x"]
-        cgl_k = math.exp(s_k) * vals["O_k"]
-        vals.update(CGL_x=cgl_x, CGL_k=cgl_k, CGL_product=cgl_x * cgl_k)
-    return vals
+        return {name: getattr(rec, name) for name in _QUANTITY_COLUMNS["measures"]}
+    s_x, s_k = shannon(sf, cfg)
+    o_x, o_k = onicescu(sf, cfg)
+    cgl_x = math.exp(s_x) * o_x
+    cgl_k = math.exp(s_k) * o_k
+    return {"CGL_x": cgl_x, "CGL_k": cgl_k, "CGL_product": cgl_x * cgl_k}
 
 
 def _row_values(req: SweepRequest, n: int, field: float) -> dict:
@@ -166,13 +146,8 @@ def _row_values(req: SweepRequest, n: int, field: float) -> dict:
             zero_field_mean_x=rec.zero_field_mean_x,
             dipole=rec.dipole,
         )
-    if qs & {"entropy", "fisher", "onicescu", "cgl", "measures",
-             "wavefunction", "momentum_density"}:
+    if qs & {"cgl", "measures"}:
         sf = StateFunctions(state, req.tolerances)
-        if "wavefunction" in qs:
-            vals.update(psi0=sf.psi0, dpsi0=sf.dpsi0, x_cut=sf.x_cut)
-        if "momentum_density" in qs:
-            vals["gamma0"] = momentum_density_peak(sf)
         vals.update(_measure_values(sf, qs, req.tolerances))
     return vals
 

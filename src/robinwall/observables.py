@@ -45,20 +45,35 @@ def zero_field_mean_x(bc: BoundarySpec, n: int) -> float:
     return 0.0
 
 
+# The solver leaves a level within a few tens of ulps of the exact root,
+# set by the rounding of the Airy values (up to 31 seen against mpmath
+# for the attractive ground level at weak field).
+_ENERGY_ULPS = 64.0
+
+
 def mean_position(state: BoundState) -> float:
-    """Closed-form mean coordinate of a solved level."""
+    """Closed-form mean coordinate of a solved level.
+
+    For a Robin wall the closed form amplifies the rounding of E by
+    |d<x>/dE|, which grows like 1/field^2 for the attractive ground level
+    at weak field.  Where that error could exceed 1e-6 relative (at least
+    1e-6 absolute) the value is refused rather than returned.
+    """
     e_val = state.energy
     field = state.field
     if not state.bc.is_robin:
         return -(2.0 / 3.0) * e_val / field
     denom = e_val + 1.0
-    if abs(denom) < 1e-12:
-        raise DomainError(
-            "mean position is indeterminate this close to E = -1; "
-            "use mean_x_quadrature on the built state"
-        )
     sign = state.bc.robin_sign
-    return -(2.0 * e_val * denom / field + sign) / (3.0 * denom)
+    if denom != 0.0:
+        mean = -(2.0 * e_val * denom / field + sign) / (3.0 * denom)
+        slope = abs(sign / (3.0 * denom * denom) - 2.0 / (3.0 * field))
+        if _ENERGY_ULPS * math.ulp(e_val) * slope <= 1e-6 * max(1.0, abs(mean)):
+            return mean
+    raise DomainError(
+        "the closed-form mean position cancels too far this close to E = -1; "
+        "use mean_x_quadrature on the built state"
+    )
 
 
 @dataclass(frozen=True)

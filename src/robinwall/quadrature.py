@@ -36,7 +36,6 @@ __all__ = [
     "fourier_half_line",
     "integrate",
     "integrate_full",
-    "momentum_tail_moment",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -323,18 +322,3 @@ def _tail_quad(integrand, lo: float, cfg: ToleranceConfig) -> float:
             return err.estimate
         raise
     return value
-
-
-def momentum_tail_moment(psi0: float, p: int = 0, k_min: float = 200.0) -> float:
-    """Closed-form tail of the probability integral beyond |k| = k_min.
-
-    Only the p = 0 moment has a closed tail at leading order (it is
-    psi0^2/(pi*k_min), both tails combined); richer completions go through
-    :class:`MomentumTail`.
-    """
-    if p != 0:
-        raise ValueError("no closed tail form for p != 0; use MomentumTail instead")
-    k_min = float(k_min)
-    if k_min < MIN_TAIL_K:
-        raise TailRangeError(f"tail asymptote invalid below k = {MIN_TAIL_K}; got {k_min}")
-    return float(psi0) ** 2 / (math.pi * k_min)

@@ -1,15 +1,21 @@
 """Airy evaluation and the negative zeros of Ai and Ai'.
 
 Every bound state of a wall in a uniform field is an Airy profile, so this
-module is the substrate for the rest of the package: point evaluation of
-Ai and Ai' with an explicit underflow policy, a cached table of polished
-zeros of both functions, and the Gamma function for the few closed-form
-constants.
+module is the substrate for the rest of the package: one vectorized
+evaluation of Ai and Ai' with the decaying exponential factored out, a
+cached table of polished zeros of both functions, and the Gamma function
+for the few closed-form constants.
 
-Point values come from scipy's AMOS port.  Zeros are seeded by scipy as
-well but then re-polished with Newton steps through Ai itself, which
-brings the table residuals from the seed accuracy (about 1e-11 for high
-indices) down to a few ulps.
+Point values come from scipy's AMOS port.  Above ``SCALE_SWITCH`` the
+pair is returned times exp(s), s = (2/3) z^(3/2), together with s, so no
+value underflows: a caller forms Ai itself as ``ai * exp(-s)``, or a ratio
+of two profile values as ``exp(s1 - s2)`` times a ratio of scaled values.
+From ``AIRY_ARG_MAX`` on scipy has no scaled value; there the pair is
+reported as 0, which is what Ai(z) rounds to long before that argument.
+
+Zeros are seeded by scipy as well but then re-polished with Newton steps
+through Ai itself, which brings the table residuals from the seed accuracy
+(about 1e-11 for high indices) down to a few ulps.
 """
 
 from __future__ import annotations
@@ -22,22 +28,22 @@ import numpy as np
 from scipy import special as sp
 
 __all__ = [
-    "X_MAX",
-    "AiryValue",
+    "AIRY_ARG_MAX",
+    "SCALE_SWITCH",
     "AiryRootTable",
-    "airy",
     "airy_root",
     "asymptotic_zero",
     "build_root_table",
     "gamma_fn",
     "root_table",
-    "wronskian_deficit",
+    "scaled_airy",
 ]
 
-# Ai underflows double precision near x ~ 108.  Beyond X_MAX we report an
-# exact zero together with a flag instead of letting denormals or NaNs
-# creep into normalization denominators.
-X_MAX = 100.0
+# Above this argument Ai and Ai' carry the factor exp((2/3) z^(3/2)).
+SCALE_SWITCH = 8.0
+
+# scipy's airye returns NaN from this argument on.
+AIRY_ARG_MAX = 2.0 ** 20
 
 _ROOT_RESIDUAL_TOL = 5e-12
 
@@ -45,35 +51,27 @@ ZERO_OF_AI = "zero_of_Ai"
 ZERO_OF_AI_PRIME = "zero_of_Ai_prime"
 
 
-@dataclass(frozen=True)
-class AiryValue:
-    """Ai and Ai' at one point; ``underflow`` marks the flushed region."""
+def scaled_airy(z):
+    """Ai(z) e^s, Ai'(z) e^s and the exponent s, elementwise on an array.
 
-    ai: float
-    ai_prime: float
-    underflow: bool = False
-
-
-def airy(x: float) -> AiryValue:
-    """Evaluate Ai(x) and Ai'(x) at a real point.
-
-    For x > X_MAX both values have underflowed double precision; the
-    result is an exact (0, -0) pair with the flag set so callers can keep
-    it out of divisions.
+    s = (2/3) z^(3/2) above ``SCALE_SWITCH`` and 0 at or below it.  Every
+    finite argument gives a finite pair; at and beyond ``AIRY_ARG_MAX``
+    the pair is 0.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"Airy argument must be finite, got {x!r}")
-    if x > X_MAX:
-        return AiryValue(0.0, -0.0, underflow=True)
-    ai, aip, _, _ = sp.airy(x)
-    return AiryValue(float(ai), float(aip))
-
-
-def wronskian_deficit(x: float) -> float:
-    """Ai(x)Bi'(x) - Ai'(x)Bi(x) - 1/pi, co-evaluating Bi for validation."""
-    ai, aip, bi, bip = sp.airy(float(x))
-    return float(ai * bip - aip * bi) - 1.0 / math.pi
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"Airy arguments must be finite, got {z!r}")
+    ai = np.empty_like(z)
+    aip = np.empty_like(z)
+    deep = z > SCALE_SWITCH
+    plain = ~deep
+    ai[plain], aip[plain], _, _ = sp.airy(z[plain])
+    ai[deep], aip[deep], _, _ = sp.airye(z[deep])
+    past = z >= AIRY_ARG_MAX
+    ai[past] = 0.0
+    aip[past] = 0.0
+    s = np.where(deep, (2.0 / 3.0) * np.maximum(z, SCALE_SWITCH) ** 1.5, 0.0)
+    return ai, aip, s
 
 
 def gamma_fn(x: float) -> float:

@@ -4,9 +4,17 @@ All four wall types reduce to one family of conditions on the wall-side
 Airy argument z = -E / field^(2/3): Ai(z) = 0 for a Dirichlet wall,
 Ai'(z) = 0 for Neumann, and field^(1/3) Ai'(z) +/- Ai(z) = 0 for the
 Robin wall with unit extrapolation length of either sign.  Dirichlet and
-Neumann levels therefore come straight from the zero table, while Robin
-levels are isolated by a vectorized sign scan and refined with Brent's
-method, then certified by counting wavefunction nodes.
+Neumann levels therefore come straight from the zero table.
+
+The determinant's zeros in E move monotonically with the wall slope
+sigma in psi'(0) = sigma psi(0): raising sigma lowers every level, and a
+level of any slope stays above the Dirichlet level below it (A. Zettl,
+*Sturm-Liouville Theory*, AMS 2005).  With Dirichlet as sigma -> -inf and
+Neumann as sigma = 0, each Robin level therefore sits strictly inside a
+bracket read off the zero table.  Brent's method refines it there, a
+sign change of the determinant across Brent's stopping width (widened by
+the determinant's own rounding) certifies the root, and a node count
+certifies its index.
 """
 
 from __future__ import annotations
@@ -17,10 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
+# Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
+# special, spectrum and states to count Airy points.
+from scipy import special as sp  # noqa: F401
 from scipy.optimize import brentq
 
-from .special import gamma_fn, root_table
+from .special import AIRY_ARG_MAX, gamma_fn, root_table, scaled_airy
 
 __all__ = [
     "BoundarySpec",
@@ -47,7 +57,7 @@ class ConsistencyError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """Root isolation failed; carries the scan that was attempted."""
+    """A search bracket holds no root or extremum; carries the bracket tried."""
 
     def __init__(self, message: str, lo: float = math.nan, hi: float = math.nan,
                  detail: str = ""):
@@ -138,40 +148,15 @@ class BoundState:
             raise ValueError("quantum number must be non-negative")
 
 
-# Above this argument Ai underflows badly enough that the scaled Airy
-# variants (premultiplied by exp((2/3) z^(3/2))) are used.  Scaling is a
-# positive factor pointwise, so sign scans and roots are unaffected.
-_SCALE_SWITCH = 8.0
+# Brent's stopping width at a root E is _XTOL + _RTOL * |E|.
+_XTOL = 1e-14
+_RTOL = 4.0 * np.finfo(float).eps
 
-_RESIDUAL_TOL = 1e-11
-
-
-def _airy_pair(z: np.ndarray):
-    """Ai and Ai' on an array, scaled where the plain values underflow."""
-    z = np.asarray(z, dtype=float)
-    ai = np.empty_like(z)
-    aip = np.empty_like(z)
-    deep = z > _SCALE_SWITCH
-    if deep.any():
-        vals = sp.airye(z[deep])
-        ai[deep] = vals[0]
-        aip[deep] = vals[1]
-    rest = ~deep
-    if rest.any():
-        vals = sp.airy(z[rest])
-        ai[rest] = vals[0]
-        aip[rest] = vals[1]
-    return ai, aip
-
-
-def _eigen_values(bc: BoundarySpec, energies: np.ndarray, field: float) -> np.ndarray:
-    z = -np.asarray(energies, dtype=float) / field ** (2.0 / 3.0)
-    ai, aip = _airy_pair(z)
-    if bc is BoundarySpec.DIRICHLET:
-        return ai
-    if bc is BoundarySpec.NEUMANN:
-        return aip
-    return field ** (1.0 / 3.0) * aip + bc.robin_sign * ai
+# Relative accuracy of scipy's Airy values, with margin over the 4e-15
+# seen near Robin roots.  At a Robin root both determinant terms have
+# size |Ai| and its slope in E is |Ai| |E+1| / field, so this rounding
+# blurs the zero over 2 * _AIRY_RTOL * field / |E+1|.
+_AIRY_RTOL = 1e-14
 
 
 def eigenvalue_function(bc: BoundarySpec, energy_value: float, field: float) -> float:
@@ -182,7 +167,12 @@ def eigenvalue_function(bc: BoundarySpec, energy_value: float, field: float) -> 
     """
     if not field > 0.0:
         raise DomainError("field must be positive; the spectrum is continuous otherwise")
-    return float(_eigen_values(bc, np.array([float(energy_value)]), float(field))[0])
+    ai, aip, _ = scaled_airy(-float(energy_value) / field ** (2.0 / 3.0))
+    if bc is BoundarySpec.DIRICHLET:
+        return float(ai)
+    if bc is BoundarySpec.NEUMANN:
+        return float(aip)
+    return float(field ** (1.0 / 3.0) * aip + bc.robin_sign * ai)
 
 
 def node_count(energy_value: float, field: float) -> int:
@@ -200,48 +190,57 @@ def node_count(energy_value: float, field: float) -> int:
     return int(np.count_nonzero(table.a > z + guard))
 
 
-def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
+def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
+    """Energies that enclose Robin level n and no other level of that wall.
+
+    robin+ (sigma = -1) lies between the Neumann and Dirichlet level n;
+    robin- (sigma = +1) lies below Neumann level n and above Dirichlet
+    level n-1, or above -1, the zero-field surface state, when n = 0.
+    """
     f23 = field ** (2.0 / 3.0)
-    table = root_table(n + 4)
-    # Local level spacing shrinks with the index, so step off the tightest
-    # gap inside the scan window.
-    step = 0.2 * f23 * table.spacing(n + 2)
-    e_lo = min(-2.0, -1.0 - math.sqrt(field))
-    e_hi = -table.ai_zero(n + 3) * f23 + field + 2.0
-    grid = np.arange(e_lo, e_hi + step, step)
-    vals = _eigen_values(bc, grid, field)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    if flips.size <= n:
-        raise BracketError(
-            f"scan found {flips.size} sign changes, level {n} needs {n + 1}",
-            lo=float(grid[0]),
-            hi=float(grid[-1]),
-            detail=f"step={step:.6g}, points={grid.size}",
-        )
-    lo = float(grid[flips[n]])
-    hi = float(grid[flips[n] + 1])
-    root = float(
-        brentq(
-            lambda e: eigenvalue_function(bc, e, field),
-            lo,
-            hi,
-            xtol=1e-14,
-            rtol=4.0 * np.finfo(float).eps,
-        )
-    )
-    residual = abs(eigenvalue_function(bc, root, field))
-    if residual > _RESIDUAL_TOL:
+    table = root_table(n + 1)
+    neumann = -table.ai_prime_zero(n + 1) * f23
+    if bc is BoundarySpec.ROBIN_PLUS:
+        return neumann, -table.ai_zero(n + 1) * f23
+    if n == 0:
+        return -1.0, neumann
+    return -table.ai_zero(n) * f23, neumann
+
+
+def _certify_root(bc: BoundarySpec, root: float, field: float) -> None:
+    """Raise unless the determinant changes sign within a certified width of root.
+
+    The width is Brent's stopping width plus the band over which the
+    determinant's own rounding blurs its zero.
+    """
+    width = _XTOL + _RTOL * abs(root) + 2.0 * _AIRY_RTOL * field / abs(root + 1.0)
+    below = eigenvalue_function(bc, root - width, field)
+    above = eigenvalue_function(bc, root + width, field)
+    if not (below < 0.0 < above or above < 0.0 < below):
         raise ConsistencyError(
-            f"refined root keeps residual {residual:.3e} above {_RESIDUAL_TOL}"
+            f"determinant keeps its sign ({below:.3e}, {above:.3e}) within "
+            f"{width:.3e} of E={root:.17g}"
         )
+
+
+def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
+    lo, hi = _robin_bracket(bc, n, field)
+    if -lo / field ** (2.0 / 3.0) >= AIRY_ARG_MAX:
+        raise DomainError(
+            f"{bc.value} level {n} needs field > {AIRY_ARG_MAX ** -1.5:.6g}: below it "
+            "the wall-side Airy argument leaves the range of the scaled Airy functions"
+        )
+    root = float(
+        brentq(lambda e: eigenvalue_function(bc, e, field), lo, hi, xtol=_XTOL, rtol=_RTOL)
+    )
+    _certify_root(bc, root, field)
     found_nodes = node_count(root, field)
     if found_nodes != n:
         raise ConsistencyError(
             f"level {n} solved to E={root:.12g} but the profile has {found_nodes} nodes"
         )
-    return BoundState(bc=bc, n=n, field=field, energy=root, residual=residual,
-                      bracket=(lo, hi))
+    return BoundState(bc=bc, n=n, field=field, energy=root,
+                      residual=abs(eigenvalue_function(bc, root, field)), bracket=(lo, hi))
 
 
 @lru_cache(maxsize=4096)

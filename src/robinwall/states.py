@@ -10,8 +10,12 @@ Numerically delicate points handled here:
 * For an attractive Robin wall at weak field the wall-side Airy argument
   is large and positive, so the profile is a ratio of two underflowing
   Airy values.  The ratio is evaluated through exponentially scaled Airy
-  functions with the combined exponent formed first, which keeps the
-  state exact down to fields where the plain route would return 0/0.
+  functions with the combined exponent formed first, from the distance to
+  the wall rather than as a difference of two large exponents, which
+  keeps the state exact down to fields where the plain route would
+  return 0/0.
+  The hard-wall profiles multiply the scaled value by exp(-s), which
+  rounds to 0 once Ai itself underflows.
 * The transform is discretized once per state on Gauss-Legendre panels
   (:class:`.quadrature.HalfLineFourierTable`) and built lazily, because
   only the momentum-side quantities need it.
@@ -26,7 +30,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
+
+# Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
+# special, spectrum and states to count Airy points.
+from scipy import special as sp  # noqa: F401
 
 from .quadrature import (
     DEFAULT_TOLERANCES,
@@ -36,7 +43,7 @@ from .quadrature import (
     ToleranceConfig,
     integrate,
 )
-from .special import X_MAX, root_table
+from .special import root_table, scaled_airy
 from .spectrum import BoundarySpec, BoundState, ConsistencyError, DomainError, energy
 
 __all__ = [
@@ -51,40 +58,11 @@ __all__ = [
     "position_norm",
 ]
 
-# Beyond this argument the plain Airy value has lost enough range that the
-# exponentially scaled variant takes over.
-_DEEP_ARG = 8.0
-
 # exp() arguments are clipped here; the clip can only fire for evaluation
 # points outside the physical half-line.
 _EXP_CLIP = 700.0
 
 _MARCH_LIMIT = 20000
-
-
-def _zeta(t):
-    """Exponent (2/3) t^(3/2) of the Airy decay, zero left of the origin."""
-    tt = np.maximum(np.asarray(t, dtype=float), 0.0)
-    return (2.0 / 3.0) * tt ** 1.5
-
-
-def _scaled_airy_pair(t):
-    """Ai and Ai' times exp(zeta(t)), elementwise on an array."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    ai = np.empty_like(t)
-    aip = np.empty_like(t)
-    deep = t > _DEEP_ARG
-    if deep.any():
-        vals = sp.airye(t[deep])
-        ai[deep] = vals[0]
-        aip[deep] = vals[1]
-    rest = ~deep
-    if rest.any():
-        vals = sp.airy(t[rest])
-        boost = np.exp(_zeta(t[rest]))
-        ai[rest] = vals[0] * boost
-        aip[rest] = vals[1] * boost
-    return ai, aip
 
 
 class StateFunctions:
@@ -106,32 +84,30 @@ class StateFunctions:
         self.field_cbrt = f13
         self.arg0 = -e_val / (f13 * f13)
         self._robin_ratio = bc.is_robin
+        ai0, aip0, s0 = (float(v) for v in scaled_airy(self.arg0))
 
         if bc.is_robin:
             if e_val + 1.0 <= 0.0:
                 raise ConsistencyError(
                     f"Robin level with E+1 = {e_val + 1.0:.3e} <= 0 cannot be normalized"
                 )
-            s0, sp0 = _scaled_airy_pair(self.arg0)
-            s0 = float(s0[0])
-            sp0 = float(sp0[0])
-            if abs(s0) < 1e-10 * max(abs(sp0), 0.05):
+            if abs(ai0) < 1e-10 * max(abs(aip0), 0.05):
                 raise ConsistencyError(
                     "wall value of the profile is consistent with a hard wall; "
                     "the level appears mislabeled"
                 )
+            # The profile is amp * Ai(xi) / Ai(arg0), formed from scaled
+            # values as exp(s0 - s(xi)) times their ratio.
             self._amp = math.sqrt(field / (e_val + 1.0))
+            self._ai0 = ai0
             self._s0 = s0
-            self._zeta0 = float(_zeta(self.arg0))
             self.psi0 = self._amp
             self.dpsi0 = bc.wall_slope * self.psi0
         elif bc is BoundarySpec.DIRICHLET:
-            aip0 = float(sp.airy(self.arg0)[1])
             self._amp = f13 ** 0.5 / aip0
             self.psi0 = 0.0
             self.dpsi0 = -math.sqrt(field)
         else:
-            ai0 = float(sp.airy(self.arg0)[0])
             self._amp = f13 ** 0.5 / (math.sqrt(-self.arg0) * ai0)
             self.psi0 = f13 ** 0.5 / math.sqrt(-self.arg0)
             self.dpsi0 = 0.0
@@ -152,17 +128,23 @@ class StateFunctions:
     def _airy_profile(self, x, derivative: bool):
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
-        xi = self.arg0 - self.field_cbrt * np.atleast_1d(x_arr)
+        x1 = np.atleast_1d(x_arr)
+        xi = self.arg0 - self.field_cbrt * x1
+        ai, aip, s = scaled_airy(xi)
+        base = aip if derivative else ai
         if self._robin_ratio:
-            s_ai, s_aip = _scaled_airy_pair(xi)
-            expo = np.minimum(self._zeta0 - _zeta(xi), _EXP_CLIP)
-            base = (s_aip if derivative else s_ai) / self._s0 * np.exp(expo)
+            expo = self._s0 - s
+            if self._s0 > 0.0:
+                # At weak field s0 and s(xi) are huge and nearly equal, so
+                # their difference is formed from xi - arg0 = -f^(1/3) x.
+                deep = s > 0.0
+                xd = xi[deep]
+                r0 = math.sqrt(self.arg0)
+                expo[deep] = ((2.0 / 3.0) * self.field_cbrt * x1[deep]
+                              * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
+            base = base / self._ai0 * np.exp(np.minimum(expo, _EXP_CLIP))
         else:
-            base = np.zeros_like(xi)
-            live = xi < X_MAX
-            if live.any():
-                vals = sp.airy(xi[live])
-                base[live] = vals[1] if derivative else vals[0]
+            base = base * np.exp(-s)
         out = self._amp * base
         if derivative:
             out = -self.field_cbrt * out
@@ -187,8 +169,15 @@ class StateFunctions:
         the turning point is the only region the criterion ever sees.
         """
         field = self.state.field
+        e_val = self.state.energy
         step = 0.5 / self.field_cbrt
-        x = min(-self.state.energy / field, 0.0)
+        if e_val < 0.0:
+            # A surface state decays over 1/sqrt(-E), which at weak field
+            # is far shorter than the Airy length field**(-1/3).  A whole
+            # decay length per step keeps the two-step margin below at two
+            # decay lengths, which the transform of psi (not psi^2) needs.
+            step = min(step, 1.0 / math.sqrt(-e_val))
+        x = min(-e_val / field, 0.0)
         rho_max = self.rho(x)
         threshold = self.cfg.x_cut_threshold
         for _ in range(_MARCH_LIMIT):

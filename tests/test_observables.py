@@ -15,6 +15,7 @@ from robinwall.observables import (
     zero_field_mean_x,
 )
 from robinwall.spectrum import BoundarySpec, BoundState, DomainError, energy
+from robinwall.states import build_state
 
 # Nearest-neighbour coordinate couplings at field 1, frozen from a
 # 30-digit evaluation of the closed forms.
@@ -67,6 +68,33 @@ def test_mean_position_rejects_near_degenerate_normalization():
                      energy=-1.0 + 1e-13, residual=0.0, bracket=(-1.0, -0.9))
     with pytest.raises(DomainError):
         mean_position(bad)
+
+
+def test_weak_field_ground_mean_is_refused():
+    # The closed form cancels here: it used to return -0.5959 where the
+    # profile's mean is -0.49999998.
+    with pytest.raises(DomainError, match="mean_x_quadrature"):
+        polarization(energy("robin-", 0, 1e-7))
+
+
+def _smallest_accepted_ground_field() -> float:
+    lo, hi = -7.0, -3.0  # log10 of a refused and an accepted field
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        try:
+            mean_position(energy("robin-", 0, 10.0 ** mid))
+        except DomainError:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0 ** hi
+
+
+@pytest.mark.parametrize("field", [1e-3, 1e-2, None])
+def test_ground_mean_matches_quadrature_where_accepted(field):
+    field = field or _smallest_accepted_ground_field()
+    closed = mean_position(energy("robin-", 0, field))
+    assert abs(closed - mean_x_quadrature(build_state("robin-", 0, field))) < 1e-6
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-"])

@@ -16,7 +16,7 @@ from robinwall import (
     fourier_half_line,
     integrate,
 )
-from robinwall.quadrature import MIN_TAIL_K, integrate_full, momentum_tail_moment
+from robinwall.quadrature import MIN_TAIL_K, integrate_full
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -162,12 +162,4 @@ def test_tail_switch_floor():
     tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
     with pytest.raises(TailRangeError):
         tail.probability_beyond(MIN_TAIL_K / 2)
-    with pytest.raises(TailRangeError):
-        momentum_tail_moment(SQRT2, k_min=5.0)
 
-
-def test_momentum_tail_moment_leading_order():
-    got = momentum_tail_moment(SQRT2, k_min=500.0)
-    assert math.isclose(got, 2.0 / (math.pi * 500.0), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        momentum_tail_moment(SQRT2, p=2)

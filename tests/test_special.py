@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinwall import airy, airy_root, asymptotic_zero, root_table
+from robinwall import airy_root, asymptotic_zero, root_table
 from robinwall.special import (
-    X_MAX,
+    AIRY_ARG_MAX,
+    SCALE_SWITCH,
     ZERO_OF_AI,
     ZERO_OF_AI_PRIME,
     build_root_table,
     gamma_fn,
-    wronskian_deficit,
+    scaled_airy,
 )
 
 # Reference values computed with mpmath at 30 significant digits.
@@ -54,31 +55,28 @@ AI_PRIME_ZEROS = [
 
 @pytest.mark.parametrize("x,ai_ref,aip_ref", AIRY_SAMPLES)
 def test_airy_against_high_precision_reference(x, ai_ref, aip_ref):
-    val = airy(x)
-    assert math.isclose(val.ai, ai_ref, rel_tol=5e-13)
-    assert math.isclose(val.ai_prime, aip_ref, rel_tol=5e-13)
-    assert not val.underflow
+    ai, aip, s = scaled_airy(x)
+    assert s == (0.0 if x <= SCALE_SWITCH else (2.0 / 3.0) * x ** 1.5)
+    assert math.isclose(ai * math.exp(-s), ai_ref, rel_tol=5e-13)
+    assert math.isclose(aip * math.exp(-s), aip_ref, rel_tol=5e-13)
 
 
-def test_airy_underflow_flag():
-    val = airy(X_MAX + 1.0)
-    assert val.underflow
-    assert val.ai == 0.0
-    assert val.ai_prime == 0.0
+def test_scaled_airy_past_airye_range():
+    # scipy's airye turns NaN from AIRY_ARG_MAX on; the helper reports 0
+    # there, with a finite exponent, and keeps the leading asymptote
+    # Ai(z) e^s ~ 1 / (2 sqrt(pi) z^(1/4)) just below it.
+    ai, aip, s = scaled_airy([AIRY_ARG_MAX * (1.0 - 1e-9), AIRY_ARG_MAX, 1e30])
+    assert math.isclose(ai[0], 0.5 / (math.sqrt(math.pi) * AIRY_ARG_MAX ** 0.25), rel_tol=1e-6)
+    assert list(ai[1:]) == [0.0, 0.0]
+    assert list(aip[1:]) == [0.0, 0.0]
+    assert all(math.isfinite(v) for v in s)
 
 
 def test_airy_rejects_non_finite():
     with pytest.raises(ValueError):
-        airy(float("nan"))
+        scaled_airy(float("nan"))
     with pytest.raises(ValueError):
-        airy(float("inf"))
-
-
-@given(st.floats(min_value=-30.0, max_value=30.0))
-@settings(max_examples=60, deadline=None)
-def test_wronskian_identity(x):
-    # Ai(x)Bi'(x) - Ai'(x)Bi(x) = 1/pi for every x.
-    assert abs(wronskian_deficit(x)) < 1e-13
+        scaled_airy([0.0, float("inf")])
 
 
 def test_gamma_fn_halves_and_integers():
@@ -98,8 +96,8 @@ def test_zero_residuals_polished():
     # Polished roots satisfy the defining equations essentially to rounding.
     table = root_table(40)
     for k in (1, 5, 17, 40):
-        assert abs(airy(table.ai_zero(k)).ai) < 5e-12
-        assert abs(airy(table.ai_prime_zero(k)).ai_prime) < 5e-12
+        assert abs(scaled_airy(table.ai_zero(k))[0]) < 5e-12
+        assert abs(scaled_airy(table.ai_prime_zero(k))[1]) < 5e-12
 
 
 def test_zero_interlacing():

@@ -1,14 +1,17 @@
 """Eigenvalue solver: frozen references, ordering, asymptotics, error paths."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robinwall import spectrum
 from robinwall import (
     BoundarySpec,
     BoundState,
+    ConsistencyError,
     DomainError,
     eigenvalue_function,
     energy,
@@ -94,6 +97,60 @@ def test_solver_invariants(log_field, n, bc):
     assert node_count(state.energy, field) == n
     wall = BoundarySpec.parse(bc)
     assert abs(eigenvalue_function(wall, state.energy, field)) < 1e-11
+
+
+@given(
+    st.floats(min_value=-9.0, max_value=6.0),
+    st.integers(min_value=0, max_value=50),
+    st.sampled_from([BoundarySpec.ROBIN_MINUS, BoundarySpec.ROBIN_PLUS]),
+)
+@settings(max_examples=60, deadline=None)
+def test_robin_levels_across_the_domain(log_field, n, bc):
+    # The uncached solver, with every determinant evaluation counted: the
+    # count bounds the work of one level without timing it.
+    field = 10.0 ** log_field
+    with mock.patch.object(spectrum, "eigenvalue_function",
+                           wraps=spectrum.eigenvalue_function) as det:
+        state = spectrum._solve_robin(bc, n, field)
+    assert det.call_count <= 40
+    lo, hi = state.bracket
+    assert lo < state.energy < hi
+    assert node_count(state.energy, field) == n
+    neumann = energy("neumann", n, field).energy
+    if bc is BoundarySpec.ROBIN_PLUS:
+        assert (lo, hi) == (neumann, energy("dirichlet", n, field).energy)
+    elif n == 0:
+        assert (lo, hi) == (-1.0, neumann)
+    else:
+        assert (lo, hi) == (energy("dirichlet", n - 1, field).energy, neumann)
+
+
+def test_weak_field_level_that_a_residual_bound_rejected():
+    # An absolute residual bound of 1e-11 refused this correctly refined
+    # level; the sign-change certificate accepts it.
+    field = 2.148988408932126e-07
+    state = energy("robin+", 25, field)
+    assert energy("neumann", 25, field).energy < state.energy
+    assert state.energy < energy("dirichlet", 25, field).energy
+    assert node_count(state.energy, field) == 25
+
+
+def test_certificate_rejects_a_moved_root():
+    field = 2.148988408932126e-07
+    root = energy("robin+", 25, field).energy
+    spectrum._certify_root(BoundarySpec.ROBIN_PLUS, root, field)
+    with pytest.raises(ConsistencyError):
+        spectrum._certify_root(BoundarySpec.ROBIN_PLUS, root * (1.0 + 1e-9), field)
+
+
+def test_attractive_ground_level_field_floor():
+    # Below field 2**-30 the wall-side Airy argument of robin- n=0 leaves
+    # the range of scipy's scaled Airy functions.
+    with pytest.raises(DomainError, match="9.31323e-10"):
+        energy("robin-", 0, 5e-10)
+    state = energy("robin-", 0, 1e-9)
+    assert -1.0 < state.energy < -1.0 + 1e-9
+    assert node_count(state.energy, 1e-9) == 0
 
 
 def test_level_spacing_positive_and_consistent():

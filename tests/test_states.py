@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from scipy.special import airy
 
 from robinwall.quadrature import fourier_half_line
-from robinwall.special import airy, root_table
+from robinwall.special import root_table
 from robinwall.spectrum import DomainError
 from robinwall.states import (
     boundary_residual,
@@ -57,6 +58,16 @@ def test_march_cut_covers_the_decay_region(state_of):
     assert sf.rho(sf.x_cut) < 1e-12
 
 
+def test_march_cut_follows_surface_state_decay():
+    # At field 1e-9 the attractive ground state decays over 1/sqrt(-E) ~ 1,
+    # far inside the Airy length field**(-1/3) = 1000.  Its norm rests on
+    # E + 1 ~ 5e-10, whose few-ulp rounding leaves a few 1e-6 relative.
+    sf = build_state("robin-", 0, 1e-9)
+    assert -60.0 <= sf.x_cut <= -10.0
+    assert sf.rho(sf.x_cut) < 1e-12 * sf.rho(0.0)
+    assert math.isclose(position_norm(sf), 1.0, rel_tol=0.0, abs_tol=2e-5)
+
+
 def test_transform_matches_direct_quadrature(state_of):
     sf = state_of("robin-", 0, 1.0)
     for k in (0.0, 0.7, -2.2):
@@ -96,12 +107,12 @@ def test_weak_field_extrema_match_airy_prediction(state_of):
     table = root_table(n + 1)
     found = extrema(sf, "weak")
     assert [e.m for e in found] == [1, 2]
-    scale = field ** (1.0 / 6.0) / abs(airy(table.ai_zero(n)).ai_prime)
+    scale = field ** (1.0 / 6.0) / abs(airy(table.ai_zero(n))[1])
     for e in found:
         assert abs(sf.psi_prime(e.x)) < 1e-8
         want_x = (table.ai_zero(n) - table.ai_prime_zero(e.m)) / field ** (1.0 / 3.0) - 1.0
         assert math.isclose(e.x, want_x, rel_tol=1e-2)
-        want_amp = scale * abs(airy(table.ai_prime_zero(e.m)).ai)
+        want_amp = scale * abs(airy(table.ai_prime_zero(e.m))[0])
         assert math.isclose(abs(e.psi_value), want_amp, rel_tol=1e-2)
 
 
@@ -113,10 +124,10 @@ def test_strong_field_extrema_match_airy_prediction(state_of, n):
     top = table.ai_prime_zero(n + 1)
     found = extrema(sf, "strong")
     assert [e.m for e in found] == list(range(1, n + 1))
-    scale = field ** (1.0 / 6.0) / (math.sqrt(-top) * airy(top).ai)
+    scale = field ** (1.0 / 6.0) / (math.sqrt(-top) * airy(top)[0])
     for e in found:
         assert abs(sf.psi_prime(e.x)) < 1e-8
-        want = scale * airy(table.ai_prime_zero(e.m)).ai
+        want = scale * airy(table.ai_prime_zero(e.m))[0]
         assert math.isclose(e.psi_value, want, rel_tol=5e-3)
 
 
