@@ -21,7 +21,6 @@ from .infomeasures import (
     fisher_product_maximum,
     flat_well_approximation,
     measure_state,
-    onicescu,
     shannon,
 )
 from .observables import (
@@ -136,7 +135,6 @@ __all__ = [
     "momentum_density_peak",
     "momentum_norm",
     "node_count",
-    "onicescu",
     "polarization",
     "position_norm",
     "root_table",

@@ -12,20 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .infomeasures import (
-    entropy_crossing,
-    fisher_product_maximum,
-    measure_state,
-    onicescu,
-    shannon,
-)
+from .infomeasures import entropy_crossing, fisher_product_maximum, measure_state
 from .observables import dipole_matrix, polarization
 from .oracle import fd_energies
 from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
@@ -120,17 +113,6 @@ class SweepRequest:
         return cols
 
 
-def _measure_values(sf: StateFunctions, quantities, cfg: ToleranceConfig) -> dict:
-    if "measures" in quantities:
-        rec = measure_state(sf, cfg)
-        return {name: getattr(rec, name) for name in _QUANTITY_COLUMNS["measures"]}
-    s_x, s_k = shannon(sf, cfg)
-    o_x, o_k = onicescu(sf, cfg)
-    cgl_x = math.exp(s_x) * o_x
-    cgl_k = math.exp(s_k) * o_k
-    return {"CGL_x": cgl_x, "CGL_k": cgl_k, "CGL_product": cgl_x * cgl_k}
-
-
 def _row_values(req: SweepRequest, n: int, field: float) -> dict:
     vals = {}
     state = energy(req.bc, n, field)
@@ -147,8 +129,9 @@ def _row_values(req: SweepRequest, n: int, field: float) -> dict:
             dipole=rec.dipole,
         )
     if qs & {"cgl", "measures"}:
-        sf = StateFunctions(state, req.tolerances)
-        vals.update(_measure_values(sf, qs, req.tolerances))
+        # The cgl columns are a subset of the measures columns.
+        rec = measure_state(StateFunctions(state, req.tolerances), req.tolerances)
+        vals.update((name, getattr(rec, name)) for name in _QUANTITY_COLUMNS["measures"])
     return vals
 
 

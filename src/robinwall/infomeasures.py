@@ -1,10 +1,10 @@
 """Entropic, Fisher, and disequilibrium functionals of the wall states.
 
-Position-side integrals run over the truncated half-line; momentum-side
-integrals split at the state's switch momentum and finish with the
-analytic tail model, since the densities decay only algebraically there.
-Position Fisher information additionally has a closed form in the level
-energy, which the quadrature route must reproduce before it is trusted.
+Everything is computed, and certified, by :func:`measure_state`: one
+scalar quadrature per position-side integral over the truncated half-line,
+and one pass of :func:`.states.momentum_integrals` for the momentum side
+and its norm.  Position Fisher information additionally has a closed form
+in the level energy, which the quadrature route must reproduce.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .spectrum import (
     ConsistencyError,
     DomainError,
 )
-from .states import StateFunctions, build_state
+from .states import StateFunctions, build_state, momentum_integrals, position_norm
 
 __all__ = [
     "ENTROPY_FLOOR",
@@ -39,7 +39,6 @@ __all__ = [
     "fisher_product_maximum",
     "flat_well_approximation",
     "measure_state",
-    "onicescu",
     "shannon",
 ]
 
@@ -49,6 +48,9 @@ ENTROPY_FLOOR = 1.0 + math.log(math.pi)
 # Momentum entropy of the lowest level of a unit-width flat box; feeds the
 # box model of the hard-wall ground state.
 UNIT_WELL_MOMENTUM_ENTROPY = 2.5189
+
+# Largest |norm - 1| a measured state may show in either space.
+_NORM_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,8 @@ class InfoRecord:
 
 def shannon(sf: StateFunctions, cfg: ToleranceConfig | None = None):
     """Position and momentum entropies of a built state."""
-    cfg = cfg or sf.cfg
-
-    def x_integrand(x):
-        r = sf.rho(x)
-        return -float(xlogy(r, r))
-
-    def k_integrand(k):
-        g = sf.gamma(k)
-        return -float(xlogy(g, g))
-
-    s_x = integrate(x_integrand, sf.x_cut, 0.0, cfg)
-    big_k = sf.k_numeric_max
-    s_k = 2.0 * integrate(k_integrand, 0.0, big_k, cfg)
-    s_k += sf.tail.entropy_beyond(big_k, cfg)
-    return s_x, s_k
+    rec = measure_state(sf, cfg)
+    return rec.S_x, rec.S_k
 
 
 def fisher_position_closed(state: BoundState) -> float:
@@ -104,53 +93,44 @@ def fisher_position_closed(state: BoundState) -> float:
 
 def fisher(sf: StateFunctions, cfg: ToleranceConfig | None = None):
     """Fisher informations; the position route is closed-form but checked."""
-    cfg = cfg or sf.cfg
-    closed = fisher_position_closed(sf.state)
-
-    def gradient_sq(x):
-        d = sf.psi_prime(x)
-        return d * d
-
-    quad_route = 4.0 * integrate(gradient_sq, sf.x_cut, 0.0, cfg)
-    if abs(quad_route - closed) > 1e-6 * max(1.0, abs(closed)):
-        raise ConsistencyError(
-            f"position Fisher routes disagree: closed {closed:.12g}, "
-            f"quadrature {quad_route:.12g}"
-        )
-
-    def k_integrand(k):
-        g = sf.gamma(k)
-        dg = sf.gamma_prime(k)
-        return dg * dg / max(g, 1e-300)
-
-    big_k = sf.k_numeric_max
-    i_k = 2.0 * integrate(k_integrand, 0.0, big_k, cfg)
-    i_k += sf.tail.fisher_beyond(big_k, cfg)
-    return closed, i_k
-
-
-def onicescu(sf: StateFunctions, cfg: ToleranceConfig | None = None):
-    """Disequilibria: integrals of the squared densities."""
-    cfg = cfg or sf.cfg
-    o_x = integrate(lambda x: sf.rho(x) ** 2, sf.x_cut, 0.0, cfg)
-    big_k = sf.k_numeric_max
-    o_k = 2.0 * integrate(lambda k: sf.gamma(k) ** 2, 0.0, big_k, cfg)
-    o_k += sf.tail.onicescu_beyond(big_k)
-    return o_x, o_k
+    rec = measure_state(sf, cfg)
+    return rec.I_x, rec.I_k
 
 
 def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> InfoRecord:
-    """One pass over all measures of a built state."""
+    """All measures of a built state, after checking its certificates.
+
+    Unit norm in both spaces comes first, then the entropy floor, then the
+    closed-form position Fisher information against its quadrature route.
+    """
     cfg = cfg or sf.cfg
-    s_x, s_k = shannon(sf, cfg)
+    norm_k, s_k, i_k, o_k = momentum_integrals(sf, cfg)
+    for space, norm in (("position", position_norm(sf, cfg)), ("momentum", norm_k)):
+        if abs(norm - 1.0) > _NORM_TOLERANCE:
+            raise ConsistencyError(
+                f"{space} norm {norm:.12g} is off unity by {norm - 1.0:.3e}, "
+                f"beyond {_NORM_TOLERANCE:g}"
+            )
+
+    def x_entropy(x):
+        r = sf.rho(x)
+        return -float(xlogy(r, r))
+
+    s_x = integrate(x_entropy, sf.x_cut, 0.0, cfg)
     s_t = s_x + s_k
     if s_t < ENTROPY_FLOOR - 1e-9:
         raise ConsistencyError(
             f"total entropy {s_t:.12g} fell below the uncertainty floor "
             f"{ENTROPY_FLOOR:.12g}"
         )
-    i_x, i_k = fisher(sf, cfg)
-    o_x, o_k = onicescu(sf, cfg)
+    i_x = fisher_position_closed(sf.state)
+    i_x_quad = 4.0 * integrate(lambda x: sf.psi_prime(x) ** 2, sf.x_cut, 0.0, cfg)
+    if abs(i_x_quad - i_x) > 1e-6 * max(1.0, abs(i_x)):
+        raise ConsistencyError(
+            f"position Fisher routes disagree: closed {i_x:.12g}, "
+            f"quadrature {i_x_quad:.12g}"
+        )
+    o_x = integrate(lambda x: sf.rho(x) ** 2, sf.x_cut, 0.0, cfg)
     cgl_x = math.exp(s_x) * o_x
     cgl_k = math.exp(s_k) * o_k
     return InfoRecord(

@@ -20,7 +20,8 @@ Numerically delicate points handled here:
   (:class:`.quadrature.HalfLineFourierTable`) and built lazily, because
   only the momentum-side quantities need it.
 * Beyond a switch momentum the density follows the boundary-value tail
-  model, so momentum integrals are split at ``k_numeric_max``.
+  model, so :func:`momentum_integrals` splits its one adaptive pass at
+  ``k_numeric_max``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 # Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
 # special, spectrum and states to count Airy points.
@@ -42,6 +44,7 @@ from .quadrature import (
     MomentumTail,
     ToleranceConfig,
     integrate,
+    integrate_vector,
 )
 from .special import root_table, scaled_airy
 from .spectrum import BoundarySpec, BoundState, ConsistencyError, DomainError, energy
@@ -54,6 +57,7 @@ __all__ = [
     "energy_identity_residual",
     "extrema",
     "momentum_density_peak",
+    "momentum_integrals",
     "momentum_norm",
     "position_norm",
 ]
@@ -69,7 +73,7 @@ class StateFunctions:
     """Callable profile bundle for one solved level.
 
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
-    ``phi``, ``gamma``, ``gamma_prime`` on the momentum side, plus the
+    ``phi``, ``gamma`` on the momentum side, plus the
     boundary data and integration bookkeeping (``x_cut``,
     ``k_numeric_max``, ``tail``) that the observable layers use.
     """
@@ -217,18 +221,7 @@ class StateFunctions:
 
     def gamma(self, k):
         """Momentum density |phi|^2, an even function of k."""
-        value = self.phi(k)
-        if np.ndim(k) == 0:
-            return abs(value) ** 2
-        return np.abs(value) ** 2
-
-    def gamma_prime(self, k):
-        """d(gamma)/dk at a scalar momentum."""
-        table = self._table()
-        kk = float(k)
-        value = table.transform(kk)
-        slope = table.transform_k_derivative(kk)
-        return 2.0 * (value.conjugate() * slope).real
+        return np.abs(self.phi(k)) ** 2
 
 
 def build_state(bc, n: int, field: float,
@@ -249,12 +242,34 @@ def position_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> flo
     return integrate(sf.rho, sf.x_cut, 0.0, cfg)
 
 
+def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
+    """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
+
+    gamma, -gamma ln(gamma), gamma'^2/gamma and gamma^2 share the table's
+    samples of phi and phi' over [0, K]; the tail model adds |k| > K.
+    """
+    cfg = cfg or sf.cfg
+    table = sf._table()
+
+    def integrand(k):
+        phi = table.transform(k)
+        g = abs(phi) ** 2
+        dg = 2.0 * (phi.conjugate() * table.transform_k_derivative(k)).real
+        return np.array([g, -xlogy(g, g), dg * dg / max(g, 1e-300), g * g])
+
+    big_k = sf.k_numeric_max
+    core, _ = integrate_vector(integrand, 0.0, big_k, cfg)
+    norm, s_k, i_k, o_k = (2.0 * float(v) for v in core)
+    tail = sf.tail
+    return (norm + tail.probability_beyond(big_k),
+            s_k + tail.entropy_beyond(big_k, cfg),
+            i_k + tail.fisher_beyond(big_k, cfg),
+            o_k + tail.onicescu_beyond(big_k))
+
+
 def momentum_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
     """Norm in momentum space: numeric core plus the analytic tail."""
-    cfg = cfg or sf.cfg
-    big_k = sf.k_numeric_max
-    core = 2.0 * integrate(sf.gamma, 0.0, big_k, cfg)
-    return core + sf.tail.probability_beyond(big_k)
+    return momentum_integrals(sf, cfg)[0]
 
 
 def momentum_density_peak(sf: StateFunctions) -> float:

@@ -15,7 +15,7 @@ from robinwall.infomeasures import (
     measure_state,
     shannon,
 )
-from robinwall.spectrum import BracketError, DomainError, energy
+from robinwall.spectrum import BracketError, ConsistencyError, DomainError, energy
 from robinwall.states import build_state
 
 # Closed-form position Fisher informations of the two Robin walls at
@@ -84,6 +84,13 @@ def test_measure_record_is_consistent(state_of, bc, n, field):
     # Jensen's inequality on ln(rho) makes each complexity at least one.
     assert rec.CGL_x >= 1.0 - 1e-12
     assert rec.CGL_k >= 1.0 - 1e-12
+
+
+def test_measure_state_certifies_unit_norm():
+    sf = build_state("robin-", 0, 1.0)
+    sf._amp *= 1.0 + 1e-5
+    with pytest.raises(ConsistencyError, match="position norm"):
+        measure_state(sf)
 
 
 def test_flat_well_entropies():

@@ -105,7 +105,7 @@ def test_fourier_table_vector_matches_scalar():
 def test_fourier_table_k_derivative():
     # d/dk of pi^(-1/2)/(1 - ik) is i pi^(-1/2)/(1 - ik)^2
     table = HalfLineFourierTable(exp_state, x_cut=-40.0, k_max=30.0)
-    for k in (0.0, 0.9, 6.0):
+    for k in (0.0, 0.9, 6.0, 25.0):
         want = 1j * INV_SQRT_PI / (1.0 - 1j * k) ** 2
         assert abs(table.transform_k_derivative(k) - want) < 1e-10
 

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.special import airy
 
-from robinwall.quadrature import fourier_half_line
+from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line
 from robinwall.special import root_table
 from robinwall.spectrum import DomainError
 from robinwall.states import (
@@ -14,6 +15,7 @@ from robinwall.states import (
     energy_identity_residual,
     extrema,
     momentum_density_peak,
+    momentum_integrals,
     momentum_norm,
     position_norm,
 )
@@ -51,6 +53,17 @@ def test_unit_norm_both_sides(state_of, bc, n, field):
     assert math.isclose(momentum_norm(sf), 1.0, rel_tol=0.0, abs_tol=5e-8)
 
 
+def test_unconverged_momentum_pass_raises():
+    # The vector rule stops silently at its interval limit; the pass must
+    # turn that into an error that still carries the estimate and bound.
+    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=32)
+    sf = build_state("robin-", 0, 1.0, cfg)
+    with pytest.raises(QuadratureError) as info:
+        momentum_integrals(sf)
+    assert np.all(np.isfinite(info.value.estimate))
+    assert math.isfinite(info.value.error_bound)
+
+
 def test_march_cut_covers_the_decay_region(state_of):
     sf = state_of("robin-", 1, 1.0)
     turning_point = -sf.state.energy / sf.state.field
@@ -73,6 +86,12 @@ def test_transform_matches_direct_quadrature(state_of):
     for k in (0.0, 0.7, -2.2):
         direct = fourier_half_line(sf.psi, k, sf.x_cut)
         assert abs(sf.phi(k) - direct) < 1e-9
+    # The panel-factored phase is hardest where k*|x| is largest: a long
+    # table at the top of its momentum range.
+    sf = state_of("robin-", 1, 0.02)
+    k = 0.99 * sf.k_numeric_max
+    direct = fourier_half_line(sf.psi, k, sf.x_cut)
+    assert abs(sf.phi(k) - direct) < 1e-9
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
