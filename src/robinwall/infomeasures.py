@@ -1,10 +1,11 @@
 """Entropic, Fisher, and disequilibrium functionals of the wall states.
 
 Everything is computed, and certified, by :func:`measure_state`: one
-scalar quadrature per position-side integral over the truncated half-line,
-and one pass of :func:`.states.momentum_integrals` for the momentum side
-and its norm.  Position Fisher information additionally has a closed form
-in the level energy, which the quadrature route must reproduce.
+pass of :func:`.states.position_integrals` over the truncated half-line
+and one pass of :func:`.states.momentum_integrals`, each giving its
+space's norm with the measures.  Position Fisher information additionally
+has a closed form in the level energy, which the quadrature route must
+reproduce.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
-from scipy.special import xlogy
 
-from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig, integrate
+from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .special import root_table
 from .spectrum import (
     BoundarySpec,
@@ -24,7 +24,7 @@ from .spectrum import (
     ConsistencyError,
     DomainError,
 )
-from .states import StateFunctions, build_state, momentum_integrals, position_norm
+from .states import StateFunctions, build_state, momentum_integrals, position_integrals
 
 __all__ = [
     "ENTROPY_FLOOR",
@@ -104,19 +104,14 @@ def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> Inf
     closed-form position Fisher information against its quadrature route.
     """
     cfg = cfg or sf.cfg
+    norm_x, s_x, slope_sq, o_x = position_integrals(sf, cfg)
     norm_k, s_k, i_k, o_k = momentum_integrals(sf, cfg)
-    for space, norm in (("position", position_norm(sf, cfg)), ("momentum", norm_k)):
+    for space, norm in (("position", norm_x), ("momentum", norm_k)):
         if abs(norm - 1.0) > _NORM_TOLERANCE:
             raise ConsistencyError(
                 f"{space} norm {norm:.12g} is off unity by {norm - 1.0:.3e}, "
                 f"beyond {_NORM_TOLERANCE:g}"
             )
-
-    def x_entropy(x):
-        r = sf.rho(x)
-        return -float(xlogy(r, r))
-
-    s_x = integrate(x_entropy, sf.x_cut, 0.0, cfg)
     s_t = s_x + s_k
     if s_t < ENTROPY_FLOOR - 1e-9:
         raise ConsistencyError(
@@ -124,13 +119,12 @@ def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> Inf
             f"{ENTROPY_FLOOR:.12g}"
         )
     i_x = fisher_position_closed(sf.state)
-    i_x_quad = 4.0 * integrate(lambda x: sf.psi_prime(x) ** 2, sf.x_cut, 0.0, cfg)
+    i_x_quad = 4.0 * slope_sq
     if abs(i_x_quad - i_x) > 1e-6 * max(1.0, abs(i_x)):
         raise ConsistencyError(
             f"position Fisher routes disagree: closed {i_x:.12g}, "
             f"quadrature {i_x_quad:.12g}"
         )
-    o_x = integrate(lambda x: sf.rho(x) ** 2, sf.x_cut, 0.0, cfg)
     cgl_x = math.exp(s_x) * o_x
     cgl_k = math.exp(s_k) * o_k
     return InfoRecord(

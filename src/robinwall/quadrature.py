@@ -10,8 +10,10 @@ density integral has a slow algebraic tail.  Four tools cover it:
   oscillatory-weight QUADPACK rule (the reference path; exact but slow).
 * :class:`HalfLineFourierTable` discretizes the truncated integral once on
   equal Gauss-Legendre panels and prices any momentum in P + 16 exponentials.
-* :func:`integrate_vector` integrates every momentum functional in one
-  adaptive pass over the same transform samples.
+* :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
+  vector-valued integrand evaluated on a whole interval in one array call;
+  it carries every position and every momentum functional of a state in one
+  pass per space.
 * :class:`MomentumTail` is the analytic model of the density beyond a
   switch momentum K, with closed or one-dimensional forms for every tail
   integral that the information measures need.
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad
 from scipy.special import xlogy
 
 __all__ = [
@@ -36,8 +38,8 @@ __all__ = [
     "ToleranceConfig",
     "fourier_half_line",
     "integrate",
+    "integrate_batch",
     "integrate_full",
-    "integrate_vector",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -119,18 +121,99 @@ def integrate(f, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     return integrate_full(f, a, b, cfg)[0]
 
 
-def integrate_vector(f, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Integrate a vector-valued f over [a, b], returning (values, error_bound).
+# QUADPACK qk21 (Piessens et al. 1983): the 21-point Kronrod abscissae on
+# [0, 1] with their weights; every other one, from the second, is a node
+# of the embedded 10-point Gauss rule.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980148982, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
 
-    The components share one subdivision and the tolerances apply to the
-    max norm.  The vector rule warns about nothing, so a pass that stops
-    short raises :class:`QuadratureError` here.
+# The same rule over all 21 nodes of [-1, 1], in ascending order.
+_KRONROD_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS_WEIGHTS = np.zeros(21)
+_GAUSS_WEIGHTS[1:10:2] = _WG
+_GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
+_EPS = np.finfo(float).eps
+
+
+def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
+    """qk21 on every interval [lo_j, hi_j] from one call of f.
+
+    Returns the Kronrod values and qk21's error estimates, both shaped
+    (intervals, components).
     """
-    value, err, info = quad_vec(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, norm="max",
-                                limit=cfg.max_subdivisions, full_output=True)
-    if not info.success:
-        raise QuadratureError(info.message, estimate=value, error_bound=float(err))
-    return value, float(err)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _KRONROD_NODES
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[0], lo.size, _KRONROD_NODES.size)
+    resk = fx @ _KRONROD_WEIGHTS
+    resg = fx @ _GAUSS_WEIGHTS
+    resabs = np.abs(fx) @ _KRONROD_WEIGHTS
+    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KRONROD_WEIGHTS
+    dh = np.abs(half)
+    err = np.abs(resk - resg) * dh
+    resasc = resasc * dh
+    resabs = resabs * dh
+    scaled = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc != 0.0)
+    err = np.where((resasc != 0.0) & (err != 0.0), resasc * np.minimum(1.0, scaled ** 1.5), err)
+    return (resk * half).T, np.maximum(50.0 * _EPS * resabs, err).T
+
+
+def integrate_batch(f, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Integrate a vector-valued f over [a, b], returning (values, errors).
+
+    ``f`` maps a 1-d array of points to an array of shape (m, points).  The
+    rule is QUADPACK's qag with the qk21 pair: it bisects the interval whose
+    worst component sits furthest above its tolerance and evaluates both
+    halves in one call of 42 points.  It stops once every component meets
+    sum(err_i) <= max(abs_tol, rel_tol*|I_i|) on its own; at
+    ``cfg.max_subdivisions`` intervals it raises :class:`QuadratureError`
+    with the per-component estimates.
+    """
+    limit = cfg.max_subdivisions
+    lo = np.empty(limit)
+    hi = np.empty(limit)
+    lo[0], hi[0] = a, b
+    first, first_err = _kronrod(f, lo[:1], hi[:1])
+    vals = np.empty((limit, first.shape[1]))
+    errs = np.empty_like(vals)
+    vals[0], errs[0] = first[0], first_err[0]
+    n = 1
+    while True:
+        total = vals[:n].sum(axis=0)
+        err = errs[:n].sum(axis=0)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if np.all(err <= tol):
+            return total, err
+        if n == limit:
+            worst = int(np.argmax(err / tol))
+            raise QuadratureError(
+                f"{limit} intervals left component {worst} with error "
+                f"{err[worst]:.3e} above its tolerance {tol[worst]:.3e}",
+                estimate=total, error_bound=float(err[worst]))
+        j = int(np.argmax(np.max(errs[:n] / tol, axis=1)))
+        mid = 0.5 * (lo[j] + hi[j])
+        halves, half_errs = _kronrod(f, np.array([lo[j], mid]), np.array([mid, hi[j]]))
+        lo[n], hi[n], hi[j] = mid, hi[j], mid
+        vals[j], vals[n] = halves
+        errs[j], errs[n] = half_errs
+        n += 1
 
 
 def _weighted(psi, x_cut: float, k: float, weight: str, cfg: ToleranceConfig) -> float:
@@ -182,6 +265,9 @@ class HalfLineFourierTable:
     which is far below the adaptive tolerances layered on top.  Panels
     share one half-width h, so the phase at node m_p + h t_j factors as
     exp(-ik m_p) exp(-ik h t_j): P + 16 exponentials instead of 16 P.
+    The weights of psi and of x psi sit side by side in one array, so
+    :meth:`transform_pair` gets phi and phi' for a batch of momenta from
+    one set of phases.
     """
 
     def __init__(self, psi, x_cut: float, k_max: float, decay_rate: float = 0.0):
@@ -202,27 +288,46 @@ class HalfLineFourierTable:
         self.node_count = int(x.size)
         self._mid = mid
         self._local = half * t
-        self._w_psi = half * weights * psi_x.reshape(x.shape)
-        self._xw_psi = x * self._w_psi
+        w_psi = half * weights * psi_x.reshape(x.shape)
+        # Columns [w psi | x w psi]: phi comes from the first 16, phi' from
+        # the last 16.
+        self._weights = np.concatenate([w_psi, x * w_psi], axis=1)
 
-    def _panel_sum(self, k: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(2 pi)^(-1/2) sum of weights * exp(-i|k|x) over the nodes, per entry of 1-d k."""
+    def _panel_sum(self, k: np.ndarray, profiles: int) -> np.ndarray:
+        """(2 pi)^(-1/2) sums of weights * exp(-i|k|x) over the nodes.
+
+        Sums the first ``profiles`` weight blocks (1: psi; 2: psi and x psi)
+        and returns shape (k.size, profiles) for a 1-d k.
+        """
         kk = np.abs(k)[:, None]
         panel = kk * self._mid
+        weights = self._weights[:, :profiles * _PANEL_ORDER]
         inner = np.cos(panel) @ weights - 1j * (np.sin(panel) @ weights)
-        return np.sum(inner * np.exp(-1j * kk * self._local), axis=1) / _SQRT_TWO_PI
+        inner = inner.reshape(k.size, profiles, _PANEL_ORDER)
+        local = np.exp(-1j * kk * self._local)[:, None, :]
+        return np.sum(inner * local, axis=2) / _SQRT_TWO_PI
 
     def transform(self, k: float) -> complex:
         """Transform value at one momentum."""
-        value = complex(self._panel_sum(np.array([float(k)]), self._w_psi)[0])
+        value = complex(self._panel_sum(np.array([float(k)]), 1)[0, 0])
         return value.conjugate() if k < 0.0 else value
 
     def transform_k_derivative(self, k: float) -> complex:
         """d/dk of the transform at one momentum."""
-        value = -1j * complex(self._panel_sum(np.array([float(k)]), self._xw_psi)[0])
+        return complex(self.transform_pair(np.array([float(k)]))[1][0])
+
+    def transform_pair(self, k: np.ndarray) -> tuple:
+        """(phi, d phi/dk) at every momentum of a 1-d array, from one set of phases."""
+        k = np.asarray(k, dtype=float)
+        sums = self._panel_sum(k, 2)
+        phi = sums[:, 0]
+        dphi = -1j * sums[:, 1]
         # With phi(-k) = conj(phi(k)) the derivative picks up a sign under
         # conjugation.
-        return -value.conjugate() if k < 0.0 else value
+        neg = k < 0.0
+        phi[neg] = np.conj(phi[neg])
+        dphi[neg] = -np.conj(dphi[neg])
+        return phi, dphi
 
     def transform_many(self, k) -> np.ndarray:
         """Vectorized transform over an array of momenta."""
@@ -230,7 +335,7 @@ class HalfLineFourierTable:
         out = np.empty(karr.size, dtype=complex)
         block = max(1, 2_000_000 // self.node_count)
         for start in range(0, karr.size, block):
-            out[start:start + block] = self._panel_sum(karr[start:start + block], self._w_psi)
+            out[start:start + block] = self._panel_sum(karr[start:start + block], 1)[:, 0]
         neg = karr < 0.0
         out[neg] = np.conj(out[neg])
         return out.reshape(np.shape(k))

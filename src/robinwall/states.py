@@ -19,9 +19,12 @@ Numerically delicate points handled here:
 * The transform is discretized once per state on Gauss-Legendre panels
   (:class:`.quadrature.HalfLineFourierTable`) and built lazily, because
   only the momentum-side quantities need it.
-* Beyond a switch momentum the density follows the boundary-value tail
-  model, so :func:`momentum_integrals` splits its one adaptive pass at
-  ``k_numeric_max``.
+* Every integral over a state runs on :func:`.quadrature.integrate_batch`,
+  one adaptive pass per space: :func:`position_integrals` takes psi and
+  psi' from one Airy call per interval, and :func:`momentum_integrals`
+  takes phi and phi' from one table call per interval.  Beyond a switch
+  momentum the density follows the boundary-value tail model, so the
+  momentum pass stops at ``k_numeric_max``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .quadrature import (
     MomentumTail,
     ToleranceConfig,
     integrate,
-    integrate_vector,
+    integrate_batch,
 )
 from .special import root_table, scaled_airy
 from .spectrum import BoundarySpec, BoundState, ConsistencyError, DomainError, energy
@@ -59,6 +62,7 @@ __all__ = [
     "momentum_density_peak",
     "momentum_integrals",
     "momentum_norm",
+    "position_integrals",
     "position_norm",
 ]
 
@@ -129,13 +133,10 @@ class StateFunctions:
 
     # -- position side -------------------------------------------------
 
-    def _airy_profile(self, x, derivative: bool):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x1 = np.atleast_1d(x_arr)
-        xi = self.arg0 - self.field_cbrt * x1
+    def _airy_profile(self, x):
+        """psi and psi' at 1-d array x, from one scaled Airy call."""
+        xi = self.arg0 - self.field_cbrt * x
         ai, aip, s = scaled_airy(xi)
-        base = aip if derivative else ai
         if self._robin_ratio:
             expo = self._s0 - s
             if self._s0 > 0.0:
@@ -144,23 +145,29 @@ class StateFunctions:
                 deep = s > 0.0
                 xd = xi[deep]
                 r0 = math.sqrt(self.arg0)
-                expo[deep] = ((2.0 / 3.0) * self.field_cbrt * x1[deep]
+                expo[deep] = ((2.0 / 3.0) * self.field_cbrt * x[deep]
                               * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
-            base = base / self._ai0 * np.exp(np.minimum(expo, _EXP_CLIP))
+            scale = np.exp(np.minimum(expo, _EXP_CLIP))
+            ai = ai / self._ai0 * scale
+            aip = aip / self._ai0 * scale
         else:
-            base = base * np.exp(-s)
-        out = self._amp * base
-        if derivative:
-            out = -self.field_cbrt * out
-        return float(out[0]) if scalar else out
+            scale = np.exp(-s)
+            ai = ai * scale
+            aip = aip * scale
+        return self._amp * ai, -self.field_cbrt * (self._amp * aip)
+
+    def _profile(self, x, derivative: bool):
+        x_arr = np.asarray(x, dtype=float)
+        out = self._airy_profile(np.atleast_1d(x_arr))[int(derivative)]
+        return float(out[0]) if x_arr.ndim == 0 else out
 
     def psi(self, x):
         """Wavefunction value; accepts scalars or arrays."""
-        return self._airy_profile(x, derivative=False)
+        return self._profile(x, derivative=False)
 
     def psi_prime(self, x):
         """Spatial derivative of the wavefunction."""
-        return self._airy_profile(x, derivative=True)
+        return self._profile(x, derivative=True)
 
     def rho(self, x):
         p = self.psi(x)
@@ -237,28 +244,46 @@ def boundary_residual(sf: StateFunctions) -> float:
     return abs(sf.psi_prime(0.0) - sf.state.bc.wall_slope * sf.psi(0.0))
 
 
-def position_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
+def position_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
+    """(norm, S_x, integral of psi'^2, O_x) from one adaptive pass.
+
+    rho, -rho ln(rho), psi'^2 and rho^2 share one evaluation of psi and
+    psi' per interval of [x_cut, 0].
+    """
     cfg = cfg or sf.cfg
-    return integrate(sf.rho, sf.x_cut, 0.0, cfg)
+
+    def integrand(x):
+        p, dp = sf._airy_profile(x)
+        r = p * p
+        return np.stack([r, -xlogy(r, r), dp * dp, r * r])
+
+    values, _ = integrate_batch(integrand, sf.x_cut, 0.0, cfg)
+    return tuple(float(v) for v in values)
+
+
+def position_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
+    """Norm in position space, from the one position pass."""
+    return position_integrals(sf, cfg)[0]
 
 
 def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
     """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
 
-    gamma, -gamma ln(gamma), gamma'^2/gamma and gamma^2 share the table's
-    samples of phi and phi' over [0, K]; the tail model adds |k| > K.
+    gamma, -gamma ln(gamma), gamma'^2/gamma and gamma^2 share one batched
+    table call for phi and phi' per interval of [0, K]; the tail model
+    adds |k| > K.
     """
     cfg = cfg or sf.cfg
     table = sf._table()
 
     def integrand(k):
-        phi = table.transform(k)
-        g = abs(phi) ** 2
-        dg = 2.0 * (phi.conjugate() * table.transform_k_derivative(k)).real
-        return np.array([g, -xlogy(g, g), dg * dg / max(g, 1e-300), g * g])
+        phi, dphi = table.transform_pair(k)
+        g = np.abs(phi) ** 2
+        dg = 2.0 * (phi.conjugate() * dphi).real
+        return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g])
 
     big_k = sf.k_numeric_max
-    core, _ = integrate_vector(integrand, 0.0, big_k, cfg)
+    core, _ = integrate_batch(integrand, 0.0, big_k, cfg)
     norm, s_k, i_k, o_k = (2.0 * float(v) for v in core)
     tail = sf.tail
     return (norm + tail.probability_beyond(big_k),

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +204,19 @@ def test_fishermax_smoke(capsys):
     rows = parse_csv(out)
     assert 0.005 < float(rows[0]["field_max"]) < 0.05
     assert float(rows[0]["fisher_product"]) > 5.0
+
+
+def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "robinwall", "spectrum", "--bc", "robin-",
+                           "--n", "0", "--field", "1"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == SPECTRUM_HEADER
+    want = energy("robin-", 0, 1.0).energy
+    assert math.isclose(float(lines[1].split(",")[3]), want, rel_tol=1e-15)
 
 
 def test_installed_script_runs():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import xlogy
 
 from robinwall import (
     DEFAULT_TOLERANCES,
@@ -16,7 +18,15 @@ from robinwall import (
     fourier_half_line,
     integrate,
 )
-from robinwall.quadrature import MIN_TAIL_K, integrate_full
+from robinwall.quadrature import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
+    MIN_TAIL_K,
+    QuadratureError,
+    integrate_batch,
+    integrate_full,
+)
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -72,6 +82,71 @@ def test_integrate_polynomials_match_antiderivative(coeffs, a):
     assert math.isclose(val, anti(0.0) - anti(a), rel_tol=1e-9, abs_tol=1e-9)
 
 
+def test_kronrod_table_is_the_published_pair():
+    # K21 is exact for polynomials up to degree 31 and G10 is the
+    # 10-point Gauss-Legendre rule on the odd-indexed nodes.
+    for degree in range(32):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        assert abs(_KRONROD_WEIGHTS @ _KRONROD_NODES ** degree - exact) < 1e-15
+    t, w = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(_KRONROD_NODES[1::2], t, rtol=0.0, atol=1e-15)
+    assert np.allclose(_GAUSS_WEIGHTS[1::2], w, rtol=0.0, atol=1e-15)
+    assert not np.any(_GAUSS_WEIGHTS[0::2])
+
+
+def test_batch_rule_meets_each_components_tolerance():
+    # A linear component of size 1.5e4 next to a narrow Lorentzian of size
+    # 3.1e-4: a max-norm stop would allow the small one an error of 1.5e-6,
+    # 5e-3 of its size.
+    x0, width = 0.37, 0.01
+
+    def f(x):
+        return np.stack([1e4 * (1.0 + x), 1e-6 / (width ** 2 + (x - x0) ** 2)])
+
+    exact = np.array([1.5e4, 1e-6 / width * (math.atan((1.0 - x0) / width)
+                                             + math.atan(x0 / width))])
+    assert 1e7 < exact[0] / exact[1] < 1e9
+    cfg = ToleranceConfig(abs_tol=1e-30, rel_tol=1e-10)
+    values, errors = integrate_batch(f, 0.0, 1.0, cfg)
+    assert values.shape == errors.shape == (2,)
+    assert np.all(errors <= cfg.rel_tol * np.abs(values))
+    assert np.all(np.abs(values - exact) <= cfg.rel_tol * exact)
+
+
+def test_batch_rule_entropy_integrand_with_interior_node():
+    # -rho ln rho with rho = (x - 0.3)^2 e^x has a logarithmic kink at the
+    # node x = 0.3 and at the endpoint x = 0.3 of the second interval.
+    def rho(x):
+        return (x - 0.3) ** 2 * np.exp(x)
+
+    def f(x):
+        r = rho(x)
+        return np.stack([r, -xlogy(r, r)])
+
+    def entropy(x):
+        r = float(rho(x))
+        return -r * math.log(r) if r > 0.0 else 0.0
+
+    for a, b in ((-1.0, 2.0), (0.3, 2.0)):
+        values, _ = integrate_batch(f, a, b)
+        want = quad(entropy, a, b, points=[0.3] if a < 0.3 else None,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert math.isclose(values[1], want, rel_tol=1e-10)
+
+
+def test_batch_rule_raises_at_interval_limit():
+    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=32)
+
+    def f(x):
+        return np.stack([np.exp(x), 1.0 / (1e-4 + (x - 0.37) ** 2), np.cos(40.0 * x)])
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_batch(f, 0.0, 1.0, cfg)
+    assert np.shape(info.value.estimate) == (3,)
+    assert np.all(np.isfinite(info.value.estimate))
+    assert math.isfinite(info.value.error_bound)
+
+
 @pytest.mark.parametrize("k", [-12.0, -1.3, 0.0, 0.5, 4.0, 50.0])
 def test_fourier_of_exponential(k):
     # transform of sqrt(2) e^x is pi^(-1/2) / (1 - ik)
@@ -105,9 +180,13 @@ def test_fourier_table_vector_matches_scalar():
 def test_fourier_table_k_derivative():
     # d/dk of pi^(-1/2)/(1 - ik) is i pi^(-1/2)/(1 - ik)^2
     table = HalfLineFourierTable(exp_state, x_cut=-40.0, k_max=30.0)
-    for k in (0.0, 0.9, 6.0, 25.0):
+    ks = np.array([0.0, 0.9, 6.0, 25.0])
+    phi, dphi = table.transform_pair(ks)
+    for k, phi_k, dphi_k in zip(ks, phi, dphi):
         want = 1j * INV_SQRT_PI / (1.0 - 1j * k) ** 2
         assert abs(table.transform_k_derivative(k) - want) < 1e-10
+        assert abs(dphi_k - want) < 1e-10
+        assert abs(phi_k - INV_SQRT_PI / (1.0 - 1j * k)) < 1e-10
 
 
 def test_momentum_tail_from_field_free_boundary():

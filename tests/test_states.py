@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import airy
+from scipy.special import airy, xlogy
 
-from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line
+from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line, integrate
 from robinwall.special import root_table
 from robinwall.spectrum import DomainError
 from robinwall.states import (
@@ -17,6 +17,7 @@ from robinwall.states import (
     momentum_density_peak,
     momentum_integrals,
     momentum_norm,
+    position_integrals,
     position_norm,
 )
 
@@ -64,6 +65,29 @@ def test_unconverged_momentum_pass_raises():
     assert math.isfinite(info.value.error_bound)
 
 
+@pytest.mark.parametrize("bc,n,field", [
+    ("robin-", 1, 3.90625e-5),
+    ("dirichlet", 0, 1.0),
+    ("neumann", 3, 300.0),
+    ("robin+", 2, 0.01),
+])
+def test_position_pass_matches_scalar_quadratures(state_of, bc, n, field):
+    # The scalar QUADPACK route, one integral per functional, is the
+    # reference for the batched pass.
+    sf = state_of(bc, n, field)
+
+    def one(f):
+        return integrate(f, sf.x_cut, 0.0)
+
+    want = (one(sf.rho),
+            one(lambda x: -float(xlogy(sf.rho(x), sf.rho(x)))),
+            4.0 * one(lambda x: sf.psi_prime(x) ** 2),
+            one(lambda x: sf.rho(x) ** 2))
+    norm, s_x, slope_sq, o_x = position_integrals(sf)
+    for got, ref in zip((norm, s_x, 4.0 * slope_sq, o_x), want):
+        assert math.isclose(got, ref, rel_tol=1e-12)
+
+
 def test_march_cut_covers_the_decay_region(state_of):
     sf = state_of("robin-", 1, 1.0)
     turning_point = -sf.state.energy / sf.state.field
@@ -83,15 +107,20 @@ def test_march_cut_follows_surface_state_decay():
 
 def test_transform_matches_direct_quadrature(state_of):
     sf = state_of("robin-", 0, 1.0)
-    for k in (0.0, 0.7, -2.2):
+    ks = (0.0, 0.7, -2.2)
+    pair, _ = sf._table().transform_pair(np.array(ks))
+    for k, batched in zip(ks, pair):
         direct = fourier_half_line(sf.psi, k, sf.x_cut)
         assert abs(sf.phi(k) - direct) < 1e-9
+        assert abs(batched - direct) < 1e-9
     # The panel-factored phase is hardest where k*|x| is largest: a long
     # table at the top of its momentum range.
     sf = state_of("robin-", 1, 0.02)
     k = 0.99 * sf.k_numeric_max
     direct = fourier_half_line(sf.psi, k, sf.x_cut)
     assert abs(sf.phi(k) - direct) < 1e-9
+    pair, _ = sf._table().transform_pair(np.array([k]))
+    assert abs(pair[0] - direct) < 1e-9
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
