@@ -8,8 +8,10 @@ density integral has a slow algebraic tail.  Four tools cover it:
 
 * :func:`fourier_half_line` evaluates a single transform value through the
   oscillatory-weight QUADPACK rule (the reference path; exact but slow).
-* :class:`HalfLineFourierTable` discretizes the truncated integral once on
-  equal Gauss-Legendre panels and prices any momentum in P + 16 exponentials.
+* :class:`HalfLineFourierTable` expands psi once in Legendre polynomials
+  on equal panels sized by psi alone, and integrates every term against
+  the phase exactly: any momentum costs P exponentials and 16 spherical
+  Bessel values.
 * :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
   vector-valued integrand evaluated on a whole interval in one array call;
   it carries every position and every momentum functional of a state in one
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import xlogy
+from scipy.special import spherical_jn, xlogy
 
 __all__ = [
     "MIN_TAIL_K",
@@ -48,16 +50,28 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # any state handled here, independent of configured switch points.
 MIN_TAIL_K = 20.0
 
-# Gauss-Legendre order and phase budget of every (equal) Fourier-table panel.
+# Gauss-Legendre samples (and Legendre terms) of every equal Fourier-table
+# panel, and the radians of psi's phase or decay one panel may span: a
+# half-width of at most 1 radian leaves terms of order j_16(1) ~ 2e-19
+# outside the 16-term expansion.
 _PANEL_ORDER = 16
-_RADIANS_PER_PANEL = 8.0
+_PSI_RADIANS_PER_PANEL = 2.0
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+_DEGREES = np.arange(_PANEL_ORDER)
+# Gauss projection of 16 samples onto P_0..P_15, applied as samples @ it:
+# c_j = (2j+1)/2 sum_i w_i P_j(t_i) f_i, exact for degree <= 15.
+_TO_LEGENDRE = (np.polynomial.legendre.legvander(_PANEL_NODES, _PANEL_ORDER - 1)
+                * _PANEL_WEIGHTS[:, None] * (_DEGREES + 0.5))
+# integral over [-1, 1] of P_j(t) exp(-iwt) dt = 2 (-i)^j j_j(w).
+_FILON_PHASES = 2.0 * (-1j) ** _DEGREES
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numeric knobs shared by the quadrature and state-building layers.
 
-    ``x_cut_threshold`` is relative to the peak wavefunction magnitude;
+    ``x_cut_threshold`` is relative to the peak density psi^2 (the cut
+    march compares rho with threshold * rho_max);
     ``k_tail_switch`` is the base momentum beyond which density integrals
     switch to the analytic tail (states scale it with the field).
     """
@@ -74,7 +88,8 @@ class ToleranceConfig:
         if self.max_subdivisions < 32:
             raise ValueError("max_subdivisions must be at least 32")
         if not 0.0 < self.x_cut_threshold <= 1e-14:
-            raise ValueError("x_cut_threshold is relative to the peak and must lie in (0, 1e-14]")
+            raise ValueError(
+                "x_cut_threshold is relative to the peak density and must lie in (0, 1e-14]")
         if self.k_tail_switch < MIN_TAIL_K:
             raise ValueError(f"k_tail_switch below {MIN_TAIL_K} invalidates the tail model")
 
@@ -254,58 +269,61 @@ def fourier_half_line(psi, k: float, x_cut: float, cfg: ToleranceConfig = DEFAUL
 
 
 class HalfLineFourierTable:
-    """Reusable Gauss-Legendre panel discretization of the transform.
+    """Filon-Legendre panel discretization of the transform.
 
     Momentum-space integrals re-sample the transform thousands of times
-    per state, so the x integral is discretized once: panel widths are
-    chosen so the fastest oscillation (either exp(-ikx) at k_max or the
-    decaying profile itself, entering through ``decay_rate``) advances a
-    bounded number of radians per panel.  A 16-point rule at 8 radians per
-    panel keeps the discretization error near 1e-13 for |k| <= k_max,
-    which is far below the adaptive tolerances layered on top.  Panels
-    share one half-width h, so the phase at node m_p + h t_j factors as
-    exp(-ik m_p) exp(-ik h t_j): P + 16 exponentials instead of 16 P.
-    The weights of psi and of x psi sit side by side in one array, so
-    :meth:`transform_pair` gets phi and phi' for a batch of momenta from
-    one set of phases.
+    per state, so the x integral is discretized once.  The half-line is cut
+    into P equal panels (midpoints m_p, one half-width h) on which psi is
+    sampled at 16 Gauss-Legendre nodes and expanded in Legendre
+    polynomials; each term is then integrated against the phase exactly
+    (DLMF 10.54.2):
+
+        integral over [-1, 1] of P_j(t) exp(-i w t) dt = 2 (-i)^j j_j(w).
+
+    The error is that of the expansion of psi alone, whatever the momentum,
+    so the panels follow psi: ``rate`` bounds psi's local wavenumber or
+    decay rate, and each panel spans at most ``_PSI_RADIANS_PER_PANEL`` of
+    it.  The transform at momentum k is then
+    sum_p exp(-ik m_p) sum_j c_pj h 2 (-i)^j j_j(|k| h): P exponentials and
+    16 spherical Bessel values shared by every panel.  The coefficients of
+    psi and of x psi sit side by side in one array, so
+    :meth:`transform_pair` gets phi and phi' for a batch of momenta from one
+    set of phases.
     """
 
-    def __init__(self, psi, x_cut: float, k_max: float, decay_rate: float = 0.0):
+    def __init__(self, psi, x_cut: float, rate: float):
         x_cut = float(x_cut)
         if not x_cut < 0.0:
             raise ValueError("x_cut must be negative")
         self.x_cut = x_cut
-        self.k_max = float(k_max)
-        t, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-        width = _RADIANS_PER_PANEL / (self.k_max + float(decay_rate) + 1.0)
-        panels = max(1, int(math.ceil(-x_cut / width)))
+        panels = max(1, int(math.ceil(-x_cut * float(rate) / _PSI_RADIANS_PER_PANEL)))
         half = -0.5 * x_cut / panels
         mid = x_cut + half * (2.0 * np.arange(panels) + 1.0)
-        x = mid[:, None] + half * t[None, :]
+        x = mid[:, None] + half * _PANEL_NODES
         psi_x = np.asarray(psi(x.ravel()), dtype=float)
         if psi_x.shape != (x.size,):
             raise ValueError("psi must evaluate arrays elementwise")
         self.node_count = int(x.size)
         self._mid = mid
-        self._local = half * t
-        w_psi = half * weights * psi_x.reshape(x.shape)
-        # Columns [w psi | x w psi]: phi comes from the first 16, phi' from
+        self._half = half
+        psi_x = psi_x.reshape(x.shape)
+        # Columns [c(psi) | c(x psi)]: phi comes from the first 16, phi' from
         # the last 16.
-        self._weights = np.concatenate([w_psi, x * w_psi], axis=1)
+        self._coeffs = np.concatenate([psi_x @ _TO_LEGENDRE, (x * psi_x) @ _TO_LEGENDRE], axis=1)
 
     def _panel_sum(self, k: np.ndarray, profiles: int) -> np.ndarray:
-        """(2 pi)^(-1/2) sums of weights * exp(-i|k|x) over the nodes.
+        """(2 pi)^(-1/2) integrals of the expansions times exp(-i|k|x).
 
-        Sums the first ``profiles`` weight blocks (1: psi; 2: psi and x psi)
-        and returns shape (k.size, profiles) for a 1-d k.
+        Integrates the first ``profiles`` expansions (1: psi; 2: psi and
+        x psi) and returns shape (k.size, profiles) for a 1-d k.
         """
         kk = np.abs(k)[:, None]
         panel = kk * self._mid
-        weights = self._weights[:, :profiles * _PANEL_ORDER]
-        inner = np.cos(panel) @ weights - 1j * (np.sin(panel) @ weights)
+        coeffs = self._coeffs[:, :profiles * _PANEL_ORDER]
+        inner = np.cos(panel) @ coeffs - 1j * (np.sin(panel) @ coeffs)
         inner = inner.reshape(k.size, profiles, _PANEL_ORDER)
-        local = np.exp(-1j * kk * self._local)[:, None, :]
-        return np.sum(inner * local, axis=2) / _SQRT_TWO_PI
+        local = self._half * _FILON_PHASES * spherical_jn(_DEGREES, kk * self._half)
+        return np.sum(inner * local[:, None, :], axis=2) / _SQRT_TWO_PI
 
     def transform(self, k: float) -> complex:
         """Transform value at one momentum."""
@@ -332,10 +350,7 @@ class HalfLineFourierTable:
     def transform_many(self, k) -> np.ndarray:
         """Vectorized transform over an array of momenta."""
         karr = np.asarray(k, dtype=float).ravel()
-        out = np.empty(karr.size, dtype=complex)
-        block = max(1, 2_000_000 // self.node_count)
-        for start in range(0, karr.size, block):
-            out[start:start + block] = self._panel_sum(karr[start:start + block], 1)[:, 0]
+        out = self._panel_sum(karr, 1)[:, 0]
         neg = karr < 0.0
         out[neg] = np.conj(out[neg])
         return out.reshape(np.shape(k))

@@ -16,9 +16,10 @@ Numerically delicate points handled here:
   return 0/0.
   The hard-wall profiles multiply the scaled value by exp(-s), which
   rounds to 0 once Ai itself underflows.
-* The transform is discretized once per state on Gauss-Legendre panels
-  (:class:`.quadrature.HalfLineFourierTable`) and built lazily, because
-  only the momentum-side quantities need it.
+* The transform is discretized once per state on Filon-Legendre panels
+  (:class:`.quadrature.HalfLineFourierTable`) sized by how fast psi
+  varies, not by the momentum range, and built lazily, because only the
+  momentum-side quantities need it.  One table serves every momentum.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
   one adaptive pass per space: :func:`position_integrals` takes psi and
   psi' from one Airy call per interval, and :func:`momentum_integrals`
@@ -46,7 +47,6 @@ from .quadrature import (
     HalfLineFourierTable,
     MomentumTail,
     ToleranceConfig,
-    integrate,
     integrate_batch,
 )
 from .special import root_table, scaled_airy
@@ -208,15 +208,11 @@ class StateFunctions:
     def _table(self) -> HalfLineFourierTable:
         with self._lock:
             if self._fourier is None:
+                # psi's local wavenumber (or decay rate) sqrt|E + F x| peaks
+                # at the wall or at the cut.
                 e_val = self.state.energy
-                rate = math.sqrt(max(e_val, 0.0))
-                rate += math.sqrt(abs(e_val + self.state.field * self.x_cut))
-                self._fourier = HalfLineFourierTable(
-                    self.psi,
-                    self.x_cut,
-                    k_max=1.3 * self.k_numeric_max + 10.0,
-                    decay_rate=rate,
-                )
+                rate = math.sqrt(max(abs(e_val), abs(e_val + self.state.field * self.x_cut)))
+                self._fourier = HalfLineFourierTable(self.psi, self.x_cut, rate)
             return self._fourier
 
     def phi(self, k):
@@ -310,16 +306,15 @@ def energy_identity_residual(sf: StateFunctions, cfg: ToleranceConfig | None = N
     cfg = cfg or sf.cfg
     state = sf.state
 
-    def slope_sq(x):
-        d = sf.psi_prime(x)
-        return d * d
+    def integrand(x):
+        p, dp = sf._airy_profile(x)
+        return np.stack([dp * dp, x * p * p])
 
-    kinetic = integrate(slope_sq, sf.x_cut, 0.0, cfg)
-    mean_x = integrate(lambda x: x * sf.rho(x), sf.x_cut, 0.0, cfg)
+    (kinetic, mean_x), _ = integrate_batch(integrand, sf.x_cut, 0.0, cfg)
     sigma = state.bc.wall_slope
     wall = 0.0 if sigma is None else -sigma * sf.psi0 ** 2
     total = kinetic + wall - state.field * mean_x
-    return abs(total - state.energy)
+    return float(abs(total - state.energy))
 
 
 @dataclass(frozen=True)

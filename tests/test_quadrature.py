@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import xlogy
+from scipy.special import spherical_jn, xlogy
 
 from robinwall import (
     DEFAULT_TOLERANCES,
@@ -156,20 +157,20 @@ def test_fourier_of_exponential(k):
 
 
 def test_fourier_table_agrees_with_direct_transform():
-    table = HalfLineFourierTable(exp_state, x_cut=-40.0, k_max=60.0)
+    table = HalfLineFourierTable(exp_state, x_cut=-40.0, rate=1.0)
     for k in (0.0, 0.7, 3.3, 17.0, 59.0):
         direct = fourier_half_line(exp_state, k, x_cut=-40.0)
         assert abs(table.transform(k) - direct) < 1e-10
 
 
 def test_fourier_table_conjugate_symmetry():
-    table = HalfLineFourierTable(exp_state, x_cut=-40.0, k_max=30.0)
+    table = HalfLineFourierTable(exp_state, x_cut=-40.0, rate=1.0)
     for k in (0.25, 1.0, 8.0):
         assert table.transform(-k) == table.transform(k).conjugate()
 
 
 def test_fourier_table_vector_matches_scalar():
-    table = HalfLineFourierTable(exp_state, x_cut=-40.0, k_max=30.0)
+    table = HalfLineFourierTable(exp_state, x_cut=-40.0, rate=1.0)
     ks = np.array([[-5.0, -0.5], [0.0, 12.0]])
     many = table.transform_many(ks)
     assert many.shape == ks.shape
@@ -178,15 +179,68 @@ def test_fourier_table_vector_matches_scalar():
 
 
 def test_fourier_table_k_derivative():
-    # d/dk of pi^(-1/2)/(1 - ik) is i pi^(-1/2)/(1 - ik)^2
-    table = HalfLineFourierTable(exp_state, x_cut=-40.0, k_max=30.0)
-    ks = np.array([0.0, 0.9, 6.0, 25.0])
+    # d/dk of pi^(-1/2)/(1 - ik) is i pi^(-1/2)/(1 - ik)^2.  The 20 panels
+    # follow psi, not k, and still hold where exp(-ikx) turns thousands of
+    # times per panel.
+    table = HalfLineFourierTable(exp_state, x_cut=-40.0, rate=1.0)
+    ks = np.array([0.0, 0.9, 6.0, 25.0, 1e3, 1e4])
     phi, dphi = table.transform_pair(ks)
     for k, phi_k, dphi_k in zip(ks, phi, dphi):
         want = 1j * INV_SQRT_PI / (1.0 - 1j * k) ** 2
         assert abs(table.transform_k_derivative(k) - want) < 1e-10
         assert abs(dphi_k - want) < 1e-10
         assert abs(phi_k - INV_SQRT_PI / (1.0 - 1j * k)) < 1e-10
+
+
+def _polynomial_transform(coeffs, k):
+    """Exact (2 pi)^(-1/2) integral over [-2, 0] of p(x) exp(-ikx), 40 digits.
+
+    p(x) = sum_m coeffs[m] (x + 1)^m.  Repeated integration by parts gives
+    the antiderivative -exp(-ikx) sum_r p^(r)(x) / (ik)^(r+1).
+    """
+    with mpmath.workdps(40):
+        poly = [mpmath.mpf(c) for c in coeffs]
+        if k == 0.0:
+            total = sum(c * (1 - (-1) ** (m + 1)) / (m + 1) for m, c in enumerate(poly))
+        else:
+            ik = 1j * mpmath.mpf(k)
+
+            def antiderivative(x):
+                value, deriv = 0, list(poly)
+                for r in range(len(poly)):
+                    value += mpmath.polyval(deriv[::-1], x + 1) / ik ** (r + 1)
+                    deriv = [m * c for m, c in enumerate(deriv)][1:]
+                return -mpmath.exp(-ik * x) * value
+
+            total = antiderivative(0) - antiderivative(-2)
+        return complex(total / mpmath.sqrt(2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 50.0, 1e3])
+def test_fourier_table_exact_on_one_panel_polynomials(k):
+    # A degree-15 polynomial is its own 16-term Legendre expansion, so a
+    # one-panel table (|x_cut| * rate <= 2) transforms it without error.
+    coeffs = [0.3, -1.1, 0.7, 0.25, -0.4, 0.05, 0.9, -0.6,
+              0.2, 0.33, -0.15, 0.08, -0.27, 0.12, 0.04, -0.02]
+    table = HalfLineFourierTable(
+        lambda x: np.polynomial.polynomial.polyval(x + 1.0, coeffs), x_cut=-2.0, rate=1.0)
+    assert table.node_count == 16
+    assert abs(table.transform(k) - _polynomial_transform(coeffs, k)) < 1e-14
+
+
+def test_spherical_bessel_values_against_high_precision():
+    # The table's phase integrals are 2 (-i)^j j_j(|k| h), j <= 15.
+    orders = np.arange(16)
+    for w in (0.0, 1e-10, 1e-3, 1.0, 40.0, 1e3, 5e4):
+        got = spherical_jn(orders, w)
+        for j in orders:
+            if w == 0.0:
+                want = 1.0 if j == 0 else 0.0
+            else:
+                with mpmath.workdps(50):
+                    x = mpmath.mpf(w)
+                    want = float(mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(j + 0.5, x))
+            assert abs(got[j] - want) <= 1e-15
 
 
 def test_momentum_tail_from_field_free_boundary():

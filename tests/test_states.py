@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import airy, xlogy
 
 from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line, integrate
@@ -103,6 +105,22 @@ def test_march_cut_follows_surface_state_decay():
     assert -60.0 <= sf.x_cut <= -10.0
     assert sf.rho(sf.x_cut) < 1e-12 * sf.rho(0.0)
     assert math.isclose(position_norm(sf), 1.0, rel_tol=0.0, abs_tol=2e-5)
+
+
+@given(
+    st.sampled_from(["dirichlet", "neumann", "robin+", "robin-"]),
+    st.integers(min_value=0, max_value=50),
+    st.floats(min_value=-9.0, max_value=6.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_fourier_table_follows_psi_across_the_domain(bc, n, log_field):
+    # Panels are sized by psi alone, so the table stays small everywhere,
+    # and on every panel the 16-term Legendre expansions of psi and x psi
+    # have decayed to rounding by their last two terms.
+    table = build_state(bc, n, 10.0 ** log_field)._table()
+    assert table.node_count <= 8192
+    for block in (table._coeffs[:, :16], table._coeffs[:, 16:]):
+        assert np.max(np.abs(block[:, -2:])) <= 1e-13 * np.max(np.abs(block))
 
 
 def test_transform_matches_direct_quadrature(state_of):
