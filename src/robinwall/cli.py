@@ -1,10 +1,12 @@
 """Command-line front end: sweeps, profiles, and scalar searches.
 
 Every subcommand emits a flat table (CSV by default, JSON with
-``--out json``) whose leading columns are always ``bc, n, field``.  Rows
-follow the request order deterministically, failures are reported as
-rows with a diagnostic in the ``error`` column, and the process exit
-code distinguishes usage problems (1) from computation failures (2).
+``--out json``).  The per-level tables lead with ``bc, n, field``;
+``crossing`` emits ``bc, lo, hi, field_cross`` and ``fishermax`` emits
+``bc, n, field_max, fisher_product``.  Rows follow the request order
+deterministically, failures are reported as rows with a diagnostic in
+the ``error`` column, and the process exit code distinguishes usage
+problems (1) from computation failures (2).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,158 +27,41 @@ from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .spectrum import BoundarySpec, energy
 from .states import StateFunctions
 
-__all__ = ["FieldGrid", "SweepRequest", "main", "run_sweep"]
+__all__ = ["main"]
 
 
-_QUANTITY_COLUMNS = {
-    "energy": ("energy", "residual"),
-    "polarization": ("energy", "mean_x", "zero_field_mean_x", "dipole"),
-    "cgl": ("CGL_x", "CGL_k", "CGL_product"),
-    "measures": (
-        "S_x", "S_k", "S_t", "I_x", "I_k", "fisher_product",
-        "O_x", "O_k", "onicescu_product", "CGL_x", "CGL_k", "CGL_product",
-    ),
-    "dipole_matrix": ("m", "dipole"),
-}
-
-_QUANTITY_ORDER = tuple(_QUANTITY_COLUMNS)
+_MEASURE_COLUMNS = (
+    "S_x", "S_k", "S_t", "I_x", "I_k", "fisher_product",
+    "O_x", "O_k", "onicescu_product", "CGL_x", "CGL_k", "CGL_product",
+)
 
 
-@dataclass(frozen=True)
-class FieldGrid:
-    """Field values of a sweep: a single point or a spaced range."""
+def _table(bc, levels, fields, columns, point, jobs, failed=None) -> tuple:
+    """Rows and columns of a per-level table, level outer and field inner.
 
-    start: float
-    stop: float
-    count: int
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        if not (self.start > 0.0 and self.stop > 0.0):
-            raise ValueError("field grids must stay strictly positive")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError("spacing must be 'linear' or 'log'")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if self.count == 1 and self.start != self.stop:
-            raise ValueError("a single-point grid needs start == stop")
-
-    @classmethod
-    def single(cls, value: float) -> "FieldGrid":
-        return cls(start=value, stop=value, count=1)
-
-    def values(self) -> tuple:
-        if self.count == 1:
-            return (self.start,)
-        if self.spacing == "log":
-            return tuple(np.geomspace(self.start, self.stop, self.count).tolist())
-        return tuple(np.linspace(self.start, self.stop, self.count).tolist())
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """One table request: which levels, which fields, which quantities."""
-
-    bc: BoundarySpec
-    n_list: tuple
-    field_grid: FieldGrid
-    quantities: tuple
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-    oracle: bool = False
-    matrix_size: int = 0
-
-    def __post_init__(self):
-        if not self.n_list:
-            raise ValueError("n_list must not be empty")
-        if any(int(n) < 0 for n in self.n_list):
-            raise ValueError("quantum numbers must be non-negative")
-        unknown = [q for q in self.quantities if q not in _QUANTITY_COLUMNS]
-        if unknown:
-            raise ValueError(f"unknown quantities: {', '.join(unknown)}")
-        if "dipole_matrix" in self.quantities:
-            if len(self.quantities) != 1:
-                raise ValueError("dipole_matrix rows have their own shape; request it alone")
-            if self.matrix_size < 2:
-                raise ValueError("dipole_matrix needs matrix_size >= 2")
-
-    def columns(self) -> list:
-        cols = ["bc", "n", "field"]
-        for q in _QUANTITY_ORDER:
-            if q not in self.quantities:
-                continue
-            for c in _QUANTITY_COLUMNS[q]:
-                if c not in cols:
-                    cols.append(c)
-            if q == "energy" and self.oracle:
-                cols.append("energy_fd")
-        cols.append("error")
-        return cols
-
-
-def _row_values(req: SweepRequest, n: int, field: float) -> dict:
-    vals = {}
-    state = energy(req.bc, n, field)
-    vals["energy"] = state.energy
-    vals["residual"] = state.residual
-    if req.oracle:
-        vals["energy_fd"] = float(fd_energies(req.bc, field, n + 1)[n])
-    qs = set(req.quantities)
-    if "polarization" in qs:
-        rec = polarization(state)
-        vals.update(
-            mean_x=rec.mean_x,
-            zero_field_mean_x=rec.zero_field_mean_x,
-            dipole=rec.dipole,
-        )
-    if qs & {"cgl", "measures"}:
-        # The cgl columns are a subset of the measures columns.
-        rec = measure_state(StateFunctions(state, req.tolerances), req.tolerances)
-        vals.update((name, getattr(rec, name)) for name in _QUANTITY_COLUMNS["measures"])
-    return vals
-
-
-def _matrix_rows(req: SweepRequest) -> list:
-    rows = []
-    for field in req.field_grid.values():
-        try:
-            matrix = dipole_matrix(req.bc, field, req.matrix_size)
-        except Exception as exc:
-            rows.append({"bc": req.bc.value, "n": 0, "field": field,
-                         "m": 0, "dipole": "", "error": str(exc)})
-            continue
-        for n in range(req.matrix_size):
-            for m in range(req.matrix_size):
-                rows.append({
-                    "bc": req.bc.value, "n": n, "field": field,
-                    "m": m, "dipole": matrix.element(n, m), "error": "",
-                })
-    return rows
-
-
-def run_sweep(req: SweepRequest, jobs: int = 1) -> list:
-    """Compute all rows of a request, in request order.
-
-    Failures never abort the sweep; they surface as rows whose ``error``
-    column carries the diagnostic.
+    ``point(n, field)`` returns the value rows of one grid point; each
+    gets ``bc``, ``n`` and ``field`` (a value row may set its own ``n``)
+    and an empty ``error``.  A point that raises becomes one row whose
+    ``error`` carries the diagnostic, plus the ``failed`` cells; the
+    sweep goes on.  With ``jobs`` > 1 the points run on that many
+    threads and the rows keep their order.
     """
-    if "dipole_matrix" in req.quantities:
-        return _matrix_rows(req)
 
-    tasks = [(int(n), field) for n in req.n_list for field in req.field_grid.values()]
-
-    def worker(task):
+    def rows(task):
         n, field = task
-        row = {"bc": req.bc.value, "n": n, "field": field, "error": ""}
+        head = {"bc": bc.value, "n": n, "field": field}
         try:
-            row.update(_row_values(req, n, field))
+            return [{**head, **cells, "error": ""} for cells in point(n, field)]
         except Exception as exc:
-            row["error"] = str(exc)
-        return row
+            return [{**head, **(failed or {}), "error": str(exc)}]
 
+    tasks = [(n, field) for n in levels for field in fields]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+            chunks = list(pool.map(rows, tasks))
+    else:
+        chunks = [rows(task) for task in tasks]
+    return [row for chunk in chunks for row in chunk], ["bc", "n", "field", *columns, "error"]
 
 
 # -- output ----------------------------------------------------------------
@@ -239,7 +124,14 @@ def _parse_n_list(text: str) -> tuple:
     return values
 
 
-def _parse_field_range(text: str) -> FieldGrid:
+def _parse_bc(text: str) -> BoundarySpec:
+    try:
+        return BoundarySpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_field_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(
@@ -251,17 +143,14 @@ def _parse_field_range(text: str) -> FieldGrid:
         count = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad field range {text!r}") from None
-    spacing = "linear"
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise argparse.ArgumentTypeError(f"unknown spacing {parts[3]!r}")
-        spacing = "log"
+    if len(parts) == 4 and parts[3] != "log":
+        raise argparse.ArgumentTypeError(f"unknown spacing {parts[3]!r}")
     if count < 2:
         raise argparse.ArgumentTypeError("field ranges need count >= 2")
-    try:
-        return FieldGrid(start=start, stop=stop, count=count, spacing=spacing)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (start > 0.0 and stop > 0.0):
+        raise argparse.ArgumentTypeError("field grids must stay strictly positive")
+    spaced = np.geomspace if len(parts) == 4 else np.linspace
+    return tuple(spaced(start, stop, count).tolist())
 
 
 _CONFIG_KEYS = {
@@ -298,13 +187,13 @@ def _read_config(path: str) -> dict:
 
 def _tolerances(args) -> ToleranceConfig:
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         overrides.update(_read_config(args.config))
-    if getattr(args, "tol_abs", None) is not None:
+    if args.tol_abs is not None:
         overrides["abs_tol"] = args.tol_abs
-    if getattr(args, "tol_rel", None) is not None:
+    if args.tol_rel is not None:
         overrides["rel_tol"] = args.tol_rel
-    if getattr(args, "tail_k", None) is not None:
+    if args.tail_k is not None:
         overrides["k_tail_switch"] = args.tail_k
     try:
         return replace(DEFAULT_TOLERANCES, **overrides)
@@ -312,10 +201,12 @@ def _tolerances(args) -> ToleranceConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _field_grid(args) -> FieldGrid:
-    if getattr(args, "field_range", None) is not None:
+def _fields(args) -> tuple:
+    if args.field_range is not None:
         return args.field_range
-    return FieldGrid.single(args.field)
+    if not args.field > 0.0:
+        raise ValueError("field grids must stay strictly positive")
+    return (args.field,)
 
 
 def _add_common(p, field_default: float = 1.0):
@@ -351,14 +242,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("spectrum", help="level energies over a field grid")
-    p.add_argument("--bc", type=BoundarySpec.parse, required=True, help=_BC_HELP)
+    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
     p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
     p.add_argument("--oracle", action="store_true",
                    help="append an independent finite-difference energy column")
     _add_common(p)
 
     p = sub.add_parser("state", help="wavefunction or momentum-density profile")
-    p.add_argument("--bc", type=BoundarySpec.parse, required=True, help=_BC_HELP)
+    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
     p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
     p.add_argument("--what", choices=("wavefunction", "momentum_density"),
                    default="wavefunction")
@@ -368,14 +259,14 @@ def _build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("polarization", help="mean positions and dipole shifts")
-    p.add_argument("--bc", type=BoundarySpec.parse, required=True, help=_BC_HELP)
+    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
     p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
     p.add_argument("--matrix", type=int, default=0, metavar="SIZE",
                    help="emit the SIZE x SIZE coordinate matrix instead")
     _add_common(p)
 
     p = sub.add_parser("measures", help="entropies, Fisher, disequilibria, products")
-    p.add_argument("--bc", type=BoundarySpec.parse, required=True, help=_BC_HELP)
+    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
     p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
     _add_common(p)
 
@@ -398,14 +289,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("table1",
                        help="shape-complexity table of the lowest hard- and "
                             "soft-wall levels")
-    p.add_argument("--bc", type=BoundarySpec.parse, default=None,
+    p.add_argument("--bc", type=_parse_bc, default=None,
                    help="restrict to dirichlet or neumann (default both)")
     p.add_argument("--levels", type=int, default=6, help="levels per wall (default 6)")
     _add_common(p)
 
     p = sub.add_parser("oracle-check",
                        help="solver energies against the finite-difference route")
-    p.add_argument("--bc", type=BoundarySpec.parse, required=True, help=_BC_HELP)
+    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
     p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
     _add_common(p)
 
@@ -415,74 +306,82 @@ def _build_parser() -> _Parser:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _handle_sweep(args, quantities) -> tuple:
-    req = SweepRequest(
-        bc=args.bc,
-        n_list=args.n,
-        field_grid=_field_grid(args),
-        quantities=quantities,
-        tolerances=_tolerances(args),
-        oracle=getattr(args, "oracle", False),
-        matrix_size=getattr(args, "matrix", 0),
-    )
-    rows = run_sweep(req, jobs=max(1, args.jobs))
-    return rows, req.columns()
+def _handle_spectrum(args, cfg) -> tuple:
+    def point(n, field):
+        state = energy(args.bc, n, field)
+        cells = {"energy": state.energy, "residual": state.residual}
+        if args.oracle:
+            cells["energy_fd"] = float(fd_energies(args.bc, field, n + 1)[n])
+        return [cells]
+
+    columns = ["energy", "residual"] + (["energy_fd"] if args.oracle else [])
+    return _table(args.bc, args.n, _fields(args), columns, point, args.jobs)
 
 
-def _handle_polarization(args) -> tuple:
+def _handle_polarization(args, cfg) -> tuple:
     if args.matrix:
         if args.matrix < 2:
             raise _UsageError("--matrix needs at least 2 levels")
-        return _handle_sweep(args, ("dipole_matrix",))
-    return _handle_sweep(args, ("polarization",))
+        size = range(args.matrix)
+
+        def matrix_point(_, field):
+            matrix = dipole_matrix(args.bc, field, args.matrix)
+            return [{"n": n, "m": m, "dipole": matrix.element(n, m)} for n in size for m in size]
+
+        return _table(args.bc, (0,), _fields(args), ["m", "dipole"], matrix_point,
+                      args.jobs, failed={"m": 0})
+
+    def point(n, field):
+        state = energy(args.bc, n, field)
+        rec = polarization(state)
+        return [{"energy": state.energy, "mean_x": rec.mean_x,
+                 "zero_field_mean_x": rec.zero_field_mean_x, "dipole": rec.dipole}]
+
+    return _table(args.bc, args.n, _fields(args),
+                  ["energy", "mean_x", "zero_field_mean_x", "dipole"], point, args.jobs)
 
 
-def _handle_state(args) -> tuple:
-    cfg = _tolerances(args)
+def _measure_table(bc, levels, fields, columns, cfg, jobs) -> tuple:
+    def point(n, field):
+        rec = measure_state(StateFunctions(energy(bc, n, field), cfg), cfg)
+        return [{name: getattr(rec, name) for name in columns}]
+
+    return _table(bc, levels, fields, columns, point, jobs)
+
+
+def _handle_measures(args, cfg) -> tuple:
+    return _measure_table(args.bc, args.n, _fields(args), _MEASURE_COLUMNS, cfg, args.jobs)
+
+
+def _handle_state(args, cfg) -> tuple:
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
-    profile = args.what
-    if profile == "wavefunction":
-        columns = ["bc", "n", "field", "x", "psi", "rho", "error"]
-    else:
-        columns = ["bc", "n", "field", "k", "gamma", "error"]
-    rows = []
-    for n in args.n:
-        for field in _field_grid(args).values():
-            try:
-                sf = StateFunctions(energy(args.bc, n, field), cfg)
-                if profile == "wavefunction":
-                    xs = np.linspace(sf.x_cut, 0.0, args.points)
-                    psi = sf.psi(xs)
-                    for x, p_val in zip(xs.tolist(), psi.tolist()):
-                        rows.append({"bc": args.bc.value, "n": n, "field": field,
-                                     "x": x, "psi": p_val, "rho": p_val * p_val,
-                                     "error": ""})
-                else:
-                    top = args.k_max
-                    if top is None:
-                        top = 5.0 * max(1.0, field ** (1.0 / 3.0))
-                    ks = np.linspace(0.0, top, args.points)
-                    gam = sf.gamma(ks)
-                    for k, g in zip(ks.tolist(), gam.tolist()):
-                        rows.append({"bc": args.bc.value, "n": n, "field": field,
-                                     "k": k, "gamma": g, "error": ""})
-            except Exception as exc:
-                rows.append({"bc": args.bc.value, "n": n, "field": field,
-                             "error": str(exc)})
-    return rows, columns
+    wavefunction = args.what == "wavefunction"
+
+    def point(n, field):
+        sf = StateFunctions(energy(args.bc, n, field), cfg)
+        if wavefunction:
+            xs = np.linspace(sf.x_cut, 0.0, args.points)
+            return [{"x": x, "psi": p_val, "rho": p_val * p_val}
+                    for x, p_val in zip(xs.tolist(), sf.psi(xs).tolist())]
+        top = args.k_max
+        if top is None:
+            top = 5.0 * max(1.0, field ** (1.0 / 3.0))
+        ks = np.linspace(0.0, top, args.points)
+        return [{"k": k, "gamma": g} for k, g in zip(ks.tolist(), sf.gamma(ks).tolist())]
+
+    columns = ["x", "psi", "rho"] if wavefunction else ["k", "gamma"]
+    return _table(args.bc, args.n, _fields(args), columns, point, args.jobs)
 
 
-def _handle_crossing(args) -> tuple:
-    cfg = _tolerances(args)
+def _handle_crossing(args, cfg) -> tuple:
     field_cross = entropy_crossing(cfg, bracket=(args.lo, args.hi), xtol=args.xtol)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "lo": args.lo, "hi": args.hi,
              "field_cross": field_cross}]
     return rows, ["bc", "lo", "hi", "field_cross"]
 
 
-def _handle_fishermax(args) -> tuple:
-    cfg = _tolerances(args)
+def _handle_fishermax(args, cfg) -> tuple:
     result = fisher_product_maximum(args.n, bracket=(args.lo, args.hi),
                                     xtol=args.xtol, cfg=cfg)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "n": args.n,
@@ -490,7 +389,7 @@ def _handle_fishermax(args) -> tuple:
     return rows, ["bc", "n", "field_max", "fisher_product"]
 
 
-def _handle_table1(args) -> tuple:
+def _handle_table1(args, cfg) -> tuple:
     if args.bc is None:
         walls = (BoundarySpec.DIRICHLET, BoundarySpec.NEUMANN)
     elif args.bc.is_robin:
@@ -499,29 +398,21 @@ def _handle_table1(args) -> tuple:
         walls = (args.bc,)
     if args.levels < 1:
         raise _UsageError("--levels must be positive")
-    cfg = _tolerances(args)
+    fields = _fields(args)
     rows = []
-    columns = None
     for wall in walls:
-        req = SweepRequest(
-            bc=wall,
-            n_list=tuple(range(args.levels)),
-            field_grid=_field_grid(args),
-            quantities=("cgl",),
-            tolerances=cfg,
-        )
-        rows.extend(run_sweep(req, jobs=max(1, args.jobs)))
-        columns = req.columns()
+        wall_rows, columns = _measure_table(wall, range(args.levels), fields,
+                                            _MEASURE_COLUMNS[-3:], cfg, args.jobs)
+        rows.extend(wall_rows)
     return rows, columns
 
 
-def _handle_oracle_check(args) -> tuple:
-    cfg = _tolerances(args)
-    del cfg  # the grid route has its own fixed tolerances
+def _handle_oracle_check(args, cfg) -> tuple:
+    # The grid route has its own fixed tolerances, so cfg goes unused.
     columns = ["bc", "n", "field", "energy", "energy_fd", "rel_diff", "error"]
     rows = []
     top = max(args.n)
-    for field in _field_grid(args).values():
+    for field in _fields(args):
         try:
             fd_vals = fd_energies(args.bc, field, top + 1)
         except Exception as exc:
@@ -545,9 +436,15 @@ def _handle_oracle_check(args) -> tuple:
     return rows, columns
 
 
-_SWEEP_QUANTITIES = {
-    "spectrum": ("energy",),
-    "measures": ("measures",),
+_HANDLERS = {
+    "spectrum": _handle_spectrum,
+    "state": _handle_state,
+    "polarization": _handle_polarization,
+    "measures": _handle_measures,
+    "crossing": _handle_crossing,
+    "fishermax": _handle_fishermax,
+    "table1": _handle_table1,
+    "oracle-check": _handle_oracle_check,
 }
 
 
@@ -559,20 +456,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command in _SWEEP_QUANTITIES:
-            rows, columns = _handle_sweep(args, _SWEEP_QUANTITIES[args.command])
-        elif args.command == "polarization":
-            rows, columns = _handle_polarization(args)
-        elif args.command == "state":
-            rows, columns = _handle_state(args)
-        elif args.command == "crossing":
-            rows, columns = _handle_crossing(args)
-        elif args.command == "fishermax":
-            rows, columns = _handle_fishermax(args)
-        elif args.command == "table1":
-            rows, columns = _handle_table1(args)
-        else:
-            rows, columns = _handle_oracle_check(args)
+        rows, columns = _HANDLERS[args.command](args, _tolerances(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

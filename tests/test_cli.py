@@ -85,6 +85,8 @@ def test_bad_wall_name_is_a_usage_error(capsys):
                            "--field", "1.0")
     assert code == 1
     assert "usage error" in err
+    assert "unknown boundary" in err
+    assert "robin-" in err
 
 
 def test_unknown_config_key_is_a_usage_error(capsys, tmp_path):
@@ -127,6 +129,70 @@ def test_config_file_loses_to_explicit_flags(capsys, tmp_path):
                               "--tail-k", "200")
     _, flag_only, _ = run_cli(capsys, *argv, "--tail-k", "200")
     assert with_both == flag_only
+
+
+def _levels_outer(capsys, out, err):
+    assert out.splitlines()[0] == SPECTRUM_HEADER
+    assert [(r["n"], r["field"]) for r in parse_csv(out)] == [
+        ("0", "0.5"), ("0", "1"), ("1", "0.5"), ("1", "1")]
+
+
+def _profile_points_inner(capsys, out, err):
+    assert out.splitlines()[0] == "bc,n,field,x,psi,rho,error"
+    rows = parse_csv(out)
+    assert [(r["n"], r["field"]) for r in rows] == [
+        (n, field) for n in ("0", "1") for field in ("0.5", "1") for _ in range(3)]
+    assert [r["x"] for r in rows[2::3]] == ["0"] * 4
+    assert all(float(r["x"]) < 0.0 for i, r in enumerate(rows) if i % 3 != 2)
+
+
+def _matrix_error_row(capsys, out, err):
+    assert out.splitlines()[0] == "bc,n,field,m,dipole,error"
+    rows = parse_csv(out)
+    assert len(rows) == 1 + 2 * 4
+    failed = rows[0]
+    assert (failed["n"], failed["m"], failed["dipole"]) == ("0", "0", "")
+    assert float(failed["field"]) == pytest.approx(1e-6)
+    assert failed["error"] != ""
+    assert all(r["error"] == "" and r["dipole"] != "" for r in rows[1:])
+
+
+def _field_must_be_positive(capsys, out, err):
+    assert out == ""
+    assert err == "error: field grids must stay strictly positive\n"
+
+
+def _usage_error(capsys, out, err):
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def _matches_serial(capsys, out, err):
+    code, serial, _ = run_cli(capsys, "table1", "--levels", "2")
+    assert code == 0
+    assert out == serial
+    assert [(r["bc"], r["n"]) for r in parse_csv(out)] == [
+        ("dirichlet", "0"), ("dirichlet", "1"), ("neumann", "0"), ("neumann", "1")]
+
+
+@pytest.mark.parametrize("argv, want_code, check", [
+    pytest.param(("spectrum", "--bc", "dirichlet", "--n", "0,1", "--field-range", "0.5:1:2"),
+                 0, _levels_outer, id="spectrum-level-outer"),
+    pytest.param(("state", "--bc", "robin-", "--n", "0,1", "--field-range", "0.5:1:2",
+                  "--points", "3"), 0, _profile_points_inner, id="state-profile-rows"),
+    pytest.param(("polarization", "--bc", "robin-", "--matrix", "2",
+                  "--field-range", "1e-6:1:3:log"), 2, _matrix_error_row, id="matrix-error-row"),
+    pytest.param(("spectrum", "--bc", "dirichlet", "--field", "0"),
+                 2, _field_must_be_positive, id="spectrum-field-zero"),
+    pytest.param(("spectrum", "--bc", "dirichlet", "--field", "1", "--tol-abs", "-1"),
+                 1, _usage_error, id="spectrum-negative-tolerance"),
+    pytest.param(("table1", "--levels", "2", "--jobs", "2"),
+                 0, _matches_serial, id="table1-parallel"),
+])
+def test_table_layouts_are_pinned(capsys, argv, want_code, check):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want_code
+    check(capsys, out, err)
 
 
 def test_wavefunction_profile_rows(capsys):
