@@ -45,7 +45,6 @@ from .quadrature import (
     TailRangeError,
     ToleranceConfig,
     fourier_half_line,
-    integrate,
 )
 from .special import AiryRootTable, airy_root, asymptotic_zero, root_table
 from .spectrum import (
@@ -127,7 +126,6 @@ __all__ = [
     "fourier_half_line",
     "ground_coupling_asymptote",
     "hellmann_feynman_mean_x",
-    "integrate",
     "level_spacing",
     "mean_position",
     "mean_x_quadrature",

@@ -104,7 +104,7 @@ def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> Inf
     closed-form position Fisher information against its quadrature route.
     """
     cfg = cfg or sf.cfg
-    norm_x, s_x, slope_sq, o_x = position_integrals(sf, cfg)
+    norm_x, s_x, slope_sq, o_x, _ = position_integrals(sf, cfg)
     norm_k, s_k, i_k, o_k = momentum_integrals(sf, cfg)
     for space, norm in (("position", norm_x), ("momentum", norm_k)):
         if abs(norm - 1.0) > _NORM_TOLERANCE:

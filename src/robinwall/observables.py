@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig, integrate
+from .quadrature import ToleranceConfig, integrate_batch
 from .special import root_table
 from .spectrum import BoundarySpec, BoundState, DomainError, energy
-from .states import StateFunctions
+from .states import StateFunctions, position_integrals
 
 __all__ = [
     "DipoleMatrix",
@@ -103,8 +103,7 @@ def polarization(state: BoundState) -> PolarizationRecord:
 
 def mean_x_quadrature(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
     """Mean coordinate straight from the density, for cross-checks."""
-    cfg = cfg or sf.cfg
-    return integrate(lambda x: x * sf.rho(x), sf.x_cut, 0.0, cfg)
+    return position_integrals(sf, cfg)[4]
 
 
 def hellmann_feynman_mean_x(bc, n: int, field: float, step: float | None = None) -> float:
@@ -184,7 +183,8 @@ def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions,
     """Coordinate matrix element by direct integration of the profiles."""
     cfg = cfg or sf_n.cfg
     lo = min(sf_n.x_cut, sf_m.x_cut)
-    return integrate(lambda x: x * sf_n.psi(x) * sf_m.psi(x), lo, 0.0, cfg)
+    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], cfg)
+    return float(values[0])
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,9 @@ def default_grid(bc, field: float, levels: int) -> GridSpec:
     if levels < 1:
         raise ValueError("need at least one level")
     top = abs(root_table(levels + 2).ai_zero(levels + 2))
-    e_max = field ** (2.0 / 3.0) * top + field + 2.0
+    # A margin of field itself would swamp the F^(2/3) level scale at strong
+    # field and stretch the grid far beyond the F^(-1/3) width of the state.
+    e_max = field ** (2.0 / 3.0) * top + min(field, field ** (2.0 / 3.0)) + 2.0
     x_min = -(e_max / field + 15.0 * field ** (-1.0 / 3.0))
     return GridSpec(x_min=x_min)
 
@@ -132,12 +134,11 @@ def fd_energies_raw(bc, field: float, levels: int, grid: GridSpec) -> np.ndarray
     return values
 
 
-def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None,
-                richardson: bool = True) -> np.ndarray:
+def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> np.ndarray:
     """Lowest eigenvalues from the grid solver.
 
-    With ``richardson`` the second-order error is cancelled between the
-    grid and its half-step refinement.
+    The second-order error is cancelled between the grid and its half-step
+    refinement (one Richardson step).
     """
     if not isinstance(bc, BoundarySpec):
         bc = BoundarySpec.parse(bc)
@@ -145,8 +146,6 @@ def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None,
     levels = int(levels)
     grid = grid or default_grid(bc, field, levels)
     coarse = fd_energies_raw(bc, field, levels, grid)
-    if not richardson:
-        return coarse
     fine = fd_energies_raw(bc, field, levels, grid.refined())
     return (4.0 * fine - coarse) / 3.0
 

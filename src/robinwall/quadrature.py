@@ -1,10 +1,11 @@
 """Adaptive quadrature and half-line Fourier machinery.
 
-Position-space integrands in this package are smooth Airy profiles on a
-truncated half-line, which QUADPACK's adaptive Gauss-Kronrod rule handles
-directly.  The momentum side is the hard part: the transform of a
-wavefunction with a nonzero boundary value decays only like 1/k, so every
-density integral has a slow algebraic tail.  Four tools cover it:
+Position-space integrands in this package are Airy profiles on a
+truncated half-line, smooth apart from the logarithmic kink that
+-rho ln(rho) takes at each node.  The momentum side is the hard part: the
+transform of a wavefunction with a nonzero boundary value decays only
+like 1/k, so every density integral has a slow algebraic tail.  Four
+tools cover it:
 
 * :func:`fourier_half_line` evaluates a single transform value through the
   oscillatory-weight QUADPACK rule (the reference path; exact but slow).
@@ -14,11 +15,13 @@ density integral has a slow algebraic tail.  Four tools cover it:
   Bessel values.
 * :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
   vector-valued integrand evaluated on a whole interval in one array call;
-  it carries every position and every momentum functional of a state in one
-  pass per space.
+  it is the only adaptive rule of the package and carries every position
+  functional, every momentum functional and the tail of a state in one
+  pass each.
 * :class:`MomentumTail` is the analytic model of the density beyond a
-  switch momentum K, with closed or one-dimensional forms for every tail
-  integral that the information measures need.
+  switch momentum K: closed forms for its probability and Onicescu
+  integrals, one batched pass in t = (K/k)^(1/6) for its entropy and
+  Fisher integrals.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import spherical_jn, xlogy
+from scipy.special import spherical_jn
 
 __all__ = [
     "MIN_TAIL_K",
@@ -39,9 +42,7 @@ __all__ = [
     "TailRangeError",
     "ToleranceConfig",
     "fourier_half_line",
-    "integrate",
     "integrate_batch",
-    "integrate_full",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -110,32 +111,6 @@ class TailRangeError(ValueError):
     """The requested switch momentum is too small for the tail model."""
 
 
-def integrate_full(f, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Integrate f over [a, b] returning (value, error_estimate).
-
-    The error estimate satisfies err <= max(abs_tol, rel_tol*|value|) on
-    success; otherwise a :class:`QuadratureError` carries the best
-    estimate and its bound.
-    """
-    out = quad(
-        f,
-        a,
-        b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    value, err = float(out[0]), float(out[1])
-    if len(out) > 3:
-        raise QuadratureError(str(out[3]).strip(), estimate=value, error_bound=err)
-    return value, err
-
-
-def integrate(f, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    return integrate_full(f, a, b, cfg)[0]
-
-
 # QUADPACK qk21 (Piessens et al. 1983): the 21-point Kronrod abscissae on
 # [0, 1] with their weights; every other one, from the second, is a node
 # of the embedded 10-point Gauss rule.
@@ -171,11 +146,17 @@ def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
     """qk21 on every interval [lo_j, hi_j] from one call of f.
 
     Returns the Kronrod values and qk21's error estimates, both shaped
-    (intervals, components).
+    (intervals, components).  A non-finite sample raises
+    :class:`QuadratureError` at once: bisection cannot remove it.
     """
     half = 0.5 * (hi - lo)
-    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _KRONROD_NODES
-    fx = np.asarray(f(x.ravel()), dtype=float)
+    x = ((0.5 * (hi + lo))[:, None] + half[:, None] * _KRONROD_NODES).ravel()
+    fx = np.asarray(f(x), dtype=float)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        where = x[np.nonzero(bad)[-1][0]]
+        raise QuadratureError(f"integrand is not finite at {where:.17g}",
+                              estimate=math.nan, error_bound=math.inf)
     fx = fx.reshape(fx.shape[0], lo.size, _KRONROD_NODES.size)
     resk = fx @ _KRONROD_WEIGHTS
     resg = fx @ _GAUSS_WEIGHTS
@@ -190,26 +171,29 @@ def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
     return (resk * half).T, np.maximum(50.0 * _EPS * resabs, err).T
 
 
-def integrate_batch(f, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Integrate a vector-valued f over [a, b], returning (values, errors).
+def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Integrate a vector-valued f from points[0] to points[-1]: (values, errors).
 
-    ``f`` maps a 1-d array of points to an array of shape (m, points).  The
-    rule is QUADPACK's qag with the qk21 pair: it bisects the interval whose
-    worst component sits furthest above its tolerance and evaluates both
-    halves in one call of 42 points.  It stops once every component meets
-    sum(err_i) <= max(abs_tol, rel_tol*|I_i|) on its own; at
-    ``cfg.max_subdivisions`` intervals it raises :class:`QuadratureError`
-    with the per-component estimates.
+    ``f`` maps a 1-d array of points to an array of shape (m, points).
+    ``points`` are sorted breakpoints; every interval between neighbours is
+    evaluated in one first call.  The rule is QUADPACK's qag with the qk21
+    pair: it bisects the interval whose worst component sits furthest above
+    its tolerance and evaluates both halves in one call of 42 points.  It
+    stops once every component meets sum(err_i) <= max(abs_tol, rel_tol*|I_i|)
+    on its own; after ``cfg.max_subdivisions - 1`` bisections it raises
+    :class:`QuadratureError` with the per-component estimates.
     """
-    limit = cfg.max_subdivisions
+    edges = np.asarray(points, dtype=float)
+    start = edges.size - 1
+    limit = start + cfg.max_subdivisions - 1
     lo = np.empty(limit)
     hi = np.empty(limit)
-    lo[0], hi[0] = a, b
-    first, first_err = _kronrod(f, lo[:1], hi[:1])
+    lo[:start], hi[:start] = edges[:-1], edges[1:]
+    first, first_err = _kronrod(f, lo[:start], hi[:start])
     vals = np.empty((limit, first.shape[1]))
     errs = np.empty_like(vals)
-    vals[0], errs[0] = first[0], first_err[0]
-    n = 1
+    vals[:start], errs[:start] = first, first_err
+    n = start
     while True:
         total = vals[:n].sum(axis=0)
         err = errs[:n].sum(axis=0)
@@ -258,13 +242,9 @@ def fourier_half_line(psi, k: float, x_cut: float, cfg: ToleranceConfig = DEFAUL
     bit for bit.
     """
     kk = abs(float(k))
-    if kk == 0.0:
-        value, _ = integrate_full(psi, x_cut, 0.0, cfg)
-        out = complex(value / _SQRT_TWO_PI, 0.0)
-    else:
-        re = _weighted(psi, x_cut, kk, "cos", cfg)
-        im = _weighted(psi, x_cut, kk, "sin", cfg)
-        out = complex(re, -im) / _SQRT_TWO_PI
+    re = _weighted(psi, x_cut, kk, "cos", cfg)
+    im = _weighted(psi, x_cut, kk, "sin", cfg)
+    out = complex(re, -im) / _SQRT_TWO_PI
     return out.conjugate() if k < 0.0 else out
 
 
@@ -381,10 +361,6 @@ class MomentumTail:
         a6 = 3.0 * e * e * c0 * c0 + 2.0 * e * c1 * c1 - 2.0 * f * c0 * c1
         return cls(a2=a2, a4=a4, a6=a6)
 
-    @property
-    def is_null(self) -> bool:
-        return self.a2 == 0.0 and self.a4 == 0.0 and self.a6 == 0.0
-
     def _check(self, k_min: float) -> float:
         k_min = float(k_min)
         if k_min < MIN_TAIL_K:
@@ -405,60 +381,38 @@ class MomentumTail:
 
     def probability_beyond(self, k_min: float) -> float:
         """Integral of the model density over both tails |k| > k_min."""
-        big_k = self._check(k_min)
-        return (self.a2 / big_k + self.a4 / (3.0 * big_k ** 3)
-                + self.a6 / (5.0 * big_k ** 5)) / math.pi
-
-    def entropy_beyond(self, k_min: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-        """-integral of gamma*ln(gamma) over both tails."""
-        big_k = self._check(k_min)
-        if self.is_null:
-            return 0.0
-
-        def integrand(k):
-            g = self.density(k)
-            return -float(xlogy(g, g))
-
-        return 2.0 * _tail_quad(integrand, big_k, cfg)
+        u = 1.0 / self._check(k_min)
+        return (self.a2 * u + self.a4 * u ** 3 / 3.0 + self.a6 * u ** 5 / 5.0) / math.pi
 
     def onicescu_beyond(self, k_min: float) -> float:
         """Integral of gamma^2 over both tails (closed form)."""
+        # In powers of u = 1/k_min, which stay finite where k_min**11 would not.
+        u = 1.0 / self._check(k_min)
+        b2, b4, b6 = self.a2 * u, self.a4 * u ** 3, self.a6 * u ** 5
+        total = (b2 * b2 / 3.0 + 2.0 * b2 * b4 / 5.0 + (b4 * b4 + 2.0 * b2 * b6) / 7.0
+                 + 2.0 * b4 * b6 / 9.0 + b6 * b6 / 11.0)
+        return u * total / (2.0 * math.pi ** 2)
+
+    def integrals_beyond(self, k_min: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+        """(probability, entropy, Fisher, Onicescu) integrals over both tails |k| > k_min.
+
+        The entropy -gamma ln(gamma) and the Fisher integrand gamma'^2/gamma
+        run as one batched pass in t = (k_min/k)^(1/6) over [0, 1].  There
+        the entropy integrand vanishes like t^5 ln(t), smooth enough for the
+        rule to reach rounding where t = (k_min/k)^(1/2) leaves t ln(t) and
+        an error of a few 1e-13.
+        """
         big_k = self._check(k_min)
-        a2, a4, a6 = self.a2, self.a4, self.a6
-        total = (a2 * a2 / (3.0 * big_k ** 3)
-                 + 2.0 * a2 * a4 / (5.0 * big_k ** 5)
-                 + (a4 * a4 + 2.0 * a2 * a6) / (7.0 * big_k ** 7)
-                 + 2.0 * a4 * a6 / (9.0 * big_k ** 9)
-                 + a6 * a6 / (11.0 * big_k ** 11))
-        return total / (2.0 * math.pi ** 2)
 
-    def fisher_beyond(self, k_min: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-        """Integral of gamma'^2/gamma over both tails."""
-        big_k = self._check(k_min)
-        if self.is_null:
-            return 0.0
+        def integrand(t):
+            # In powers of u = 1/k^2 = t^12/big_k^2, with dk = -6 k/t dt, so
+            # that nothing overflows at huge switch momenta.
+            u = t ** 12 / big_k ** 2
+            p = self.a2 + u * (self.a4 + u * self.a6)
+            q = 2.0 * self.a2 + u * (4.0 * self.a4 + 6.0 * u * self.a6)
+            w = 3.0 * t ** 5 / (math.pi * big_k)
+            return w * np.stack([-p * np.log(u * p / (2.0 * math.pi)), u * q * q / p])
 
-        def integrand(k):
-            g = float(self.density(k))
-            dg = float(self.density_k_derivative(k))
-            return dg * dg / g
-
-        return 2.0 * _tail_quad(integrand, big_k, cfg)
-
-
-def _tail_quad(integrand, lo: float, cfg: ToleranceConfig) -> float:
-    """Semi-infinite quadrature that tolerates a sub-threshold tail.
-
-    The divergence heuristic of the adaptive rule misfires once the whole
-    tail hovers near the absolute tolerance.  When that happens with an
-    error bound that still satisfies the requested tolerances, or with an
-    estimate below the absolute floor, the estimate is accepted.
-    """
-    try:
-        value, _ = integrate_full(integrand, lo, math.inf, cfg)
-    except QuadratureError as err:
-        certified = max(cfg.abs_tol, cfg.rel_tol * abs(err.estimate))
-        if abs(err.estimate) <= cfg.abs_tol or err.error_bound <= certified:
-            return err.estimate
-        raise
-    return value
+        (entropy, fisher), _ = integrate_batch(integrand, [0.0, 1.0], cfg)
+        return np.array([self.probability_beyond(big_k), 2.0 * entropy,
+                         2.0 * fisher, self.onicescu_beyond(big_k)])

@@ -22,10 +22,11 @@ Numerically delicate points handled here:
   momentum-side quantities need it.  One table serves every momentum.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
   one adaptive pass per space: :func:`position_integrals` takes psi and
-  psi' from one Airy call per interval, and :func:`momentum_integrals`
-  takes phi and phi' from one table call per interval.  Beyond a switch
-  momentum the density follows the boundary-value tail model, so the
-  momentum pass stops at ``k_numeric_max``.
+  psi' from one Airy call per interval, starting from pieces split at the
+  nodes of psi, and :func:`momentum_integrals` takes phi and phi' from one
+  table call per interval.  Beyond a switch momentum the density follows
+  the boundary-value tail model, so the momentum pass stops at
+  ``k_numeric_max`` and the tail adds its own batched pass.
 """
 
 from __future__ import annotations
@@ -241,19 +242,30 @@ def boundary_residual(sf: StateFunctions) -> float:
 
 
 def position_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
-    """(norm, S_x, integral of psi'^2, O_x) from one adaptive pass.
+    """(norm, S_x, integral of psi'^2, O_x, <x>) from one adaptive pass.
 
-    rho, -rho ln(rho), psi'^2 and rho^2 share one evaluation of psi and
-    psi' per interval of [x_cut, 0].
+    rho, -rho ln(rho), psi'^2, rho^2 and x rho share one evaluation of psi
+    and psi' per interval of [x_cut, 0].  The pass starts from the pieces
+    between the interior nodes of psi, where -rho ln(rho) has a logarithmic
+    kink, and maps each piece [a, b] by x = a + (b - a) s(t) with
+    s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.
     """
     cfg = cfg or sf.cfg
+    n = sf.state.n
+    nodes = (sf.arg0 - root_table(n + 1).a[:n]) / sf.field_cbrt
+    edges = np.concatenate(([sf.x_cut], nodes, [0.0]))
+    width = np.diff(edges)
 
-    def integrand(x):
+    def integrand(t):
+        piece = np.minimum(t.astype(int), width.size - 1)
+        t = t - piece
+        x = edges[piece] + width[piece] * (t * t * (3.0 - 2.0 * t))
         p, dp = sf._airy_profile(x)
         r = p * p
-        return np.stack([r, -xlogy(r, r), dp * dp, r * r])
+        ds = 6.0 * width[piece] * t * (1.0 - t)
+        return np.stack([r, -xlogy(r, r), dp * dp, r * r, x * r]) * ds
 
-    values, _ = integrate_batch(integrand, sf.x_cut, 0.0, cfg)
+    values, _ = integrate_batch(integrand, np.arange(width.size + 1.0), cfg)
     return tuple(float(v) for v in values)
 
 
@@ -279,13 +291,9 @@ def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -
         return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g])
 
     big_k = sf.k_numeric_max
-    core, _ = integrate_batch(integrand, 0.0, big_k, cfg)
-    norm, s_k, i_k, o_k = (2.0 * float(v) for v in core)
-    tail = sf.tail
-    return (norm + tail.probability_beyond(big_k),
-            s_k + tail.entropy_beyond(big_k, cfg),
-            i_k + tail.fisher_beyond(big_k, cfg),
-            o_k + tail.onicescu_beyond(big_k))
+    core, _ = integrate_batch(integrand, [0.0, big_k], cfg)
+    values = 2.0 * core + sf.tail.integrals_beyond(big_k, cfg)
+    return tuple(float(v) for v in values)
 
 
 def momentum_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
@@ -303,14 +311,8 @@ def energy_identity_residual(sf: StateFunctions, cfg: ToleranceConfig | None = N
     Integrating the kinetic term by parts moves one boundary term onto
     the wall, where the wall condition turns it into -sigma psi(0)^2.
     """
-    cfg = cfg or sf.cfg
     state = sf.state
-
-    def integrand(x):
-        p, dp = sf._airy_profile(x)
-        return np.stack([dp * dp, x * p * p])
-
-    (kinetic, mean_x), _ = integrate_batch(integrand, sf.x_cut, 0.0, cfg)
+    _, _, kinetic, _, mean_x = position_integrals(sf, cfg)
     sigma = state.bc.wall_slope
     wall = 0.0 if sigma is None else -sigma * sf.psi0 ** 2
     total = kinetic + wall - state.field * mean_x

@@ -255,6 +255,25 @@ def test_oracle_check_rows(capsys):
     assert all(float(r["rel_diff"]) < 1e-5 for r in rows)
 
 
+@pytest.mark.parametrize("field", ["1e9", "1e12"])
+def test_oracle_check_at_strong_field(capsys, field):
+    # The grid must follow the F^(-1/3) width of the states, not the
+    # F^(-1) length of a margin proportional to the field.
+    code, out, _ = run_cli(capsys, "oracle-check", "--bc", "dirichlet",
+                           "--n", "0,1,2", "--field", field)
+    assert code == 0
+    assert all(float(r["rel_diff"]) < 1e-6 for r in parse_csv(out))
+
+
+def test_measures_at_a_huge_field_names_the_fault(capsys):
+    code, out, _ = run_cli(capsys, "measures", "--bc", "dirichlet", "--n", "0",
+                           "--field", "1e300")
+    assert code == 2
+    (row,) = parse_csv(out)
+    assert row["error"] != ""
+    assert not row["error"].startswith("(34,")
+
+
 def test_crossing_smoke(capsys):
     code, out, _ = run_cli(capsys, "crossing", "--lo", "1.2", "--hi", "1.7",
                            "--xtol", "0.2")

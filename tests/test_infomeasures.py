@@ -86,6 +86,30 @@ def test_measure_record_is_consistent(state_of, bc, n, field):
     assert rec.CGL_k >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("field", [1e-3, 1.0, 1e5])
+@pytest.mark.parametrize("n", [20, 30, 50])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_high_levels_are_measured(bc, n, field):
+    # -rho ln(rho) has a logarithmic kink at each of the n nodes of psi;
+    # the position pass must still meet its tolerance, and every
+    # certificate of measure_state must hold.
+    rec = measure_state(build_state(bc, n, field))
+    assert rec.S_t >= ENTROPY_FLOOR
+
+
+@pytest.mark.parametrize("field", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e10, 1e12, 1e15, 1e30, 1e100])
+@pytest.mark.parametrize("bc,n", [("dirichlet", 0), ("dirichlet", 3), ("neumann", 0), ("neumann", 3)])
+def test_hard_wall_products_are_field_free(state_of, bc, n, field):
+    # Without an extrapolation length the field only rescales x by
+    # F^(-1/3) and k by F^(1/3), so S_t, I_x I_k and O_x O_k keep their
+    # F = 1 values at any field.
+    ref = measure_state(state_of(bc, n, 1.0))
+    rec = measure_state(build_state(bc, n, field))
+    assert math.isclose(rec.S_t, ref.S_t, rel_tol=1e-9)
+    assert math.isclose(rec.fisher_product, ref.fisher_product, rel_tol=1e-10)
+    assert math.isclose(rec.onicescu_product, ref.onicescu_product, rel_tol=1e-12)
+
+
 def test_measure_state_certifies_unit_norm():
     sf = build_state("robin-", 0, 1.0)
     sf._amp *= 1.0 + 1e-5

@@ -17,7 +17,6 @@ from robinwall import (
     TailRangeError,
     ToleranceConfig,
     fourier_half_line,
-    integrate,
 )
 from robinwall.quadrature import (
     _GAUSS_WEIGHTS,
@@ -26,7 +25,6 @@ from robinwall.quadrature import (
     MIN_TAIL_K,
     QuadratureError,
     integrate_batch,
-    integrate_full,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -36,6 +34,11 @@ INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 def exp_state(x):
     """Unit-norm field-free ground profile on the half-line."""
     return SQRT2 * np.exp(x)
+
+
+def reference_quad(f, a, b):
+    """scipy's scalar QUADPACK route at the package's default tolerances."""
+    return quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
 
 
 def test_tolerance_config_defaults():
@@ -60,17 +63,6 @@ def test_tolerance_config_rejects_bad_values(kwargs):
         ToleranceConfig(**kwargs)
 
 
-def test_integrate_gaussian():
-    val = integrate(lambda x: math.exp(-x * x), -math.inf, math.inf)
-    assert math.isclose(val, math.sqrt(math.pi), rel_tol=1e-12)
-
-
-def test_integrate_full_reports_error_bound():
-    val, err = integrate_full(lambda x: math.exp(2 * x), -math.inf, 0.0)
-    assert math.isclose(val, 0.5, rel_tol=1e-12)
-    assert 0 <= err < 1e-8
-
-
 @given(
     st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
     st.floats(min_value=-4.0, max_value=-0.5),
@@ -79,7 +71,7 @@ def test_integrate_full_reports_error_bound():
 def test_integrate_polynomials_match_antiderivative(coeffs, a):
     poly = np.polynomial.Polynomial(coeffs)
     anti = poly.integ()
-    val = integrate(poly, a, 0.0)
+    (val,), _ = integrate_batch(lambda x: [poly(x)], [a, 0.0])
     assert math.isclose(val, anti(0.0) - anti(a), rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -108,7 +100,7 @@ def test_batch_rule_meets_each_components_tolerance():
                                              + math.atan(x0 / width))])
     assert 1e7 < exact[0] / exact[1] < 1e9
     cfg = ToleranceConfig(abs_tol=1e-30, rel_tol=1e-10)
-    values, errors = integrate_batch(f, 0.0, 1.0, cfg)
+    values, errors = integrate_batch(f, [0.0, 1.0], cfg)
     assert values.shape == errors.shape == (2,)
     assert np.all(errors <= cfg.rel_tol * np.abs(values))
     assert np.all(np.abs(values - exact) <= cfg.rel_tol * exact)
@@ -116,7 +108,8 @@ def test_batch_rule_meets_each_components_tolerance():
 
 def test_batch_rule_entropy_integrand_with_interior_node():
     # -rho ln rho with rho = (x - 0.3)^2 e^x has a logarithmic kink at the
-    # node x = 0.3 and at the endpoint x = 0.3 of the second interval.
+    # node x = 0.3: inside the first interval, at an endpoint of the second,
+    # and at the breakpoint of the third.
     def rho(x):
         return (x - 0.3) ** 2 * np.exp(x)
 
@@ -128,8 +121,9 @@ def test_batch_rule_entropy_integrand_with_interior_node():
         r = float(rho(x))
         return -r * math.log(r) if r > 0.0 else 0.0
 
-    for a, b in ((-1.0, 2.0), (0.3, 2.0)):
-        values, _ = integrate_batch(f, a, b)
+    for points in ([-1.0, 2.0], [0.3, 2.0], [-1.0, 0.3, 2.0]):
+        values, _ = integrate_batch(f, points)
+        a, b = points[0], points[-1]
         want = quad(entropy, a, b, points=[0.3] if a < 0.3 else None,
                     epsabs=1e-14, epsrel=1e-13, limit=200)[0]
         assert math.isclose(values[1], want, rel_tol=1e-10)
@@ -142,10 +136,21 @@ def test_batch_rule_raises_at_interval_limit():
         return np.stack([np.exp(x), 1.0 / (1e-4 + (x - 0.37) ** 2), np.cos(40.0 * x)])
 
     with pytest.raises(QuadratureError) as info:
-        integrate_batch(f, 0.0, 1.0, cfg)
+        integrate_batch(f, [0.0, 1.0], cfg)
     assert np.shape(info.value.estimate) == (3,)
     assert np.all(np.isfinite(info.value.estimate))
     assert math.isfinite(info.value.error_bound)
+
+
+def test_batch_rule_stops_at_a_non_finite_sample():
+    # Bisection cannot remove a NaN, so the rule names the point at once
+    # instead of splitting until its interval limit.
+    def f(x):
+        return np.stack([np.exp(x), np.where(x > 0.6, np.nan, x)])
+
+    with pytest.raises(QuadratureError, match="not finite at") as info:
+        integrate_batch(f, [0.0, 1.0])
+    assert 0.6 < float(str(info.value).split()[-1]) < 1.0
 
 
 @pytest.mark.parametrize("k", [-12.0, -1.3, 0.0, 0.5, 4.0, 50.0])
@@ -258,28 +263,31 @@ def test_momentum_tail_from_field_free_boundary():
 def test_momentum_tail_probability_matches_quadrature():
     tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
     k0 = 50.0
-    direct = 2.0 * integrate(tail.density, k0, math.inf)
+    direct = 2.0 * reference_quad(tail.density, k0, math.inf)
     assert math.isclose(tail.probability_beyond(k0), direct, rel_tol=1e-10)
 
 
 def test_momentum_tail_onicescu_closed_form():
     tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
     k0 = 60.0
-    direct = 2.0 * integrate(lambda k: tail.density(k) ** 2, k0, math.inf)
+    direct = 2.0 * reference_quad(lambda k: tail.density(k) ** 2, k0, math.inf)
     assert math.isclose(tail.onicescu_beyond(k0), direct, rel_tol=1e-9)
 
 
 def test_momentum_tail_fisher_and_entropy_consistency():
     tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
     k0 = 40.0
-    ent_direct = -2.0 * integrate(
+    probability, entropy, fisher, onicescu = tail.integrals_beyond(k0)
+    ent_direct = -2.0 * reference_quad(
         lambda k: tail.density(k) * math.log(tail.density(k)), k0, math.inf
     )
-    assert math.isclose(tail.entropy_beyond(k0), ent_direct, rel_tol=1e-8)
-    fis_direct = 2.0 * integrate(
+    assert math.isclose(entropy, ent_direct, rel_tol=1e-8)
+    fis_direct = 2.0 * reference_quad(
         lambda k: tail.density_k_derivative(k) ** 2 / tail.density(k), k0, math.inf
     )
-    assert math.isclose(tail.fisher_beyond(k0), fis_direct, rel_tol=1e-8)
+    assert math.isclose(fisher, fis_direct, rel_tol=1e-8)
+    assert probability == tail.probability_beyond(k0)
+    assert onicescu == tail.onicescu_beyond(k0)
 
 
 def test_momentum_tail_self_consistent_against_exact_density():
@@ -287,7 +295,7 @@ def test_momentum_tail_self_consistent_against_exact_density():
     # density closely enough that integrated quantities agree to 1e-8.
     tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
     k0 = 200.0
-    exact = 2.0 * integrate(lambda k: (1.0 / math.pi) / (1.0 + k * k), k0, math.inf)
+    exact = 2.0 * reference_quad(lambda k: (1.0 / math.pi) / (1.0 + k * k), k0, math.inf)
     assert math.isclose(tail.probability_beyond(k0), exact, rel_tol=1e-8)
 
 

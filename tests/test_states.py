@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import airy, xlogy
 
-from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line, integrate
+from scipy.integrate import quad
+
+from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line
 from robinwall.special import root_table
 from robinwall.spectrum import DomainError
 from robinwall.states import (
@@ -74,19 +76,23 @@ def test_unconverged_momentum_pass_raises():
     ("robin+", 2, 0.01),
 ])
 def test_position_pass_matches_scalar_quadratures(state_of, bc, n, field):
-    # The scalar QUADPACK route, one integral per functional, is the
-    # reference for the batched pass.
+    # scipy's scalar QUADPACK route (qagp), one integral per functional and
+    # split at the nodes of psi where -rho ln(rho) has a logarithmic kink,
+    # is the reference for the batched pass.
     sf = state_of(bc, n, field)
+    nodes = (sf.arg0 - root_table(n + 1).a[:n]) / sf.field_cbrt
 
     def one(f):
-        return integrate(f, sf.x_cut, 0.0)
+        return quad(f, sf.x_cut, 0.0, points=nodes if n else None,
+                    epsabs=1e-10, epsrel=1e-10, limit=200)[0]
 
     want = (one(sf.rho),
             one(lambda x: -float(xlogy(sf.rho(x), sf.rho(x)))),
             4.0 * one(lambda x: sf.psi_prime(x) ** 2),
-            one(lambda x: sf.rho(x) ** 2))
-    norm, s_x, slope_sq, o_x = position_integrals(sf)
-    for got, ref in zip((norm, s_x, 4.0 * slope_sq, o_x), want):
+            one(lambda x: sf.rho(x) ** 2),
+            one(lambda x: x * sf.rho(x)))
+    norm, s_x, slope_sq, o_x, mean_x = position_integrals(sf)
+    for got, ref in zip((norm, s_x, 4.0 * slope_sq, o_x, mean_x), want):
         assert math.isclose(got, ref, rel_tol=1e-12)
 
 
