@@ -40,9 +40,7 @@ from .oracle import DecayError, GridSpec, default_grid, fd_energies, fd_moment
 from .quadrature import (
     DEFAULT_TOLERANCES,
     HalfLineFourierTable,
-    MomentumTail,
     QuadratureError,
-    TailRangeError,
     ToleranceConfig,
     fourier_half_line,
 )
@@ -94,11 +92,9 @@ __all__ = [
     "GroundCoupling",
     "HalfLineFourierTable",
     "InfoRecord",
-    "MomentumTail",
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
-    "TailRangeError",
     "ToleranceConfig",
     "UnitScale",
     "airy_root",

@@ -158,7 +158,6 @@ _CONFIG_KEYS = {
     "rel_tol": float,
     "max_subdivisions": int,
     "x_cut_threshold": float,
-    "k_tail_switch": float,
 }
 
 
@@ -193,8 +192,6 @@ def _tolerances(args) -> ToleranceConfig:
         overrides["abs_tol"] = args.tol_abs
     if args.tol_rel is not None:
         overrides["rel_tol"] = args.tol_rel
-    if args.tail_k is not None:
-        overrides["k_tail_switch"] = args.tail_k
     try:
         return replace(DEFAULT_TOLERANCES, **overrides)
     except ValueError as exc:
@@ -218,8 +215,6 @@ def _add_common(p, field_default: float = 1.0):
                    help="absolute quadrature tolerance override")
     p.add_argument("--tol-rel", type=float, default=None,
                    help="relative quadrature tolerance override")
-    p.add_argument("--tail-k", type=float, default=None,
-                   help="base switch momentum for the density tail model")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value tolerance overrides; flags win")
     p.add_argument("--jobs", type=int, default=1,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .special import root_table
-from .spectrum import BoundarySpec, DomainError
+from .spectrum import BoundarySpec, ConsistencyError, DomainError
 
 __all__ = [
     "DecayError",
@@ -138,7 +138,11 @@ def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> 
     """Lowest eigenvalues from the grid solver.
 
     The second-order error is cancelled between the grid and its half-step
-    refinement (one Richardson step).
+    refinement (one Richardson step), and refused with a ConsistencyError
+    where the half-step correction of a level exceeds 1e-2 of its scale,
+    max(|E|, F^(2/3)): the extrapolated error is then about its square, above
+    the oracle's 1e-4. The field's energy unit F^(2/3) keeps a level that
+    passes through zero energy (robin- n=0 at zero_energy_field()) measurable.
     """
     if not isinstance(bc, BoundarySpec):
         bc = BoundarySpec.parse(bc)
@@ -147,6 +151,13 @@ def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> 
     grid = grid or default_grid(bc, field, levels)
     coarse = fd_energies_raw(bc, field, levels, grid)
     fine = fd_energies_raw(bc, field, levels, grid.refined())
+    correction = np.abs(fine - coarse) / np.maximum(np.abs(fine), field ** (2.0 / 3.0))
+    bad = np.nonzero(correction > 1e-2)[0]
+    if bad.size:
+        n = int(bad[0])
+        raise ConsistencyError(
+            f"{bc.value} level {n} at field {field:g}: the half-step correction "
+            f"{correction[n]:.3g} exceeds 1e-2; the grid does not resolve the state")
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -12,16 +12,14 @@ tools cover it:
 * :class:`HalfLineFourierTable` expands psi once in Legendre polynomials
   on equal panels sized by psi alone, and integrates every term against
   the phase exactly: any momentum costs P exponentials and 16 spherical
-  Bessel values.
+  Bessel values.  It serves momenta below a state's switch momentum.
+* :func:`ray_transform` gives phi and phi' above the switch from the wall
+  data alone, as an incomplete Scorer-type integral (DLMF 9.12) taken by
+  one fixed rule along a ray rotated into the complex plane.
 * :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
   vector-valued integrand evaluated on a whole interval in one array call;
   it is the only adaptive rule of the package and carries every position
-  functional, every momentum functional and the tail of a state in one
-  pass each.
-* :class:`MomentumTail` is the analytic model of the density beyond a
-  switch momentum K: closed forms for its probability and Onicescu
-  integrals, one batched pass in t = (K/k)^(1/6) for its entropy and
-  Fisher integrals.
+  functional and every momentum functional of a state in one pass each.
 """
 
 from __future__ import annotations
@@ -34,22 +32,16 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 __all__ = [
-    "MIN_TAIL_K",
     "DEFAULT_TOLERANCES",
     "HalfLineFourierTable",
-    "MomentumTail",
     "QuadratureError",
-    "TailRangeError",
     "ToleranceConfig",
     "fourier_half_line",
     "integrate_batch",
+    "ray_transform",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Below this momentum the inverse-power tail model is not trustworthy for
-# any state handled here, independent of configured switch points.
-MIN_TAIL_K = 20.0
 
 # Gauss-Legendre samples (and Legendre terms) of every equal Fourier-table
 # panel, and the radians of psi's phase or decay one panel may span: a
@@ -72,16 +64,13 @@ class ToleranceConfig:
     """Numeric knobs shared by the quadrature and state-building layers.
 
     ``x_cut_threshold`` is relative to the peak density psi^2 (the cut
-    march compares rho with threshold * rho_max);
-    ``k_tail_switch`` is the base momentum beyond which density integrals
-    switch to the analytic tail (states scale it with the field).
+    march compares rho with threshold * rho_max).
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    x_cut_threshold: float = 1e-16
-    k_tail_switch: float = 200.0
+    x_cut_threshold: float = 1e-20
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -91,8 +80,6 @@ class ToleranceConfig:
         if not 0.0 < self.x_cut_threshold <= 1e-14:
             raise ValueError(
                 "x_cut_threshold is relative to the peak density and must lie in (0, 1e-14]")
-        if self.k_tail_switch < MIN_TAIL_K:
-            raise ValueError(f"k_tail_switch below {MIN_TAIL_K} invalidates the tail model")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -105,10 +92,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-class TailRangeError(ValueError):
-    """The requested switch momentum is too small for the tail model."""
 
 
 # QUADPACK qk21 (Piessens et al. 1983): the 21-point Kronrod abscissae on
@@ -291,24 +274,9 @@ class HalfLineFourierTable:
         # the last 16.
         self._coeffs = np.concatenate([psi_x @ _TO_LEGENDRE, (x * psi_x) @ _TO_LEGENDRE], axis=1)
 
-    def _panel_sum(self, k: np.ndarray, profiles: int) -> np.ndarray:
-        """(2 pi)^(-1/2) integrals of the expansions times exp(-i|k|x).
-
-        Integrates the first ``profiles`` expansions (1: psi; 2: psi and
-        x psi) and returns shape (k.size, profiles) for a 1-d k.
-        """
-        kk = np.abs(k)[:, None]
-        panel = kk * self._mid
-        coeffs = self._coeffs[:, :profiles * _PANEL_ORDER]
-        inner = np.cos(panel) @ coeffs - 1j * (np.sin(panel) @ coeffs)
-        inner = inner.reshape(k.size, profiles, _PANEL_ORDER)
-        local = self._half * _FILON_PHASES * spherical_jn(_DEGREES, kk * self._half)
-        return np.sum(inner * local[:, None, :], axis=2) / _SQRT_TWO_PI
-
     def transform(self, k: float) -> complex:
         """Transform value at one momentum."""
-        value = complex(self._panel_sum(np.array([float(k)]), 1)[0, 0])
-        return value.conjugate() if k < 0.0 else value
+        return complex(self.transform_pair(np.array([float(k)]))[0][0])
 
     def transform_k_derivative(self, k: float) -> complex:
         """d/dk of the transform at one momentum."""
@@ -317,9 +285,13 @@ class HalfLineFourierTable:
     def transform_pair(self, k: np.ndarray) -> tuple:
         """(phi, d phi/dk) at every momentum of a 1-d array, from one set of phases."""
         k = np.asarray(k, dtype=float)
-        sums = self._panel_sum(k, 2)
-        phi = sums[:, 0]
-        dphi = -1j * sums[:, 1]
+        kk = np.abs(k)[:, None]
+        panel = kk * self._mid
+        inner = np.cos(panel) @ self._coeffs - 1j * (np.sin(panel) @ self._coeffs)
+        local = self._half * _FILON_PHASES * spherical_jn(_DEGREES, kk * self._half)
+        sums = np.sum(inner.reshape(k.size, 2, _PANEL_ORDER) * local[:, None, :], axis=2)
+        phi = sums[:, 0] / _SQRT_TWO_PI
+        dphi = -1j * sums[:, 1] / _SQRT_TWO_PI
         # With phi(-k) = conj(phi(k)) the derivative picks up a sign under
         # conjugation.
         neg = k < 0.0
@@ -329,90 +301,49 @@ class HalfLineFourierTable:
 
     def transform_many(self, k) -> np.ndarray:
         """Vectorized transform over an array of momenta."""
-        karr = np.asarray(k, dtype=float).ravel()
-        out = self._panel_sum(karr, 1)[:, 0]
-        neg = karr < 0.0
-        out[neg] = np.conj(out[neg])
-        return out.reshape(np.shape(k))
+        return self.transform_pair(np.ravel(k))[0].reshape(np.shape(k))
 
 
-@dataclass(frozen=True)
-class MomentumTail:
-    """Inverse-power model of the momentum density beyond a switch K.
+# The ray rule: 24 Gauss-Legendre points on each of 6 geometric panels along
+# z = s exp(i pi/6), in units of the shortest decay length of the terms of theta.
+_RAY_ENDS = np.array([0.0, 0.25, 1.0, 3.0, 8.0, 20.0, 45.0])
+_ray_nodes, _ray_weights = np.polynomial.legendre.leggauss(24)
+_ray_half = 0.5 * np.diff(_RAY_ENDS)[:, None]
+_RAY_S = (0.5 * (_RAY_ENDS[1:] + _RAY_ENDS[:-1])[:, None] + _ray_half * _ray_nodes).ravel()
+_RAY_W = (_ray_half * _ray_weights).ravel()
+_RAY_DIRECTION = complex(math.cos(math.pi / 6.0), 0.5)
 
-    2*pi*gamma(k) ~ a2/k^2 + a4/k^4 + a6/k^6, with coefficients fixed by
-    the boundary data alone: integrating the transform by parts moves it
-    onto wall values of the wavefunction and its derivatives, and the
-    stationary equation closes the chain at the second derivative.
+
+def ray_transform(k, psi0: float, dpsi0: float, energy: float, field: float) -> tuple:
+    """(phi, d phi/dk) at every momentum of a 1-d array with k^2 > E, from the wall data.
+
+    The transformed stationary equation, i F phi' = (k^2 - E) phi - B(k) with
+    B(q) = (psi'(0) + i q psi(0)) / sqrt(2 pi), is of first order, and its
+    solution that vanishes as k -> infinity is
+    phi(k) = -(i/F) integral over z >= 0 of B(k + z) exp(i theta / F) dz,
+    theta = z (k^2 - E) + k z^2 + z^3 / 3, formed in that order: as a
+    difference of cubes it loses digits.  Every term of i theta decays
+    along z = s exp(i pi/6), where one fixed rule takes the integral, in
+    Airy units kappa = k / F^(1/3) so that the field drops out of theta.
+    phi' comes from the same samples through the k-derivative of the
+    integrand; formed from the equation it would cancel at large k, where
+    phi ~ B / (k^2 - E).  Negative momenta are taken by conjugation.
     """
-
-    a2: float
-    a4: float
-    a6: float
-
-    @classmethod
-    def from_boundary(cls, psi0: float, dpsi0: float, energy: float, field: float) -> "MomentumTail":
-        c0 = float(psi0)
-        c1 = float(dpsi0)
-        e = float(energy)
-        f = float(field)
-        a2 = c0 * c0
-        a4 = c1 * c1 + 2.0 * e * c0 * c0
-        a6 = 3.0 * e * e * c0 * c0 + 2.0 * e * c1 * c1 - 2.0 * f * c0 * c1
-        return cls(a2=a2, a4=a4, a6=a6)
-
-    def _check(self, k_min: float) -> float:
-        k_min = float(k_min)
-        if k_min < MIN_TAIL_K:
-            raise TailRangeError(
-                f"tail model invalid below k = {MIN_TAIL_K}; got switch {k_min}"
-            )
-        return k_min
-
-    def density(self, k):
-        k2 = np.square(np.asarray(k, dtype=float))
-        return (self.a2 / k2 + self.a4 / k2 ** 2 + self.a6 / k2 ** 3) / (2.0 * math.pi)
-
-    def density_k_derivative(self, k):
-        karr = np.asarray(k, dtype=float)
-        k2 = np.square(karr)
-        return -(2.0 * self.a2 / k2 + 4.0 * self.a4 / k2 ** 2 + 6.0 * self.a6 / k2 ** 3) \
-            / (2.0 * math.pi * karr)
-
-    def probability_beyond(self, k_min: float) -> float:
-        """Integral of the model density over both tails |k| > k_min."""
-        u = 1.0 / self._check(k_min)
-        return (self.a2 * u + self.a4 * u ** 3 / 3.0 + self.a6 * u ** 5 / 5.0) / math.pi
-
-    def onicescu_beyond(self, k_min: float) -> float:
-        """Integral of gamma^2 over both tails (closed form)."""
-        # In powers of u = 1/k_min, which stay finite where k_min**11 would not.
-        u = 1.0 / self._check(k_min)
-        b2, b4, b6 = self.a2 * u, self.a4 * u ** 3, self.a6 * u ** 5
-        total = (b2 * b2 / 3.0 + 2.0 * b2 * b4 / 5.0 + (b4 * b4 + 2.0 * b2 * b6) / 7.0
-                 + 2.0 * b4 * b6 / 9.0 + b6 * b6 / 11.0)
-        return u * total / (2.0 * math.pi ** 2)
-
-    def integrals_beyond(self, k_min: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-        """(probability, entropy, Fisher, Onicescu) integrals over both tails |k| > k_min.
-
-        The entropy -gamma ln(gamma) and the Fisher integrand gamma'^2/gamma
-        run as one batched pass in t = (k_min/k)^(1/6) over [0, 1].  There
-        the entropy integrand vanishes like t^5 ln(t), smooth enough for the
-        rule to reach rounding where t = (k_min/k)^(1/2) leaves t ln(t) and
-        an error of a few 1e-13.
-        """
-        big_k = self._check(k_min)
-
-        def integrand(t):
-            # In powers of u = 1/k^2 = t^12/big_k^2, with dk = -6 k/t dt, so
-            # that nothing overflows at huge switch momenta.
-            u = t ** 12 / big_k ** 2
-            p = self.a2 + u * (self.a4 + u * self.a6)
-            q = 2.0 * self.a2 + u * (4.0 * self.a4 + 6.0 * u * self.a6)
-            w = 3.0 * t ** 5 / (math.pi * big_k)
-            return w * np.stack([-p * np.log(u * p / (2.0 * math.pi)), u * q * q / p])
-
-        (entropy, fisher), _ = integrate_batch(integrand, [0.0, 1.0], cfg)
-        return np.array([self.probability_beyond(big_k), 2.0 * entropy,
-                         2.0 * fisher, self.onicescu_beyond(big_k)])
+    k = np.asarray(k, dtype=float)
+    f13 = field ** (1.0 / 3.0)
+    root = math.sqrt(f13)
+    kappa = np.abs(k)[:, None] / f13
+    c0 = psi0 / root / _SQRT_TWO_PI
+    c1 = dpsi0 / (f13 * root) / _SQRT_TWO_PI
+    gap = kappa * kappa - energy / (f13 * f13)
+    ell = np.minimum(np.minimum(1.0, 2.0 / gap), 1.0 / np.sqrt(0.866 * kappa))
+    z = (ell * _RAY_S) * _RAY_DIRECTION
+    dz = (ell * _RAY_W) * _RAY_DIRECTION
+    wave = np.exp(1j * (z * gap + kappa * z * z + z * z * z / 3.0)) * dz
+    b = c1 + 1j * c0 * (kappa + z)
+    phi = -1j * np.sum(b * wave, axis=1) / root
+    dphi = np.sum((c0 + b * z * (2.0 * kappa + z)) * wave, axis=1) / (f13 * root)
+    neg = k < 0.0
+    phi[neg] = np.conj(phi[neg])
+    dphi[neg] = -np.conj(dphi[neg])
+    return phi, dphi

@@ -230,9 +230,17 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
             f"{bc.value} level {n} needs field > {AIRY_ARG_MAX ** -1.5:.6g}: below it "
             "the wall-side Airy argument leaves the range of the scaled Airy functions"
         )
-    root = float(
-        brentq(lambda e: eigenvalue_function(bc, e, field), lo, hi, xtol=_XTOL, rtol=_RTOL)
-    )
+    try:
+        root = float(
+            brentq(lambda e: eigenvalue_function(bc, e, field), lo, hi, xtol=_XTOL, rtol=_RTOL)
+        )
+    except ValueError:
+        # brentq's only ValueError here is its sign check at the bracket ends.
+        raise DomainError(
+            f"{bc.value} level {n} at field {field:g}: the determinant keeps its sign over "
+            f"the bracket [{lo:.17g}, {hi:.17g}]; the Robin shift from the hard-wall "
+            "level has dropped below the rounding of E"
+        ) from None
     _certify_root(bc, root, field)
     found_nodes = node_count(root, field)
     if found_nodes != n:

@@ -16,17 +16,15 @@ Numerically delicate points handled here:
   return 0/0.
   The hard-wall profiles multiply the scaled value by exp(-s), which
   rounds to 0 once Ai itself underflows.
-* The transform is discretized once per state on Filon-Legendre panels
-  (:class:`.quadrature.HalfLineFourierTable`) sized by how fast psi
-  varies, not by the momentum range, and built lazily, because only the
-  momentum-side quantities need it.  One table serves every momentum.
+* Below the switch momentum ``k_switch`` the transform comes from
+  Filon-Legendre panels (:class:`.quadrature.HalfLineFourierTable`) sized by
+  psi and built lazily; above it :func:`.quadrature.ray_transform` gives it
+  exactly from the wall data alone.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
   one adaptive pass per space: :func:`position_integrals` takes psi and
   psi' from one Airy call per interval, starting from pieces split at the
   nodes of psi, and :func:`momentum_integrals` takes phi and phi' from one
-  table call per interval.  Beyond a switch momentum the density follows
-  the boundary-value tail model, so the momentum pass stops at
-  ``k_numeric_max`` and the tail adds its own batched pass.
+  table or ray call per interval.
 """
 
 from __future__ import annotations
@@ -44,11 +42,10 @@ from scipy import special as sp  # noqa: F401
 
 from .quadrature import (
     DEFAULT_TOLERANCES,
-    MIN_TAIL_K,
     HalfLineFourierTable,
-    MomentumTail,
     ToleranceConfig,
     integrate_batch,
+    ray_transform,
 )
 from .special import root_table, scaled_airy
 from .spectrum import BoundarySpec, BoundState, ConsistencyError, DomainError, energy
@@ -78,9 +75,9 @@ class StateFunctions:
     """Callable profile bundle for one solved level.
 
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
-    ``phi``, ``gamma`` on the momentum side, plus the
-    boundary data and integration bookkeeping (``x_cut``,
-    ``k_numeric_max``, ``tail``) that the observable layers use.
+    ``phi``, ``gamma`` on the momentum side, plus the boundary data and
+    integration bookkeeping (``x_cut``, ``k_switch``) that the observable
+    layers use.
     """
 
     def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -122,13 +119,8 @@ class StateFunctions:
             self.dpsi0 = 0.0
 
         self.x_cut = self._march_cut()
-        base = cfg.k_tail_switch * max(1.0, f13)
-        if bc is BoundarySpec.DIRICHLET:
-            # With a vanishing boundary value the density tail starts one
-            # power of k^2 later, so the switch can sit much lower.
-            base *= 0.25
-        self.k_numeric_max = max(MIN_TAIL_K, base)
-        self.tail = MomentumTail.from_boundary(self.psi0, self.dpsi0, e_val, field)
+        # The ray needs k^2 > E; the margin keeps its decay rate up.
+        self.k_switch = 1.2 * math.sqrt(max(e_val, 0.0)) + max(1.0, f13)
         self._fourier = None
         self._lock = threading.Lock()
 
@@ -216,12 +208,23 @@ class StateFunctions:
                 self._fourier = HalfLineFourierTable(self.psi, self.x_cut, rate)
             return self._fourier
 
+    def _pair(self, k: np.ndarray) -> tuple:
+        """(phi, phi') at 1-d momenta: the table below k_switch, the ray above."""
+        far = np.abs(k) >= self.k_switch
+        phi = np.empty(k.size, dtype=complex)
+        dphi = np.empty_like(phi)
+        if not far.all():
+            phi[~far], dphi[~far] = self._table().transform_pair(k[~far])
+        if far.any():
+            phi[far], dphi[far] = ray_transform(k[far], self.psi0, self.dpsi0,
+                                                self.state.energy, self.state.field)
+        return phi, dphi
+
     def phi(self, k):
         """Momentum wavefunction; conjugate-symmetric in k."""
-        table = self._table()
-        if np.ndim(k) == 0:
-            return table.transform(float(k))
-        return table.transform_many(k)
+        k_arr = np.asarray(k, dtype=float)
+        out = self._pair(k_arr.ravel())[0]
+        return complex(out[0]) if k_arr.ndim == 0 else out.reshape(k_arr.shape)
 
     def gamma(self, k):
         """Momentum density |phi|^2, an even function of k."""
@@ -277,27 +280,33 @@ def position_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> flo
 def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
     """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
 
-    gamma, -gamma ln(gamma), gamma'^2/gamma and gamma^2 share one batched
-    table call for phi and phi' per interval of [0, K]; the tail model
-    adds |k| > K.
+    The four integrands of the density in Airy units kappa = k / F^(1/3),
+    F^(1/3) gamma, share one phi and phi' call per interval of u: the table
+    at kappa = u K on [0, 1], the ray at kappa = K / (2 - u)^6 on [1, 2],
+    K = k_switch / F^(1/3).  The field enters exactly at the end
+    (S_k = S + N ln F^(1/3), I_k = I / F^(2/3), O_k = O / F^(1/3)).
     """
     cfg = cfg or sf.cfg
-    table = sf._table()
+    f13 = sf.field_cbrt
 
-    def integrand(k):
-        phi, dphi = table.transform_pair(k)
+    def integrand(u):
+        far = u >= 1.0
+        t = np.minimum(2.0 - u, 1.0)
+        phi, dphi = sf._pair(sf.k_switch * np.where(far, t ** -6, u))
+        jac = np.where(far, 6.0 / t ** 7, 1.0) * (sf.k_switch / f13)
+        # phi~(kappa) = F^(1/6) phi(k) and phi~'(kappa) = F^(1/2) phi'(k).
+        phi, dphi = phi * f13 ** 0.5, dphi * f13 ** 1.5
         g = np.abs(phi) ** 2
         dg = 2.0 * (phi.conjugate() * dphi).real
-        return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g])
+        return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
-    big_k = sf.k_numeric_max
-    core, _ = integrate_batch(integrand, [0.0, big_k], cfg)
-    values = 2.0 * core + sf.tail.integrals_beyond(big_k, cfg)
-    return tuple(float(v) for v in values)
+    (norm, entropy, fisher, onicescu), _ = integrate_batch(integrand, [0.0, 1.0, 2.0], cfg)
+    values = (norm, entropy + norm * math.log(f13), fisher / (f13 * f13), onicescu / f13)
+    return tuple(2.0 * float(v) for v in values)
 
 
 def momentum_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
-    """Norm in momentum space: numeric core plus the analytic tail."""
+    """Norm in momentum space, from the one momentum pass."""
     return momentum_integrals(sf, cfg)[0]
 
 

@@ -122,13 +122,16 @@ def test_parallel_rows_match_serial_bytes(capsys):
 
 
 def test_config_file_loses_to_explicit_flags(capsys, tmp_path):
-    cfg = tmp_path / "tail.cfg"
-    cfg.write_text("# comment line\nk_tail_switch = 60\n")
+    # Alone, the file's tolerances are out of reach of the interval budget.
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("# comment line\nabs_tol = 1e-15\nrel_tol = 1e-15\n")
     argv = ("measures", "--bc", "robin-", "--n", "0", "--field", "1.0")
-    _, with_both, _ = run_cli(capsys, *argv, "--config", str(cfg),
-                              "--tail-k", "200")
-    _, flag_only, _ = run_cli(capsys, *argv, "--tail-k", "200")
+    flags = ("--tol-abs", "1e-10", "--tol-rel", "1e-10")
+    _, with_both, _ = run_cli(capsys, *argv, "--config", str(cfg), *flags)
+    _, flag_only, _ = run_cli(capsys, *argv, *flags)
+    code, _, _ = run_cli(capsys, *argv, "--config", str(cfg))
     assert with_both == flag_only
+    assert code == 2
 
 
 def _levels_outer(capsys, out, err):
@@ -266,12 +269,35 @@ def test_oracle_check_at_strong_field(capsys, field):
 
 
 def test_measures_at_a_huge_field_names_the_fault(capsys):
-    code, out, _ = run_cli(capsys, "measures", "--bc", "dirichlet", "--n", "0",
+    # Hard walls compute at any finite field; a Robin level at 1e300 sits
+    # within rounding of its hard-wall limit and cannot be solved.
+    code, out, _ = run_cli(capsys, "measures", "--bc", "robin+", "--n", "0",
                            "--field", "1e300")
     assert code == 2
     (row,) = parse_csv(out)
     assert row["error"] != ""
     assert not row["error"].startswith("(34,")
+    assert "1e+300" in row["error"]
+
+
+def test_oracle_check_refuses_an_unresolved_grid(capsys):
+    # robin- at 1e-3 carries a half-step correction of 0.14, and its
+    # Richardson energy would be 2.3e-2 off.
+    code, out, _ = run_cli(capsys, "oracle-check", "--bc", "robin-", "--n", "0",
+                           "--field", "1e-3")
+    assert code == 2
+    (row,) = parse_csv(out)
+    assert "half-step correction" in row["error"]
+    assert row["energy_fd"] == ""
+
+
+def test_oracle_check_at_the_zero_energy_field(capsys):
+    code, out, _ = run_cli(capsys, "oracle-check", "--bc", "robin-", "--n", "0,1,2",
+                           "--field", "2.5811")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 3
+    assert all(row["error"] == "" for row in rows)
 
 
 def test_crossing_smoke(capsys):

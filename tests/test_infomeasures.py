@@ -97,7 +97,8 @@ def test_high_levels_are_measured(bc, n, field):
     assert rec.S_t >= ENTROPY_FLOOR
 
 
-@pytest.mark.parametrize("field", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e10, 1e12, 1e15, 1e30, 1e100])
+@pytest.mark.parametrize("field", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e10, 1e12, 1e15, 1e30, 1e100,
+                                   1e200, 1e300])
 @pytest.mark.parametrize("bc,n", [("dirichlet", 0), ("dirichlet", 3), ("neumann", 0), ("neumann", 3)])
 def test_hard_wall_products_are_field_free(state_of, bc, n, field):
     # Without an extrapolation length the field only rescales x by

@@ -13,7 +13,7 @@ from robinwall.oracle import (
     fd_moment,
 )
 from robinwall.observables import mean_position
-from robinwall.spectrum import energy
+from robinwall.spectrum import ConsistencyError, energy, zero_energy_field
 
 
 def test_grid_spec_geometry():
@@ -65,3 +65,21 @@ def test_moment_of_excited_dirichlet_level():
     got = fd_moment("dirichlet", 2.0, 2)
     want = mean_position(energy("dirichlet", 2, 2.0))
     assert abs(got - want) < 1e-6
+
+
+@pytest.mark.parametrize("bc", ["robin-", "robin+", "dirichlet", "neumann"])
+def test_unresolved_weak_field_grid_is_refused(bc):
+    # At 1e-6 the states outgrow the grid: the half-step correction is
+    # 0.5-0.99 of the energy, and a Richardson value would be 0.5-1.4 off.
+    with pytest.raises(ConsistencyError, match="half-step correction"):
+        fd_energies(bc, 1e-6, 3)
+
+
+def test_level_through_zero_energy_is_measured():
+    # The robin- ground level crosses E = 0 here; its correction is 2.8e-5
+    # of F^(2/3), though it is many times the level itself.
+    field = zero_energy_field()
+    got = fd_energies("robin-", field, 3)
+    for n in range(3):
+        want = energy("robin-", n, field).energy
+        assert abs(got[n] - want) < 1e-4 * field ** (2.0 / 3.0)

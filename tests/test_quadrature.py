@@ -1,4 +1,4 @@
-"""Integration helpers, the cached half-line transform, and the k-space tail."""
+"""Integration helpers and the cached half-line transform."""
 
 import math
 
@@ -13,8 +13,6 @@ from scipy.special import spherical_jn, xlogy
 from robinwall import (
     DEFAULT_TOLERANCES,
     HalfLineFourierTable,
-    MomentumTail,
-    TailRangeError,
     ToleranceConfig,
     fourier_half_line,
 )
@@ -22,7 +20,6 @@ from robinwall.quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
-    MIN_TAIL_K,
     QuadratureError,
     integrate_batch,
 )
@@ -34,11 +31,6 @@ INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 def exp_state(x):
     """Unit-norm field-free ground profile on the half-line."""
     return SQRT2 * np.exp(x)
-
-
-def reference_quad(f, a, b):
-    """scipy's scalar QUADPACK route at the package's default tolerances."""
-    return quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
 
 
 def test_tolerance_config_defaults():
@@ -55,7 +47,7 @@ def test_tolerance_config_defaults():
         {"rel_tol": -1e-3},
         {"max_subdivisions": 0},
         {"x_cut_threshold": 0.0},
-        {"k_tail_switch": 0.0},
+        {"x_cut_threshold": 1e-12},
     ],
 )
 def test_tolerance_config_rejects_bad_values(kwargs):
@@ -246,61 +238,4 @@ def test_spherical_bessel_values_against_high_precision():
                     x = mpmath.mpf(w)
                     want = float(mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(j + 0.5, x))
             assert abs(got[j] - want) <= 1e-15
-
-
-def test_momentum_tail_from_field_free_boundary():
-    # With psi(0) = psi'(0) = sqrt(2) and E = -1 the scaled density
-    # 2*pi*k^2*gamma expands as 2 - 2/k^2 + 2/k^4.
-    tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
-    assert math.isclose(tail.a2, 2.0, rel_tol=1e-14)
-    assert math.isclose(tail.a4, -2.0, rel_tol=1e-14)
-    assert math.isclose(tail.a6, 2.0, rel_tol=1e-14)
-    k = 35.0
-    exact = (1.0 / math.pi) / (1.0 + k * k)
-    assert math.isclose(tail.density(k), exact, rel_tol=2e-9)
-
-
-def test_momentum_tail_probability_matches_quadrature():
-    tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
-    k0 = 50.0
-    direct = 2.0 * reference_quad(tail.density, k0, math.inf)
-    assert math.isclose(tail.probability_beyond(k0), direct, rel_tol=1e-10)
-
-
-def test_momentum_tail_onicescu_closed_form():
-    tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
-    k0 = 60.0
-    direct = 2.0 * reference_quad(lambda k: tail.density(k) ** 2, k0, math.inf)
-    assert math.isclose(tail.onicescu_beyond(k0), direct, rel_tol=1e-9)
-
-
-def test_momentum_tail_fisher_and_entropy_consistency():
-    tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
-    k0 = 40.0
-    probability, entropy, fisher, onicescu = tail.integrals_beyond(k0)
-    ent_direct = -2.0 * reference_quad(
-        lambda k: tail.density(k) * math.log(tail.density(k)), k0, math.inf
-    )
-    assert math.isclose(entropy, ent_direct, rel_tol=1e-8)
-    fis_direct = 2.0 * reference_quad(
-        lambda k: tail.density_k_derivative(k) ** 2 / tail.density(k), k0, math.inf
-    )
-    assert math.isclose(fisher, fis_direct, rel_tol=1e-8)
-    assert probability == tail.probability_beyond(k0)
-    assert onicescu == tail.onicescu_beyond(k0)
-
-
-def test_momentum_tail_self_consistent_against_exact_density():
-    # Beyond the switch the three-term model tracks the exact field-free
-    # density closely enough that integrated quantities agree to 1e-8.
-    tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
-    k0 = 200.0
-    exact = 2.0 * reference_quad(lambda k: (1.0 / math.pi) / (1.0 + k * k), k0, math.inf)
-    assert math.isclose(tail.probability_beyond(k0), exact, rel_tol=1e-8)
-
-
-def test_tail_switch_floor():
-    tail = MomentumTail.from_boundary(SQRT2, SQRT2, -1.0, 0.0)
-    with pytest.raises(TailRangeError):
-        tail.probability_beyond(MIN_TAIL_K / 2)
 

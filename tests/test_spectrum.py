@@ -221,6 +221,15 @@ def test_domain_errors():
         eigenvalue_function("robin-", 0.0, 0.0)
 
 
+def test_robin_level_below_rounding_is_a_domain_error():
+    # At 1e50 the Robin shift from the Neumann level, about F^(1/3), is
+    # below the rounding of E ~ F^(2/3); the solver names that instead of
+    # letting brentq's bare ValueError escape.  At 1e45 it still solves.
+    with pytest.raises(DomainError, match="robin\\+ level 0 at field 1e\\+50"):
+        energy("robin+", 0, 1e50)
+    assert energy("robin+", 0, 1e45).energy > energy("neumann", 0, 1e45).energy
+
+
 def test_bound_state_rejects_negative_level():
     with pytest.raises(ValueError):
         BoundState("robin-", -2, 1.0, 0.0, 0.0, (0.0, 1.0))

@@ -1,7 +1,9 @@
 """Wavefunction bundles: profiles, norms, momentum side, extrema."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,12 @@ from scipy.special import airy, xlogy
 
 from scipy.integrate import quad
 
-from robinwall.quadrature import QuadratureError, ToleranceConfig, fourier_half_line
+from robinwall.quadrature import (
+    QuadratureError,
+    ToleranceConfig,
+    fourier_half_line,
+    ray_transform,
+)
 from robinwall.special import root_table
 from robinwall.spectrum import DomainError
 from robinwall.states import (
@@ -140,11 +147,89 @@ def test_transform_matches_direct_quadrature(state_of):
     # The panel-factored phase is hardest where k*|x| is largest: a long
     # table at the top of its momentum range.
     sf = state_of("robin-", 1, 0.02)
-    k = 0.99 * sf.k_numeric_max
+    k = 0.99 * sf.k_switch
     direct = fourier_half_line(sf.psi, k, sf.x_cut)
     assert abs(sf.phi(k) - direct) < 1e-9
     pair, _ = sf._table().transform_pair(np.array([k]))
     assert abs(pair[0] - direct) < 1e-9
+
+
+RAY_CASES = [
+    ("robin-", 0, 1.0),
+    ("dirichlet", 3, 0.01),
+    ("robin-", 1, 3.90625e-5),
+    ("neumann", 0, 300.0),
+    ("robin+", 2, 1.0),
+    ("robin-", 0, 1e-4),
+    ("dirichlet", 0, 1e6),
+]
+
+
+def _contour_reference(sf, k):
+    """(phi, phi') at k from the first-order equation in k, at 30 digits.
+
+    phi(k) = -(i/F) int_0^inf B(k+z) exp(i theta/F) dz on z = s exp(i pi/6),
+    with B(q) = (psi'(0) + i q psi(0)) / sqrt(2 pi), taken by mpmath's
+    tanh-sinh rule from the wall data alone. The 30 digits are needed: at
+    weak field the phi' integral cancels about twelve digits of its
+    integrand, in Airy units as in x units. Both integrals share the nodes,
+    so each sample is formed once.
+    """
+    with mpmath.workdps(30):
+        e_val = mpmath.mpf(sf.state.energy)
+        field = mpmath.mpf(sf.state.field)
+        psi0 = mpmath.mpf(sf.psi0)
+        dpsi0 = mpmath.mpf(sf.dpsi0)
+        k = mpmath.mpf(k)
+        root = mpmath.sqrt(2 * mpmath.pi)
+        ray = mpmath.expjpi(mpmath.mpf(1) / 6)
+
+        @functools.lru_cache(maxsize=None)
+        def parts(s):
+            z = s * ray
+            b = (dpsi0 + 1j * (k + z) * psi0) / root
+            wave = mpmath.expj((z * (k * k - e_val) + k * z * z + z ** 3 / 3) / field) * ray
+            return b * wave, (1j * psi0 / root + 1j * b * z * (2 * k + z) / field) * wave
+
+        scale = min(mpmath.cbrt(field), 2 * field / (k * k - e_val))
+        pts = [0] + [scale * c for c in (0.25, 1, 3, 8, 20, 45, 100)] + [mpmath.inf]
+        phi = mpmath.quad(lambda s: parts(s)[0], pts)
+        dphi = mpmath.quad(lambda s: parts(s)[1], pts)
+        return complex(-1j * phi / field), complex(-1j * dphi / field)
+
+
+@pytest.mark.parametrize("bc,n,field", RAY_CASES)
+def test_ray_matches_high_precision_contour(state_of, bc, n, field):
+    sf = state_of(bc, n, field)
+    ks = [c * sf.k_switch for c in (1.0, 1.7, 10.0)]
+    ks += [k for k in (1e3, 1e5) if k > sf.k_switch]
+    phi, dphi = ray_transform(np.array(ks), sf.psi0, sf.dpsi0, sf.state.energy, field)
+    for k, got, dgot in zip(ks, phi, dphi):
+        want, dwant = _contour_reference(sf, k)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(dgot - dwant) <= 1e-13 * abs(dwant)
+
+
+def test_ray_contour_is_the_transform(state_of):
+    # The contour stands on the first-order equation in k; the direct
+    # transform of the normalized Airy profile at 20 digits checks it.
+    sf = state_of("robin-", 0, 1.0)
+    k = 2.0
+    with mpmath.workdps(20):
+        e_val = mpmath.mpf(sf.state.energy)
+        ai0 = mpmath.airyai(-e_val)
+
+        def psi_wave(x):
+            return sf.psi0 * mpmath.airyai(-e_val - x) / ai0 * mpmath.expj(-k * x)
+
+        pts = [-mpmath.inf, -12, -8, -6, -4, -2, 0]
+        root = mpmath.sqrt(2 * mpmath.pi)
+        want = complex(mpmath.quad(psi_wave, pts) / root)
+        dwant = complex(mpmath.quad(lambda x: -1j * x * psi_wave(x), pts) / root)
+    got, dgot = _contour_reference(sf, k)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert abs(dgot - dwant) <= 1e-13 * abs(dwant)
+    assert abs(sf.phi(k) - want) <= 1e-13 * abs(want)
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
@@ -154,8 +239,7 @@ def test_momentum_density_is_even_bit_for_bit(state_of):
 
 
 def test_momentum_tail_follows_boundary_value(state_of):
-    # Far out the density decays as psi(0)^2 / (2 pi k^2); the stored
-    # tail object and the live profile must both reproduce it.
+    # Far out the density decays as psi(0)^2 / (2 pi k^2).
     sf = state_of("robin-", 0, 1.0)
     k = 300.0
     limit = sf.psi0 ** 2 / (2.0 * math.pi)
