@@ -42,7 +42,6 @@ from .quadrature import (
     HalfLineFourierTable,
     QuadratureError,
     ToleranceConfig,
-    fourier_half_line,
 )
 from .special import AiryRootTable, airy_root, asymptotic_zero, root_table
 from .spectrum import (
@@ -119,7 +118,6 @@ __all__ = [
     "fisher_position_closed",
     "fisher_product_maximum",
     "flat_well_approximation",
-    "fourier_half_line",
     "ground_coupling_asymptote",
     "hellmann_feynman_mean_x",
     "level_spacing",

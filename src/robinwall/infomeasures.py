@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .special import root_table
 from .spectrum import (
@@ -23,6 +21,7 @@ from .spectrum import (
     BracketError,
     ConsistencyError,
     DomainError,
+    brent_root,
 )
 from .states import StateFunctions, build_state, momentum_integrals, position_integrals
 
@@ -51,6 +50,9 @@ UNIT_WELL_MOMENTUM_ENTROPY = 2.5189
 
 # Largest |norm - 1| a measured state may show in either space.
 _NORM_TOLERANCE = 1e-6
+
+# ln(2 pi e): the momentum-space Stam bound e^(2 S_k) I_k >= 2 pi e in log form.
+_LOG_STAM_BOUND = math.log(2.0 * math.pi * math.e)
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> Inf
     """All measures of a built state, after checking its certificates.
 
     Unit norm in both spaces comes first, then the entropy floor, then the
-    closed-form position Fisher information against its quadrature route.
+    momentum-space Stam bound, then the closed-form position Fisher
+    information against its quadrature route.
     """
     cfg = cfg or sf.cfg
     norm_x, s_x, slope_sq, o_x, _ = position_integrals(sf, cfg)
@@ -117,6 +120,13 @@ def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> Inf
         raise ConsistencyError(
             f"total entropy {s_t:.12g} fell below the uncertainty floor "
             f"{ENTROPY_FLOOR:.12g}"
+        )
+    # The log form cannot overflow, and 2 S_k + ln I_k is field-free.
+    log_stam = 2.0 * s_k + math.log(i_k)
+    if log_stam < _LOG_STAM_BOUND - 1e-9:
+        raise ConsistencyError(
+            f"momentum Stam product: 2 S_k + ln I_k = {log_stam:.12g} fell below "
+            f"ln(2 pi e) = {_LOG_STAM_BOUND:.12g}"
         )
     i_x = fisher_position_closed(sf.state)
     i_x_quad = 4.0 * slope_sq
@@ -196,7 +206,7 @@ def entropy_crossing(cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             hi=hi,
             detail=f"gap({lo}) = {g_lo:.6g}, gap({hi}) = {g_hi:.6g}",
         )
-    return float(brentq(gap, lo, hi, xtol=xtol))
+    return brent_root(gap, lo, hi, xtol=xtol)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .special import root_table
 from .spectrum import BoundarySpec, ConsistencyError, DomainError
@@ -118,6 +117,9 @@ def _check_decay(vectors: np.ndarray, grid: GridSpec):
 
 
 def _solve_grid(bc: BoundarySpec, field: float, levels: int, grid: GridSpec):
+    # Imported here so that only grid solves pay for loading scipy.linalg.
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off, nodes = _assemble(bc, field, grid)
     values, vectors = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, levels - 1)
@@ -134,15 +136,30 @@ def fd_energies_raw(bc, field: float, levels: int, grid: GridSpec) -> np.ndarray
     return values
 
 
+def _refuse_unresolved(bc: BoundarySpec, field: float, coarse: np.ndarray,
+                       fine: np.ndarray) -> None:
+    """Raise unless every level's half-step correction is within 1e-2 of its scale.
+
+    The scale is max(|E|, F^(2/3)): beyond 1e-2 the extrapolated error is
+    about the correction's square, above the oracle's 1e-4.  The field's
+    energy unit F^(2/3) keeps a level that passes through zero energy
+    (robin- n=0 at zero_energy_field()) measurable.
+    """
+    correction = np.abs(fine - coarse) / np.maximum(np.abs(fine), field ** (2.0 / 3.0))
+    bad = np.nonzero(correction > 1e-2)[0]
+    if bad.size:
+        n = int(bad[0])
+        raise ConsistencyError(
+            f"{bc.value} level {n} at field {field:g}: the half-step correction "
+            f"{correction[n]:.3g} exceeds 1e-2; the grid does not resolve the state")
+
+
 def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> np.ndarray:
     """Lowest eigenvalues from the grid solver.
 
     The second-order error is cancelled between the grid and its half-step
-    refinement (one Richardson step), and refused with a ConsistencyError
-    where the half-step correction of a level exceeds 1e-2 of its scale,
-    max(|E|, F^(2/3)): the extrapolated error is then about its square, above
-    the oracle's 1e-4. The field's energy unit F^(2/3) keeps a level that
-    passes through zero energy (robin- n=0 at zero_energy_field()) measurable.
+    refinement (one Richardson step), and a grid that does not resolve a
+    level is refused with a ConsistencyError.
     """
     if not isinstance(bc, BoundarySpec):
         bc = BoundarySpec.parse(bc)
@@ -151,18 +168,13 @@ def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> 
     grid = grid or default_grid(bc, field, levels)
     coarse = fd_energies_raw(bc, field, levels, grid)
     fine = fd_energies_raw(bc, field, levels, grid.refined())
-    correction = np.abs(fine - coarse) / np.maximum(np.abs(fine), field ** (2.0 / 3.0))
-    bad = np.nonzero(correction > 1e-2)[0]
-    if bad.size:
-        n = int(bad[0])
-        raise ConsistencyError(
-            f"{bc.value} level {n} at field {field:g}: the half-step correction "
-            f"{correction[n]:.3g} exceeds 1e-2; the grid does not resolve the state")
+    _refuse_unresolved(bc, field, coarse, fine)
     return (4.0 * fine - coarse) / 3.0
 
 
 def _moment_on_grid(bc: BoundarySpec, field: float, n: int, power: int,
-                    grid: GridSpec) -> float:
+                    grid: GridSpec) -> tuple:
+    """(moment of level n, the grid's levels 0..n)."""
     values, vectors, nodes = _solve_grid(bc, field, n + 1, grid)
     psi = vectors[:, n].copy()
     if bc is not BoundarySpec.DIRICHLET:
@@ -177,18 +189,25 @@ def _moment_on_grid(bc: BoundarySpec, field: float, n: int, power: int,
         full_psi = np.concatenate(([0.0], psi))
     rho = full_psi * full_psi
     norm = np.trapezoid(rho, full_x)
-    return float(np.trapezoid(full_x ** power * rho, full_x) / norm)
+    return float(np.trapezoid(full_x ** power * rho, full_x) / norm), values
 
 
 def fd_moment(bc, field: float, n: int, power: int = 1,
               grid: GridSpec | None = None) -> float:
-    """Richardson-extrapolated coordinate moment of one grid eigenstate."""
+    """Richardson-extrapolated coordinate moment of one grid eigenstate.
+
+    The grid is refused as in :func:`fd_energies`, on the energies of the
+    same two grid solves.  The moment's own half-step correction is no test:
+    for the neumann ground state at F = 1e-6 it is 6e-4 while the moment is
+    0.68 off.
+    """
     if not isinstance(bc, BoundarySpec):
         bc = BoundarySpec.parse(bc)
     field = float(field)
     n = int(n)
     power = int(power)
     grid = grid or default_grid(bc, field, n + 1)
-    coarse = _moment_on_grid(bc, field, n, power, grid)
-    fine = _moment_on_grid(bc, field, n, power, grid.refined())
+    coarse, coarse_levels = _moment_on_grid(bc, field, n, power, grid)
+    fine, fine_levels = _moment_on_grid(bc, field, n, power, grid.refined())
+    _refuse_unresolved(bc, field, coarse_levels, fine_levels)
     return (4.0 * fine - coarse) / 3.0

@@ -4,11 +4,9 @@ Position-space integrands in this package are Airy profiles on a
 truncated half-line, smooth apart from the logarithmic kink that
 -rho ln(rho) takes at each node.  The momentum side is the hard part: the
 transform of a wavefunction with a nonzero boundary value decays only
-like 1/k, so every density integral has a slow algebraic tail.  Four
+like 1/k, so every density integral has a slow algebraic tail.  Three
 tools cover it:
 
-* :func:`fourier_half_line` evaluates a single transform value through the
-  oscillatory-weight QUADPACK rule (the reference path; exact but slow).
 * :class:`HalfLineFourierTable` expands psi once in Legendre polynomials
   on equal panels sized by psi alone, and integrates every term against
   the phase exactly: any momentum costs P exponentials and 16 spherical
@@ -28,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "HalfLineFourierTable",
     "QuadratureError",
     "ToleranceConfig",
-    "fourier_half_line",
     "integrate_batch",
     "ray_transform",
 ]
@@ -196,39 +192,6 @@ def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         vals[j], vals[n] = halves
         errs[j], errs[n] = half_errs
         n += 1
-
-
-def _weighted(psi, x_cut: float, k: float, weight: str, cfg: ToleranceConfig) -> float:
-    out = quad(
-        psi,
-        x_cut,
-        0.0,
-        weight=weight,
-        wvar=k,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        maxp1=100,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise QuadratureError(str(out[3]).strip(), estimate=float(out[0]), error_bound=float(out[1]))
-    return float(out[0])
-
-
-def fourier_half_line(psi, k: float, x_cut: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> complex:
-    """(2 pi)^(-1/2) * integral of psi(x) exp(-i k x) over [x_cut, 0].
-
-    The oscillatory weight rule subdivides by the local phase, so panels
-    shrink automatically as |k| grows.  Negative momenta are evaluated by
-    conjugation, which makes densities built from the result even in k
-    bit for bit.
-    """
-    kk = abs(float(k))
-    re = _weighted(psi, x_cut, kk, "cos", cfg)
-    im = _weighted(psi, x_cut, kk, "sin", cfg)
-    out = complex(re, -im) / _SQRT_TWO_PI
-    return out.conjugate() if k < 0.0 else out
 
 
 class HalfLineFourierTable:

@@ -28,7 +28,6 @@ import numpy as np
 # Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
 # special, spectrum and states to count Airy points.
 from scipy import special as sp  # noqa: F401
-from scipy.optimize import brentq
 
 from .special import AIRY_ARG_MAX, gamma_fn, root_table, scaled_airy
 
@@ -159,6 +158,65 @@ _RTOL = 4.0 * np.finfo(float).eps
 _AIRY_RTOL = 1e-14
 
 
+def brent_root(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
+               maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method, step for step as scipy's brentq.c.
+
+    The steps (inverse quadratic extrapolation, secant interpolation or
+    bisection) and the stopping half-width (xtol + rtol |x|) / 2 are those
+    of scipy.optimize.brentq, so both return the same double.  Raises
+    ValueError when f has the same sign at both ends or returns NaN, and
+    RuntimeError after maxiter steps.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps; last x={xcur!r}")
+
+
 def eigenvalue_function(bc: BoundarySpec, energy_value: float, field: float) -> float:
     """Boundary determinant whose zeros in E are the levels.
 
@@ -231,11 +289,10 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
             "the wall-side Airy argument leaves the range of the scaled Airy functions"
         )
     try:
-        root = float(
-            brentq(lambda e: eigenvalue_function(bc, e, field), lo, hi, xtol=_XTOL, rtol=_RTOL)
-        )
+        root = brent_root(lambda e: eigenvalue_function(bc, e, field), lo, hi,
+                          xtol=_XTOL, rtol=_RTOL)
     except ValueError:
-        # brentq's only ValueError here is its sign check at the bracket ends.
+        # brent_root's only ValueError here is its sign check at the bracket ends.
         raise DomainError(
             f"{bc.value} level {n} at field {field:g}: the determinant keeps its sign over "
             f"the bracket [{lo:.17g}, {hi:.17g}]; the Robin shift from the hard-wall "
@@ -337,4 +394,4 @@ def zero_energy_field_solved(bracket=(2.0, 3.2)) -> float:
         return energy(BoundarySpec.ROBIN_MINUS, 0, field).energy
 
     lo, hi = bracket
-    return float(brentq(ground, lo, hi, xtol=1e-10, rtol=1e-12))
+    return brent_root(ground, lo, hi, xtol=1e-10, rtol=1e-12)

@@ -1,8 +1,9 @@
 import functools
+import math
 
 import pytest
 
-from robinwall import build_state
+from robinwall import build_state, infomeasures
 
 
 @functools.lru_cache(maxsize=None)
@@ -14,3 +15,15 @@ def cached_state(bc, n, field):
 def state_of():
     """Memoized state factory; momentum tables are expensive to rebuild."""
     return cached_state
+
+
+@pytest.fixture
+def half_stam_momentum(monkeypatch):
+    """Lower every measured I_k to half the momentum Stam bound, 2 pi e e^(-2 S_k)."""
+    real = infomeasures.momentum_integrals
+
+    def fake(sf, cfg=None):
+        norm_k, s_k, _, o_k = real(sf, cfg)
+        return norm_k, s_k, math.pi * math.e * math.exp(-2.0 * s_k), o_k
+
+    monkeypatch.setattr(infomeasures, "momentum_integrals", fake)

@@ -113,6 +113,12 @@ def test_failed_rows_carry_diagnostics_and_exit_two(capsys):
     assert rows[0]["error"] != ""
 
 
+def test_stam_failure_is_an_error_row(capsys, half_stam_momentum):
+    code, out, _ = run_cli(capsys, "measures", "--bc", "neumann", "--n", "0", "--field", "2.0")
+    assert code == 2
+    assert "momentum Stam product" in parse_csv(out)[0]["error"]
+
+
 def test_parallel_rows_match_serial_bytes(capsys):
     argv = ("spectrum", "--bc", "robin-", "--n", "0,1,2",
             "--field-range", "0.5:1.5:3")
@@ -328,6 +334,31 @@ def test_module_entry_point_runs():
     assert lines[0] == SPECTRUM_HEADER
     want = energy("robin-", 0, 1.0).energy
     assert math.isclose(float(lines[1].split(",")[3]), want, rel_tol=1e-15)
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+import robinwall.cli
+loaded = [m for m in heavy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = robinwall.cli.main(["oracle-check", "--bc", "robin-", "--n", "0", "--field", "1"])
+print(json.dumps([loaded, code, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_import_loads_only_numpy_and_scipy_special():
+    # A fresh interpreter: the test process itself has loaded all of scipy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, code, after_oracle = json.loads(proc.stdout)
+    assert at_import == []
+    # Only the grid solve of the oracle loads scipy.linalg.
+    assert code == 0
+    assert after_oracle == ["scipy.linalg"]
 
 
 def test_installed_script_runs():

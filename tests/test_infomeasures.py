@@ -118,6 +118,20 @@ def test_measure_state_certifies_unit_norm():
         measure_state(sf)
 
 
+def test_measure_state_certifies_momentum_stam_bound(half_stam_momentum):
+    with pytest.raises(ConsistencyError, match="momentum Stam product"):
+        measure_state(build_state("robin-", 0, 1.0))
+
+
+@pytest.mark.parametrize("field", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_real_states_clear_the_momentum_stam_bound(state_of, bc, n, field):
+    # e^(2 S_k) I_k / (2 pi e) runs from 1.08 (dirichlet n=0) to 4.6 (robin- n=0).
+    rec = measure_state(state_of(bc, n, field))
+    assert 1.05 < math.exp(2.0 * rec.S_k) * rec.I_k / (2.0 * math.pi * math.e) < 5.0
+
+
 def test_flat_well_entropies():
     fw = flat_well_approximation(1.0)
     assert math.isclose(fw.S_x + fw.S_k, fw.S_t, rel_tol=1e-14)

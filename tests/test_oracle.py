@@ -83,3 +83,21 @@ def test_level_through_zero_energy_is_measured():
     for n in range(3):
         want = energy("robin-", n, field).energy
         assert abs(got[n] - want) < 1e-4 * field ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "bc,field,correction",
+    [("dirichlet", 1e-6, "0.973"), ("neumann", 1e-6, "0.0593"), ("robin-", 1e-3, "0.139")],
+)
+def test_unresolved_grid_moment_is_refused(bc, field, correction):
+    # Unrefused, these Richardson moments were -333.7, -0.084 and -0.4716
+    # against -155.9, -67.9 and -0.4998 from the Airy profile.
+    with pytest.raises(ConsistencyError, match=f"level 0 .* correction {correction} "):
+        fd_moment(bc, field, 0)
+
+
+@pytest.mark.parametrize("bc,n,field,tol", [("robin-", 0, 1e-2, 1e-4), ("neumann", 2, 1e-3, 1e-5)])
+def test_resolved_weak_field_moment_is_kept(bc, n, field, tol):
+    got = fd_moment(bc, field, n)
+    want = mean_position(energy(bc, n, field))
+    assert abs(got - want) < tol * abs(want)

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn, xlogy
 
+from quadpack_reference import fourier_half_line
 from robinwall import (
     DEFAULT_TOLERANCES,
     HalfLineFourierTable,
     ToleranceConfig,
-    fourier_half_line,
 )
 from robinwall.quadrature import (
     _GAUSS_WEIGHTS,

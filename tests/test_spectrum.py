@@ -224,7 +224,7 @@ def test_domain_errors():
 def test_robin_level_below_rounding_is_a_domain_error():
     # At 1e50 the Robin shift from the Neumann level, about F^(1/3), is
     # below the rounding of E ~ F^(2/3); the solver names that instead of
-    # letting brentq's bare ValueError escape.  At 1e45 it still solves.
+    # letting the root finder's bare ValueError escape.  At 1e45 it still solves.
     with pytest.raises(DomainError, match="robin\\+ level 0 at field 1e\\+50"):
         energy("robin+", 0, 1e50)
     assert energy("robin+", 0, 1e45).energy > energy("neumann", 0, 1e45).energy

@@ -12,10 +12,10 @@ from scipy.special import airy, xlogy
 
 from scipy.integrate import quad
 
+from quadpack_reference import fourier_half_line
 from robinwall.quadrature import (
     QuadratureError,
     ToleranceConfig,
-    fourier_half_line,
     ray_transform,
 )
 from robinwall.special import root_table
