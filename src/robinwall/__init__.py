@@ -21,7 +21,6 @@ from .infomeasures import (
     fisher_product_maximum,
     flat_well_approximation,
     measure_state,
-    shannon,
 )
 from .observables import (
     DipoleMatrix,
@@ -43,7 +42,7 @@ from .quadrature import (
     QuadratureError,
     ToleranceConfig,
 )
-from .special import AiryRootTable, airy_root, asymptotic_zero, root_table
+from .special import AiryRootTable, asymptotic_zero, root_table
 from .spectrum import (
     BoundarySpec,
     BoundState,
@@ -65,7 +64,6 @@ from .states import (
     build_state,
     energy_identity_residual,
     extrema,
-    momentum_density_peak,
     momentum_norm,
     position_norm,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "StateFunctions",
     "ToleranceConfig",
     "UnitScale",
-    "airy_root",
     "asymptotic_zero",
     "boundary_residual",
     "build_state",
@@ -124,13 +121,11 @@ __all__ = [
     "mean_position",
     "mean_x_quadrature",
     "measure_state",
-    "momentum_density_peak",
     "momentum_norm",
     "node_count",
     "polarization",
     "position_norm",
     "root_table",
-    "shannon",
     "zero_energy_field",
     "zero_energy_field_solved",
     "zero_field_mean_x",

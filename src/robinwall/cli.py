@@ -25,7 +25,7 @@ from .observables import dipole_matrix, polarization
 from .oracle import fd_energies
 from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .spectrum import BoundarySpec, energy
-from .states import StateFunctions
+from .states import build_state
 
 __all__ = ["main"]
 
@@ -153,41 +153,18 @@ def _parse_field_range(text: str) -> tuple:
     return tuple(spaced(start, stop, count).tolist())
 
 
-_CONFIG_KEYS = {
-    "abs_tol": float,
-    "rel_tol": float,
-    "max_subdivisions": int,
-    "x_cut_threshold": float,
-}
-
-
-def _read_config(path: str) -> dict:
-    overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise _UsageError(
-                    f"{path}:{lineno}: unknown key {key!r}; "
-                    f"valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
-                )
-            try:
-                overrides[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError:
-                raise _UsageError(f"{path}:{lineno}: bad value for {key}") from None
-    return overrides
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad worker count {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("needs at least 1 worker")
+    return jobs
 
 
 def _tolerances(args) -> ToleranceConfig:
     overrides = {}
-    if args.config:
-        overrides.update(_read_config(args.config))
     if args.tol_abs is not None:
         overrides["abs_tol"] = args.tol_abs
     if args.tol_rel is not None:
@@ -215,9 +192,7 @@ def _add_common(p, field_default: float = 1.0):
                    help="absolute quadrature tolerance override")
     p.add_argument("--tol-rel", type=float, default=None,
                    help="relative quadrature tolerance override")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key=value tolerance overrides; flags win")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_parse_jobs, default=1,
                    help="parallel workers for sweep rows (default 1)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--field", type=float, default=field_default,
@@ -239,8 +214,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="level energies over a field grid")
     p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
     p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
-    p.add_argument("--oracle", action="store_true",
-                   help="append an independent finite-difference energy column")
     _add_common(p)
 
     p = sub.add_parser("state", help="wavefunction or momentum-density profile")
@@ -304,13 +277,9 @@ def _build_parser() -> _Parser:
 def _handle_spectrum(args, cfg) -> tuple:
     def point(n, field):
         state = energy(args.bc, n, field)
-        cells = {"energy": state.energy, "residual": state.residual}
-        if args.oracle:
-            cells["energy_fd"] = float(fd_energies(args.bc, field, n + 1)[n])
-        return [cells]
+        return [{"energy": state.energy, "residual": state.residual}]
 
-    columns = ["energy", "residual"] + (["energy_fd"] if args.oracle else [])
-    return _table(args.bc, args.n, _fields(args), columns, point, args.jobs)
+    return _table(args.bc, args.n, _fields(args), ["energy", "residual"], point, args.jobs)
 
 
 def _handle_polarization(args, cfg) -> tuple:
@@ -338,7 +307,7 @@ def _handle_polarization(args, cfg) -> tuple:
 
 def _measure_table(bc, levels, fields, columns, cfg, jobs) -> tuple:
     def point(n, field):
-        rec = measure_state(StateFunctions(energy(bc, n, field), cfg), cfg)
+        rec = measure_state(build_state(bc, n, field, cfg))
         return [{name: getattr(rec, name) for name in columns}]
 
     return _table(bc, levels, fields, columns, point, jobs)
@@ -354,7 +323,7 @@ def _handle_state(args, cfg) -> tuple:
     wavefunction = args.what == "wavefunction"
 
     def point(n, field):
-        sf = StateFunctions(energy(args.bc, n, field), cfg)
+        sf = build_state(args.bc, n, field, cfg)
         if wavefunction:
             xs = np.linspace(sf.x_cut, 0.0, args.points)
             return [{"x": x, "psi": p_val, "rho": p_val * p_val}
@@ -408,26 +377,25 @@ def _handle_oracle_check(args, cfg) -> tuple:
     rows = []
     top = max(args.n)
     for field in _fields(args):
+        # One grid solve per field; a refused grid still leaves the
+        # analytic energy in every row, with the refusal as its error.
         try:
-            fd_vals = fd_energies(args.bc, field, top + 1)
+            fd_vals, refusal = fd_energies(args.bc, field, top + 1), ""
         except Exception as exc:
-            for n in args.n:
-                rows.append({"bc": args.bc.value, "n": n, "field": field,
-                             "error": str(exc)})
-            continue
+            fd_vals, refusal = None, str(exc)
         for n in args.n:
+            row = {"bc": args.bc.value, "n": n, "field": field, "error": refusal}
             try:
                 exact = energy(args.bc, n, field).energy
-                approx = float(fd_vals[n])
-                rows.append({
-                    "bc": args.bc.value, "n": n, "field": field,
-                    "energy": exact, "energy_fd": approx,
-                    "rel_diff": abs(approx - exact) / max(abs(exact), 1e-300),
-                    "error": "",
-                })
             except Exception as exc:
-                rows.append({"bc": args.bc.value, "n": n, "field": field,
-                             "error": str(exc)})
+                row["error"] = refusal or str(exc)
+            else:
+                row["energy"] = exact
+                if fd_vals is not None:
+                    approx = float(fd_vals[n])
+                    row["energy_fd"] = approx
+                    row["rel_diff"] = abs(approx - exact) / max(abs(exact), 1e-300)
+            rows.append(row)
     return rows, columns
 
 

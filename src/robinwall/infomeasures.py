@@ -38,7 +38,6 @@ __all__ = [
     "fisher_product_maximum",
     "flat_well_approximation",
     "measure_state",
-    "shannon",
 ]
 
 # Lower bound on the total position+momentum entropy of any pure state.
@@ -74,12 +73,6 @@ class InfoRecord:
     CGL_product: float
 
 
-def shannon(sf: StateFunctions, cfg: ToleranceConfig | None = None):
-    """Position and momentum entropies of a built state."""
-    rec = measure_state(sf, cfg)
-    return rec.S_x, rec.S_k
-
-
 def fisher_position_closed(state: BoundState) -> float:
     """Position Fisher information from the level energy alone.
 
@@ -89,26 +82,26 @@ def fisher_position_closed(state: BoundState) -> float:
     e_val = state.energy
     if not state.bc.is_robin:
         return (4.0 / 3.0) * e_val
-    sign = state.bc.robin_sign
+    sign = state.bc.wall_slope
     return (4.0 / 3.0) * (e_val * e_val + e_val + sign * 2.0 * state.field) / (e_val + 1.0)
 
 
-def fisher(sf: StateFunctions, cfg: ToleranceConfig | None = None):
+def fisher(sf: StateFunctions):
     """Fisher informations; the position route is closed-form but checked."""
-    rec = measure_state(sf, cfg)
+    rec = measure_state(sf)
     return rec.I_x, rec.I_k
 
 
-def measure_state(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> InfoRecord:
+def measure_state(sf: StateFunctions) -> InfoRecord:
     """All measures of a built state, after checking its certificates.
 
-    Unit norm in both spaces comes first, then the entropy floor, then the
+    Both passes run under the tolerances the state was built with.  Unit
+    norm in both spaces comes first, then the entropy floor, then the
     momentum-space Stam bound, then the closed-form position Fisher
     information against its quadrature route.
     """
-    cfg = cfg or sf.cfg
-    norm_x, s_x, slope_sq, o_x, _ = position_integrals(sf, cfg)
-    norm_k, s_k, i_k, o_k = momentum_integrals(sf, cfg)
+    norm_x, s_x, slope_sq, o_x, _ = position_integrals(sf)
+    norm_k, s_k, i_k, o_k = momentum_integrals(sf)
     for space, norm in (("position", norm_x), ("momentum", norm_k)):
         if abs(norm - 1.0) > _NORM_TOLERANCE:
             raise ConsistencyError(
@@ -192,9 +185,9 @@ def entropy_crossing(cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     """
 
     def gap(field: float) -> float:
-        rec0 = shannon(build_state(BoundarySpec.ROBIN_MINUS, 0, field, cfg), cfg)
-        rec1 = shannon(build_state(BoundarySpec.ROBIN_MINUS, 1, field, cfg), cfg)
-        return (rec0[0] + rec0[1]) - (rec1[0] + rec1[1])
+        s_t0 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 0, field, cfg)).S_t
+        s_t1 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 1, field, cfg)).S_t
+        return s_t0 - s_t1
 
     lo, hi = float(bracket[0]), float(bracket[1])
     g_lo = gap(lo)
@@ -230,7 +223,7 @@ def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3,
         raise DomainError("the ground-state product is monotonic; pick n >= 1")
 
     def product(field: float) -> float:
-        i_x, i_k = fisher(build_state(BoundarySpec.ROBIN_MINUS, n, field, cfg), cfg)
+        i_x, i_k = fisher(build_state(BoundarySpec.ROBIN_MINUS, n, field, cfg))
         return i_x * i_k
 
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -272,12 +265,10 @@ def fisher_momentum_coefficient(bc, n: int, field: float = 1.0,
     information scales as a pure power of the field, so one measurement
     fixes the constant for all fields.
     """
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     if bc.is_robin:
         raise DomainError(
             "momentum Fisher information of a Robin wall has no pure power law"
         )
-    sf = build_state(bc, n, field, cfg)
-    _, i_k = fisher(sf, cfg)
+    _, i_k = fisher(build_state(bc, n, field, cfg))
     return i_k * float(field) ** (2.0 / 3.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ToleranceConfig, integrate_batch
+from .quadrature import integrate_batch
 from .special import root_table
 from .spectrum import BoundarySpec, BoundState, DomainError, energy
 from .states import StateFunctions, position_integrals
@@ -64,7 +64,7 @@ def mean_position(state: BoundState) -> float:
     if not state.bc.is_robin:
         return -(2.0 / 3.0) * e_val / field
     denom = e_val + 1.0
-    sign = state.bc.robin_sign
+    sign = state.bc.wall_slope
     if denom != 0.0:
         mean = -(2.0 * e_val * denom / field + sign) / (3.0 * denom)
         slope = abs(sign / (3.0 * denom * denom) - 2.0 / (3.0 * field))
@@ -85,10 +85,6 @@ class PolarizationRecord:
     zero_field_mean_x: float
     dipole: float
 
-    @property
-    def P(self) -> float:
-        return self.dipole
-
 
 def polarization(state: BoundState) -> PolarizationRecord:
     mean = mean_position(state)
@@ -101,9 +97,9 @@ def polarization(state: BoundState) -> PolarizationRecord:
     )
 
 
-def mean_x_quadrature(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
+def mean_x_quadrature(sf: StateFunctions) -> float:
     """Mean coordinate straight from the density, for cross-checks."""
-    return position_integrals(sf, cfg)[4]
+    return position_integrals(sf)[4]
 
 
 def hellmann_feynman_mean_x(bc, n: int, field: float, step: float | None = None) -> float:
@@ -140,8 +136,7 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
     Diagonal entries are the mean positions; off-diagonal entries couple
     levels through the field and are symmetric by construction.
     """
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     size = int(size)
     if size < 2:
         raise ValueError("a coordinate matrix needs at least two levels")
@@ -178,12 +173,13 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
     return DipoleMatrix(bc=bc, field=field, values=values)
 
 
-def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions,
-                              cfg: ToleranceConfig | None = None) -> float:
-    """Coordinate matrix element by direct integration of the profiles."""
-    cfg = cfg or sf_n.cfg
+def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> float:
+    """Coordinate matrix element by direct integration of the profiles.
+
+    The tolerances are those ``sf_n`` was built with.
+    """
     lo = min(sf_n.x_cut, sf_m.x_cut)
-    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], cfg)
+    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], sf_n.cfg)
     return float(values[0])
 
 

@@ -130,8 +130,7 @@ def _solve_grid(bc: BoundarySpec, field: float, levels: int, grid: GridSpec):
 
 def fd_energies_raw(bc, field: float, levels: int, grid: GridSpec) -> np.ndarray:
     """Grid eigenvalues with no extrapolation, ascending."""
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     values, _, _ = _solve_grid(bc, float(field), int(levels), grid)
     return values
 
@@ -161,8 +160,7 @@ def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> 
     refinement (one Richardson step), and a grid that does not resolve a
     level is refused with a ConsistencyError.
     """
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     field = float(field)
     levels = int(levels)
     grid = grid or default_grid(bc, field, levels)
@@ -201,8 +199,7 @@ def fd_moment(bc, field: float, n: int, power: int = 1,
     for the neumann ground state at F = 1e-6 it is 6e-4 while the moment is
     0.68 off.
     """
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     field = float(field)
     n = int(n)
     power = int(power)

@@ -2,9 +2,8 @@
 
 Every bound state of a wall in a uniform field is an Airy profile, so this
 module is the substrate for the rest of the package: one vectorized
-evaluation of Ai and Ai' with the decaying exponential factored out, a
-cached table of polished zeros of both functions, and the Gamma function
-for the few closed-form constants.
+evaluation of Ai and Ai' with the decaying exponential factored out and a
+cached table of polished zeros of both functions.
 
 Point values come from scipy's AMOS port.  Above ``SCALE_SWITCH`` the
 pair is returned times exp(s), s = (2/3) z^(3/2), together with s, so no
@@ -31,10 +30,8 @@ __all__ = [
     "AIRY_ARG_MAX",
     "SCALE_SWITCH",
     "AiryRootTable",
-    "airy_root",
     "asymptotic_zero",
     "build_root_table",
-    "gamma_fn",
     "root_table",
     "scaled_airy",
 ]
@@ -74,14 +71,6 @@ def scaled_airy(z):
     return ai, aip, s
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive half-line."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma_fn needs a finite positive argument, got {x!r}")
-    return math.gamma(x)
-
-
 @dataclass(frozen=True)
 class AiryRootTable:
     """Ordered negative zeros of Ai (``a``) and Ai' (``a_prime``).
@@ -110,11 +99,6 @@ class AiryRootTable:
 
     def ai_prime_zero(self, n: int) -> float:
         return float(self.a_prime[self._check_index(n) - 1])
-
-    def spacing(self, n: int) -> float:
-        """Positive gap between the n-th and (n+1)-th zero of Ai."""
-        self._check_index(n + 1)
-        return float(self.a[n - 1] - self.a[n])
 
 
 def _polish(seeds_a: np.ndarray, seeds_ap: np.ndarray, rounds: int = 2):
@@ -166,19 +150,6 @@ def root_table(count: int = 64) -> AiryRootTable:
         if count > _table.count:
             _table = build_root_table(max(int(count), 2 * _table.count))
         return _table
-
-
-def airy_root(kind: str, n: int) -> float:
-    """n-th negative zero of Ai (kind "zero_of_Ai") or Ai' ("zero_of_Ai_prime")."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"zero index must be >= 1, got {n}")
-    table = root_table(n)
-    if kind == ZERO_OF_AI:
-        return table.ai_zero(n)
-    if kind == ZERO_OF_AI_PRIME:
-        return table.ai_prime_zero(n)
-    raise ValueError(f"unknown zero kind {kind!r}; use {ZERO_OF_AI!r} or {ZERO_OF_AI_PRIME!r}")
 
 
 # Large-index expansions for the zeros (Abramowitz & Stegun style): the

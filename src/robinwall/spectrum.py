@@ -29,7 +29,7 @@ import numpy as np
 # special, spectrum and states to count Airy points.
 from scipy import special as sp  # noqa: F401
 
-from .special import AIRY_ARG_MAX, gamma_fn, root_table, scaled_airy
+from .special import AIRY_ARG_MAX, root_table, scaled_airy
 
 __all__ = [
     "BoundarySpec",
@@ -79,20 +79,6 @@ class BoundarySpec(enum.Enum):
         return self in (BoundarySpec.ROBIN_MINUS, BoundarySpec.ROBIN_PLUS)
 
     @property
-    def robin_sign(self) -> float:
-        """Sign in front of Ai in the eigenvalue function.
-
-        +1 for the attractive wall (negative extrapolation length), -1
-        for the repulsive one, 0 when the condition involves one Airy
-        term only.
-        """
-        if self is BoundarySpec.ROBIN_MINUS:
-            return 1.0
-        if self is BoundarySpec.ROBIN_PLUS:
-            return -1.0
-        return 0.0
-
-    @property
     def wall_slope(self):
         """sigma in the wall condition psi'(0) = sigma * psi(0).
 
@@ -108,7 +94,10 @@ class BoundarySpec(enum.Enum):
         return 0.0
 
     @classmethod
-    def parse(cls, text: str) -> "BoundarySpec":
+    def parse(cls, text) -> "BoundarySpec":
+        """The wall named by ``text``; a BoundarySpec comes back unchanged."""
+        if isinstance(text, cls):
+            return text
         key = str(text).strip().lower().replace("_", "").replace(" ", "")
         try:
             return _BC_ALIASES[key]
@@ -230,7 +219,7 @@ def eigenvalue_function(bc: BoundarySpec, energy_value: float, field: float) -> 
         return float(ai)
     if bc is BoundarySpec.NEUMANN:
         return float(aip)
-    return float(field ** (1.0 / 3.0) * aip + bc.robin_sign * ai)
+    return float(field ** (1.0 / 3.0) * aip + bc.wall_slope * ai)
 
 
 def node_count(energy_value: float, field: float) -> int:
@@ -322,8 +311,7 @@ def _solve(bc: BoundarySpec, n: int, field: float) -> BoundState:
 
 def energy(bc: BoundarySpec, n: int, field: float) -> BoundState:
     """Solve for level n of the given wall at a positive field."""
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     n = int(n)
     if n < 0:
         raise DomainError("quantum number must be non-negative")
@@ -343,8 +331,7 @@ def energy_asymptotic(bc: BoundarySpec, n: int, field: float, regime: str) -> fl
     are closed forms.  Choosing a regime consistent with the field is the
     caller's responsibility.
     """
-    if not isinstance(bc, BoundarySpec):
-        bc = BoundarySpec.parse(bc)
+    bc = BoundarySpec.parse(bc)
     if not bc.is_robin:
         raise DomainError("asymptotic expansions exist for Robin walls only")
     n = int(n)
@@ -382,8 +369,8 @@ def level_spacing(bc: BoundarySpec, n: int, field: float) -> float:
 
 def zero_energy_field() -> float:
     """Field at which the attractive-wall ground level crosses zero energy."""
-    g13 = gamma_fn(1.0 / 3.0)
-    g23 = gamma_fn(2.0 / 3.0)
+    g13 = math.gamma(1.0 / 3.0)
+    g23 = math.gamma(2.0 / 3.0)
     return g13 ** 3 / (3.0 * g23 ** 3)
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "build_state",
     "energy_identity_residual",
     "extrema",
-    "momentum_density_peak",
     "momentum_integrals",
     "momentum_norm",
     "position_integrals",
@@ -77,7 +76,8 @@ class StateFunctions:
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
     ``phi``, ``gamma`` on the momentum side, plus the boundary data and
     integration bookkeeping (``x_cut``, ``k_switch``) that the observable
-    layers use.
+    layers use.  ``cfg`` is the one tolerance config of the state: it sets
+    the cut and every integral taken over the state.
     """
 
     def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -244,7 +244,7 @@ def boundary_residual(sf: StateFunctions) -> float:
     return abs(sf.psi_prime(0.0) - sf.state.bc.wall_slope * sf.psi(0.0))
 
 
-def position_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
+def position_integrals(sf: StateFunctions) -> tuple:
     """(norm, S_x, integral of psi'^2, O_x, <x>) from one adaptive pass.
 
     rho, -rho ln(rho), psi'^2, rho^2 and x rho share one evaluation of psi
@@ -253,7 +253,6 @@ def position_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -
     kink, and maps each piece [a, b] by x = a + (b - a) s(t) with
     s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.
     """
-    cfg = cfg or sf.cfg
     n = sf.state.n
     nodes = (sf.arg0 - root_table(n + 1).a[:n]) / sf.field_cbrt
     edges = np.concatenate(([sf.x_cut], nodes, [0.0]))
@@ -268,16 +267,16 @@ def position_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -
         ds = 6.0 * width[piece] * t * (1.0 - t)
         return np.stack([r, -xlogy(r, r), dp * dp, r * r, x * r]) * ds
 
-    values, _ = integrate_batch(integrand, np.arange(width.size + 1.0), cfg)
+    values, _ = integrate_batch(integrand, np.arange(width.size + 1.0), sf.cfg)
     return tuple(float(v) for v in values)
 
 
-def position_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
+def position_norm(sf: StateFunctions) -> float:
     """Norm in position space, from the one position pass."""
-    return position_integrals(sf, cfg)[0]
+    return position_integrals(sf)[0]
 
 
-def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> tuple:
+def momentum_integrals(sf: StateFunctions) -> tuple:
     """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
 
     The four integrands of the density in Airy units kappa = k / F^(1/3),
@@ -286,7 +285,6 @@ def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -
     K = k_switch / F^(1/3).  The field enters exactly at the end
     (S_k = S + N ln F^(1/3), I_k = I / F^(2/3), O_k = O / F^(1/3)).
     """
-    cfg = cfg or sf.cfg
     f13 = sf.field_cbrt
 
     def integrand(u):
@@ -300,28 +298,24 @@ def momentum_integrals(sf: StateFunctions, cfg: ToleranceConfig | None = None) -
         dg = 2.0 * (phi.conjugate() * dphi).real
         return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
-    (norm, entropy, fisher, onicescu), _ = integrate_batch(integrand, [0.0, 1.0, 2.0], cfg)
+    (norm, entropy, fisher, onicescu), _ = integrate_batch(integrand, [0.0, 1.0, 2.0], sf.cfg)
     values = (norm, entropy + norm * math.log(f13), fisher / (f13 * f13), onicescu / f13)
     return tuple(2.0 * float(v) for v in values)
 
 
-def momentum_norm(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
+def momentum_norm(sf: StateFunctions) -> float:
     """Norm in momentum space, from the one momentum pass."""
-    return momentum_integrals(sf, cfg)[0]
+    return momentum_integrals(sf)[0]
 
 
-def momentum_density_peak(sf: StateFunctions) -> float:
-    return float(sf.gamma(0.0))
-
-
-def energy_identity_residual(sf: StateFunctions, cfg: ToleranceConfig | None = None) -> float:
+def energy_identity_residual(sf: StateFunctions) -> float:
     """Mismatch of E against kinetic + wall + potential expectation values.
 
     Integrating the kinetic term by parts moves one boundary term onto
     the wall, where the wall condition turns it into -sigma psi(0)^2.
     """
     state = sf.state
-    _, _, kinetic, _, mean_x = position_integrals(sf, cfg)
+    _, _, kinetic, _, mean_x = position_integrals(sf)
     sigma = state.bc.wall_slope
     wall = 0.0 if sigma is None else -sigma * sf.psi0 ** 2
     total = kinetic + wall - state.field * mean_x

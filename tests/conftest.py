@@ -22,8 +22,8 @@ def half_stam_momentum(monkeypatch):
     """Lower every measured I_k to half the momentum Stam bound, 2 pi e e^(-2 S_k)."""
     real = infomeasures.momentum_integrals
 
-    def fake(sf, cfg=None):
-        norm_k, s_k, _, o_k = real(sf, cfg)
+    def fake(sf):
+        norm_k, s_k, _, o_k = real(sf)
         return norm_k, s_k, math.pi * math.e * math.exp(-2.0 * s_k), o_k
 
     monkeypatch.setattr(infomeasures, "momentum_integrals", fake)

@@ -71,15 +71,6 @@ def test_field_range_sweep(capsys):
     assert [float(r["field"]) for r in rows] == [0.5, 1.0, 1.5, 2.0]
 
 
-def test_spectrum_oracle_column(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--bc", "robin+", "--n", "0",
-                           "--field", "1.0", "--oracle")
-    assert code == 0
-    rows = parse_csv(out)
-    diff = abs(float(rows[0]["energy_fd"]) - float(rows[0]["energy"]))
-    assert diff < 1e-6
-
-
 def test_bad_wall_name_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--bc", "periodic", "--n", "0",
                            "--field", "1.0")
@@ -89,13 +80,19 @@ def test_bad_wall_name_is_a_usage_error(capsys):
     assert "robin-" in err
 
 
-def test_unknown_config_key_is_a_usage_error(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_knob = 3\n")
-    code, _, err = run_cli(capsys, "spectrum", "--bc", "robin-", "--n", "0",
-                           "--field", "1.0", "--config", str(cfg))
+@pytest.mark.parametrize("extra", [
+    pytest.param(("--config", "tol.cfg"), id="config"),
+    pytest.param(("--oracle",), id="spectrum-oracle"),
+])
+def test_removed_options_are_usage_errors(capsys, extra):
+    # Tolerances come from --tol-abs/--tol-rel only, and oracle-check is
+    # the one route to finite-difference energies.
+    code, out, err = run_cli(capsys, "spectrum", "--bc", "robin-", "--n", "0",
+                             "--field", "1.0", *extra)
     assert code == 1
-    assert "no_such_knob" in err
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert extra[0] in err
 
 
 def test_domain_failure_exits_two(capsys):
@@ -125,19 +122,6 @@ def test_parallel_rows_match_serial_bytes(capsys):
     _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
     _, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert serial == parallel
-
-
-def test_config_file_loses_to_explicit_flags(capsys, tmp_path):
-    # Alone, the file's tolerances are out of reach of the interval budget.
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("# comment line\nabs_tol = 1e-15\nrel_tol = 1e-15\n")
-    argv = ("measures", "--bc", "robin-", "--n", "0", "--field", "1.0")
-    flags = ("--tol-abs", "1e-10", "--tol-rel", "1e-10")
-    _, with_both, _ = run_cli(capsys, *argv, "--config", str(cfg), *flags)
-    _, flag_only, _ = run_cli(capsys, *argv, *flags)
-    code, _, _ = run_cli(capsys, *argv, "--config", str(cfg))
-    assert with_both == flag_only
-    assert code == 2
 
 
 def _levels_outer(capsys, out, err):
@@ -197,6 +181,10 @@ def _matches_serial(capsys, out, err):
                  1, _usage_error, id="spectrum-negative-tolerance"),
     pytest.param(("table1", "--levels", "2", "--jobs", "2"),
                  0, _matches_serial, id="table1-parallel"),
+    pytest.param(("spectrum", "--bc", "dirichlet", "--field", "1", "--jobs", "0"),
+                 1, _usage_error, id="spectrum-zero-jobs"),
+    pytest.param(("measures", "--bc", "robin-", "--field", "1", "--jobs", "-3"),
+                 1, _usage_error, id="measures-negative-jobs"),
 ])
 def test_table_layouts_are_pinned(capsys, argv, want_code, check):
     code, out, err = run_cli(capsys, *argv)
@@ -295,6 +283,22 @@ def test_oracle_check_refuses_an_unresolved_grid(capsys):
     (row,) = parse_csv(out)
     assert "half-step correction" in row["error"]
     assert row["energy_fd"] == ""
+    assert row["rel_diff"] == ""
+    assert float(row["energy"]) == energy("robin-", 0, 1e-3).energy
+
+
+def test_refused_oracle_rows_keep_the_analytic_energy(capsys):
+    # The grid is refused once for the field; every level still carries
+    # the energy the solver finds there.
+    code, out, _ = run_cli(capsys, "oracle-check", "--bc", "robin-", "--n", "0,1,2",
+                           "--field", "1e-3")
+    assert code == 2
+    rows = parse_csv(out)
+    assert [row["n"] for row in rows] == ["0", "1", "2"]
+    for n, row in enumerate(rows):
+        assert float(row["energy"]) == energy("robin-", n, 1e-3).energy
+        assert (row["energy_fd"], row["rel_diff"]) == ("", "")
+        assert "half-step correction" in row["error"]
 
 
 def test_oracle_check_at_the_zero_energy_field(capsys):

@@ -13,7 +13,6 @@ from robinwall.infomeasures import (
     fisher_product_maximum,
     flat_well_approximation,
     measure_state,
-    shannon,
 )
 from robinwall.spectrum import BracketError, ConsistencyError, DomainError, energy
 from robinwall.states import build_state
@@ -61,9 +60,9 @@ def test_fisher_numeric_route_agrees_with_closed(state_of):
 
 def test_weak_field_pipeline_regression(state_of):
     sf = state_of("robin-", 0, 0.01)
-    s_x, s_k = shannon(sf)
-    assert math.isclose(s_x, S_X_REF, rel_tol=1e-9)
-    assert math.isclose(s_k, S_K_REF, rel_tol=1e-9)
+    rec = measure_state(sf)
+    assert math.isclose(rec.S_x, S_X_REF, rel_tol=1e-9)
+    assert math.isclose(rec.S_k, S_K_REF, rel_tol=1e-9)
     assert math.isclose(fisher(sf)[1], I_K_REF, rel_tol=1e-9)
 
 
@@ -149,8 +148,7 @@ def test_total_entropy_ordering_flips_between_one_and_two():
     # The two lowest attractive-wall levels trade places in total
     # entropy somewhere between these fields.
     def total(n, field):
-        s_x, s_k = shannon(build_state("robin-", n, field))
-        return s_x + s_k
+        return measure_state(build_state("robin-", n, field)).S_t
 
     assert total(0, 1.0) > total(1, 1.0)
     assert total(0, 2.0) < total(1, 2.0)

@@ -59,7 +59,6 @@ def test_polarization_record():
     rec = polarization(state)
     assert rec.zero_field_mean_x == -0.5
     assert rec.dipole == rec.mean_x + 0.5
-    assert rec.P == rec.dipole
     assert rec.dipole > 0.0
 
 

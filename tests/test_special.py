@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinwall import airy_root, asymptotic_zero, root_table
+from robinwall import asymptotic_zero, root_table
 from robinwall.special import (
     AIRY_ARG_MAX,
     SCALE_SWITCH,
     ZERO_OF_AI,
     ZERO_OF_AI_PRIME,
     build_root_table,
-    gamma_fn,
     scaled_airy,
 )
 
@@ -79,11 +78,6 @@ def test_airy_rejects_non_finite():
         scaled_airy([0.0, float("inf")])
 
 
-def test_gamma_fn_halves_and_integers():
-    assert math.isclose(gamma_fn(0.5), math.sqrt(math.pi), rel_tol=1e-14)
-    assert math.isclose(gamma_fn(5.0), 24.0, rel_tol=1e-14)
-
-
 def test_zero_tables_match_reference():
     table = root_table(8)
     for k, ref in enumerate(AI_ZEROS, start=1):
@@ -111,19 +105,20 @@ def test_zero_interlacing():
 
 def test_spacing_positive_and_decreasing():
     table = root_table(30)
-    gaps = [table.spacing(k) for k in range(1, 29)]
+    gaps = [table.ai_zero(k) - table.ai_zero(k + 1) for k in range(1, 29)]
     assert all(g > 0 for g in gaps)
     # zeros bunch together as the index grows
     assert gaps[-1] < gaps[0]
 
 
 def test_airy_root_front_end():
-    assert airy_root(ZERO_OF_AI, 3) == root_table(3).ai_zero(3)
-    assert airy_root(ZERO_OF_AI_PRIME, 2) == root_table(2).ai_prime_zero(2)
+    table = root_table(3)
+    assert table.ai_zero(3) == float(table.a[2])
+    assert table.ai_prime_zero(2) == float(table.a_prime[1])
     with pytest.raises(ValueError):
-        airy_root(ZERO_OF_AI, 0)
+        table.ai_zero(0)
     with pytest.raises(ValueError):
-        airy_root("bogus", 1)
+        table.ai_prime_zero(table.count + 1)
 
 
 def test_table_grows_on_demand():

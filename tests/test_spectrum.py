@@ -253,15 +253,19 @@ def test_boundary_spec_aliases(text, member):
     assert BoundarySpec.parse(text) is member
 
 
+def test_boundary_spec_parse_passes_members_through():
+    for member in BoundarySpec:
+        assert BoundarySpec.parse(member) is member
+
+
 def test_boundary_spec_rejects_unknown():
     with pytest.raises(ValueError):
         BoundarySpec.parse("periodic")
 
 
 def test_boundary_spec_wall_properties():
-    assert BoundarySpec.ROBIN_MINUS.robin_sign == 1.0
-    assert BoundarySpec.ROBIN_PLUS.robin_sign == -1.0
-    assert BoundarySpec.NEUMANN.robin_sign == 0.0
+    assert BoundarySpec.ROBIN_MINUS.wall_slope == 1.0
+    assert BoundarySpec.ROBIN_PLUS.wall_slope == -1.0
     assert BoundarySpec.DIRICHLET.wall_slope is None
     assert BoundarySpec.NEUMANN.wall_slope == 0.0
     assert BoundarySpec.ROBIN_MINUS.is_robin

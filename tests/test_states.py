@@ -25,7 +25,6 @@ from robinwall.states import (
     build_state,
     energy_identity_residual,
     extrema,
-    momentum_density_peak,
     momentum_integrals,
     momentum_norm,
     position_integrals,
@@ -248,7 +247,7 @@ def test_momentum_tail_follows_boundary_value(state_of):
 
 def test_momentum_density_peak_reference(state_of):
     sf = state_of("robin-", 0, 0.1)
-    assert math.isclose(momentum_density_peak(sf), PEAK_AT_FIELD_TENTH, rel_tol=1e-9)
+    assert math.isclose(sf.gamma(0.0), PEAK_AT_FIELD_TENTH, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("bc,n,field", PROFILE_CASES)
