@@ -16,7 +16,6 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -164,13 +163,8 @@ def _parse_jobs(text: str) -> int:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    overrides = {}
-    if args.tol_abs is not None:
-        overrides["abs_tol"] = args.tol_abs
-    if args.tol_rel is not None:
-        overrides["rel_tol"] = args.tol_rel
     try:
-        return replace(DEFAULT_TOLERANCES, **overrides)
+        return ToleranceConfig(args.tol_abs, args.tol_rel)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -183,26 +177,41 @@ def _fields(args) -> tuple:
     return (args.field,)
 
 
-def _add_common(p, field_default: float = 1.0):
+def _add_shared(p, *, fields: bool = False, jobs: bool = False,
+                tolerances: bool = False) -> None:
+    """Give p the output options and the shared groups that it honours.
+
+    ``fields`` adds --field/--field-range (the per-level tables), ``jobs``
+    adds --jobs (the sweeps that run through _table) and ``tolerances``
+    adds --tol-abs/--tol-rel (the tables built on adaptive passes).
+    """
     p.add_argument("--out", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="write to FILE instead of stdout")
-    p.add_argument("--tol-abs", type=float, default=None,
-                   help="absolute quadrature tolerance override")
-    p.add_argument("--tol-rel", type=float, default=None,
-                   help="relative quadrature tolerance override")
-    p.add_argument("--jobs", type=_parse_jobs, default=1,
-                   help="parallel workers for sweep rows (default 1)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--field", type=float, default=field_default,
-                       help=f"single field value (default {field_default})")
-    group.add_argument("--field-range", type=_parse_field_range, default=None,
-                       metavar="A:B:COUNT[:log]",
-                       help="sweep fields from A to B in COUNT steps")
+    if tolerances:
+        p.add_argument("--tol-abs", type=float, default=DEFAULT_TOLERANCES.abs_tol,
+                       help="absolute quadrature tolerance (default %(default)g)")
+        p.add_argument("--tol-rel", type=float, default=DEFAULT_TOLERANCES.rel_tol,
+                       help="relative quadrature tolerance (default %(default)g)")
+    if jobs:
+        p.add_argument("--jobs", type=_parse_jobs, default=1,
+                       help="parallel workers for sweep rows (default 1)")
+    if fields:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--field", type=float, default=1.0,
+                           help="single field value (default 1.0)")
+        group.add_argument("--field-range", type=_parse_field_range, default=None,
+                           metavar="A:B:COUNT[:log]",
+                           help="sweep fields from A to B in COUNT steps")
 
 
 _BC_HELP = "wall type: dirichlet, neumann, robin-, robin+"
+
+
+def _add_wall_levels(p) -> None:
+    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
+    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
 
 
 def _build_parser() -> _Parser:
@@ -212,61 +221,64 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("spectrum", help="level energies over a field grid")
-    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
-    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
-    _add_common(p)
+    p.set_defaults(handler=_handle_spectrum)
+    _add_wall_levels(p)
+    _add_shared(p, fields=True, jobs=True)
 
     p = sub.add_parser("state", help="wavefunction or momentum-density profile")
-    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
-    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
+    p.set_defaults(handler=_handle_state)
+    _add_wall_levels(p)
     p.add_argument("--what", choices=("wavefunction", "momentum_density"),
                    default="wavefunction")
     p.add_argument("--points", type=int, default=401, help="profile resolution")
     p.add_argument("--k-max", type=float, default=None,
                    help="momentum profile endpoint (default 5*max(1, field^(1/3)))")
-    _add_common(p)
+    _add_shared(p, fields=True, jobs=True)
 
     p = sub.add_parser("polarization", help="mean positions and dipole shifts")
-    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
-    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
+    p.set_defaults(handler=_handle_polarization)
+    _add_wall_levels(p)
     p.add_argument("--matrix", type=int, default=0, metavar="SIZE",
                    help="emit the SIZE x SIZE coordinate matrix instead")
-    _add_common(p)
+    _add_shared(p, fields=True, jobs=True)
 
     p = sub.add_parser("measures", help="entropies, Fisher, disequilibria, products")
-    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
-    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
-    _add_common(p)
+    p.set_defaults(handler=_handle_measures)
+    _add_wall_levels(p)
+    _add_shared(p, fields=True, jobs=True, tolerances=True)
 
     p = sub.add_parser("crossing",
                        help="field where the two lowest attractive-wall total "
                             "entropies meet")
+    p.set_defaults(handler=_handle_crossing)
     p.add_argument("--lo", type=float, default=0.1)
     p.add_argument("--hi", type=float, default=5.0)
     p.add_argument("--xtol", type=float, default=1e-3)
-    _add_common(p)
+    _add_shared(p, tolerances=True)
 
     p = sub.add_parser("fishermax",
                        help="interior maximum of the Fisher product over the field")
+    p.set_defaults(handler=_handle_fishermax)
     p.add_argument("--n", type=int, default=1, help="attractive-wall level")
     p.add_argument("--lo", type=float, default=1e-4)
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--xtol", type=float, default=1e-3)
-    _add_common(p)
+    _add_shared(p, tolerances=True)
 
     p = sub.add_parser("table1",
                        help="shape-complexity table of the lowest hard- and "
                             "soft-wall levels")
+    p.set_defaults(handler=_handle_table1)
     p.add_argument("--bc", type=_parse_bc, default=None,
                    help="restrict to dirichlet or neumann (default both)")
     p.add_argument("--levels", type=int, default=6, help="levels per wall (default 6)")
-    _add_common(p)
+    _add_shared(p, fields=True, jobs=True, tolerances=True)
 
     p = sub.add_parser("oracle-check",
                        help="solver energies against the finite-difference route")
-    p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
-    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
-    _add_common(p)
+    p.set_defaults(handler=_handle_oracle_check)
+    _add_wall_levels(p)
+    _add_shared(p, fields=True)
 
     return parser
 
@@ -274,7 +286,7 @@ def _build_parser() -> _Parser:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _handle_spectrum(args, cfg) -> tuple:
+def _handle_spectrum(args) -> tuple:
     def point(n, field):
         state = energy(args.bc, n, field)
         return [{"energy": state.energy, "residual": state.residual}]
@@ -282,7 +294,7 @@ def _handle_spectrum(args, cfg) -> tuple:
     return _table(args.bc, args.n, _fields(args), ["energy", "residual"], point, args.jobs)
 
 
-def _handle_polarization(args, cfg) -> tuple:
+def _handle_polarization(args) -> tuple:
     if args.matrix:
         if args.matrix < 2:
             raise _UsageError("--matrix needs at least 2 levels")
@@ -313,17 +325,18 @@ def _measure_table(bc, levels, fields, columns, cfg, jobs) -> tuple:
     return _table(bc, levels, fields, columns, point, jobs)
 
 
-def _handle_measures(args, cfg) -> tuple:
+def _handle_measures(args) -> tuple:
+    cfg = _tolerances(args)
     return _measure_table(args.bc, args.n, _fields(args), _MEASURE_COLUMNS, cfg, args.jobs)
 
 
-def _handle_state(args, cfg) -> tuple:
+def _handle_state(args) -> tuple:
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
     wavefunction = args.what == "wavefunction"
 
     def point(n, field):
-        sf = build_state(args.bc, n, field, cfg)
+        sf = build_state(args.bc, n, field)
         if wavefunction:
             xs = np.linspace(sf.x_cut, 0.0, args.points)
             return [{"x": x, "psi": p_val, "rho": p_val * p_val}
@@ -338,22 +351,24 @@ def _handle_state(args, cfg) -> tuple:
     return _table(args.bc, args.n, _fields(args), columns, point, args.jobs)
 
 
-def _handle_crossing(args, cfg) -> tuple:
-    field_cross = entropy_crossing(cfg, bracket=(args.lo, args.hi), xtol=args.xtol)
+def _handle_crossing(args) -> tuple:
+    field_cross = entropy_crossing(_tolerances(args), bracket=(args.lo, args.hi),
+                                   xtol=args.xtol)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "lo": args.lo, "hi": args.hi,
              "field_cross": field_cross}]
     return rows, ["bc", "lo", "hi", "field_cross"]
 
 
-def _handle_fishermax(args, cfg) -> tuple:
+def _handle_fishermax(args) -> tuple:
     result = fisher_product_maximum(args.n, bracket=(args.lo, args.hi),
-                                    xtol=args.xtol, cfg=cfg)
+                                    xtol=args.xtol, cfg=_tolerances(args))
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "n": args.n,
              "field_max": result.field, "fisher_product": result.product}]
     return rows, ["bc", "n", "field_max", "fisher_product"]
 
 
-def _handle_table1(args, cfg) -> tuple:
+def _handle_table1(args) -> tuple:
+    cfg = _tolerances(args)
     if args.bc is None:
         walls = (BoundarySpec.DIRICHLET, BoundarySpec.NEUMANN)
     elif args.bc.is_robin:
@@ -371,8 +386,7 @@ def _handle_table1(args, cfg) -> tuple:
     return rows, columns
 
 
-def _handle_oracle_check(args, cfg) -> tuple:
-    # The grid route has its own fixed tolerances, so cfg goes unused.
+def _handle_oracle_check(args) -> tuple:
     columns = ["bc", "n", "field", "energy", "energy_fd", "rel_diff", "error"]
     rows = []
     top = max(args.n)
@@ -399,18 +413,6 @@ def _handle_oracle_check(args, cfg) -> tuple:
     return rows, columns
 
 
-_HANDLERS = {
-    "spectrum": _handle_spectrum,
-    "state": _handle_state,
-    "polarization": _handle_polarization,
-    "measures": _handle_measures,
-    "crossing": _handle_crossing,
-    "fishermax": _handle_fishermax,
-    "table1": _handle_table1,
-    "oracle-check": _handle_oracle_check,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        rows, columns = _HANDLERS[args.command](args, _tolerances(args))
+        rows, columns = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

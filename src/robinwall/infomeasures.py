@@ -257,8 +257,7 @@ def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3,
     return FisherMaximum(field=best_x, product=best_f)
 
 
-def fisher_momentum_coefficient(bc, n: int, field: float = 1.0,
-                                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def fisher_momentum_coefficient(bc, n: int, field: float = 1.0) -> float:
     """Field-free momentum Fisher constant of a hard- or soft-wall level.
 
     For walls without an extrapolation length the momentum Fisher
@@ -270,5 +269,5 @@ def fisher_momentum_coefficient(bc, n: int, field: float = 1.0,
         raise DomainError(
             "momentum Fisher information of a Robin wall has no pure power law"
         )
-    _, i_k = fisher(build_state(bc, n, field, cfg))
+    _, i_k = fisher(build_state(bc, n, field))
     return i_k * float(field) ** (2.0 / 3.0)

@@ -102,15 +102,15 @@ def mean_x_quadrature(sf: StateFunctions) -> float:
     return position_integrals(sf)[4]
 
 
-def hellmann_feynman_mean_x(bc, n: int, field: float, step: float | None = None) -> float:
+def hellmann_feynman_mean_x(bc, n: int, field: float) -> float:
     """Mean coordinate as minus the field derivative of the level energy.
 
-    Central difference in the field; completely independent of the
-    wavefunction, so it cross-checks solver and closed form at once.
+    Central difference in the field with step max(1e-4 F, 1e-6);
+    completely independent of the wavefunction, so it cross-checks solver
+    and closed form at once.
     """
     field = float(field)
-    if step is None:
-        step = max(1e-4 * field, 1e-6)
+    step = max(1e-4 * field, 1e-6)
     if step >= field:
         raise DomainError("difference step must stay below the field itself")
     upper = energy(bc, n, field + step).energy

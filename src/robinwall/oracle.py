@@ -121,9 +121,14 @@ def _solve_grid(bc: BoundarySpec, field: float, levels: int, grid: GridSpec):
     from scipy.linalg import eigh_tridiagonal
 
     diag, off, nodes = _assemble(bc, field, grid)
-    values, vectors = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, levels - 1)
-    )
+    try:
+        values, vectors = eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, levels - 1)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(
+            f"{bc.value} grid at field {field:g} (level count {levels}): the "
+            f"tridiagonal eigensolver did not converge ({exc})") from None
     _check_decay(vectors, grid)
     return values, vectors, nodes
 

@@ -57,25 +57,14 @@ _FILON_PHASES = 2.0 * (-1j) ** _DEGREES
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric knobs shared by the quadrature and state-building layers.
-
-    ``x_cut_threshold`` is relative to the peak density psi^2 (the cut
-    march compares rho with threshold * rho_max).
-    """
+    """Absolute and relative tolerance of every adaptive pass over a state."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    x_cut_threshold: float = 1e-20
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 32:
-            raise ValueError("max_subdivisions must be at least 32")
-        if not 0.0 < self.x_cut_threshold <= 1e-14:
-            raise ValueError(
-                "x_cut_threshold is relative to the peak density and must lie in (0, 1e-14]")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -120,6 +109,9 @@ _GAUSS_WEIGHTS[1:10:2] = _WG
 _GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 
+# integrate_batch bisects at most _MAX_SUBDIVISIONS - 1 times past its first pieces.
+_MAX_SUBDIVISIONS = 200
+
 
 def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
     """qk21 on every interval [lo_j, hi_j] from one call of f.
@@ -159,12 +151,12 @@ def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     pair: it bisects the interval whose worst component sits furthest above
     its tolerance and evaluates both halves in one call of 42 points.  It
     stops once every component meets sum(err_i) <= max(abs_tol, rel_tol*|I_i|)
-    on its own; after ``cfg.max_subdivisions - 1`` bisections it raises
+    on its own; after ``_MAX_SUBDIVISIONS - 1`` bisections it raises
     :class:`QuadratureError` with the per-component estimates.
     """
     edges = np.asarray(points, dtype=float)
     start = edges.size - 1
-    limit = start + cfg.max_subdivisions - 1
+    limit = start + _MAX_SUBDIVISIONS - 1
     lo = np.empty(limit)
     hi = np.empty(limit)
     lo[:start], hi[:start] = edges[:-1], edges[1:]

@@ -95,29 +95,12 @@ class BoundarySpec(enum.Enum):
 
     @classmethod
     def parse(cls, text) -> "BoundarySpec":
-        """The wall named by ``text``; a BoundarySpec comes back unchanged."""
-        if isinstance(text, cls):
-            return text
-        key = str(text).strip().lower().replace("_", "").replace(" ", "")
+        """The wall whose value is ``text``; a BoundarySpec comes back unchanged."""
         try:
-            return _BC_ALIASES[key]
-        except KeyError:
-            options = ", ".join(sorted(set(_BC_ALIASES)))
+            return cls(text)
+        except ValueError:
+            options = ", ".join(wall.value for wall in cls)
             raise ValueError(f"unknown boundary {text!r}; expected one of {options}") from None
-
-
-_BC_ALIASES = {
-    "d": BoundarySpec.DIRICHLET,
-    "dirichlet": BoundarySpec.DIRICHLET,
-    "n": BoundarySpec.NEUMANN,
-    "neumann": BoundarySpec.NEUMANN,
-    "r-": BoundarySpec.ROBIN_MINUS,
-    "robin-": BoundarySpec.ROBIN_MINUS,
-    "robinminus": BoundarySpec.ROBIN_MINUS,
-    "r+": BoundarySpec.ROBIN_PLUS,
-    "robin+": BoundarySpec.ROBIN_PLUS,
-    "robinplus": BoundarySpec.ROBIN_PLUS,
-}
 
 
 @dataclass(frozen=True)
@@ -374,11 +357,10 @@ def zero_energy_field() -> float:
     return g13 ** 3 / (3.0 * g23 ** 3)
 
 
-def zero_energy_field_solved(bracket=(2.0, 3.2)) -> float:
+def zero_energy_field_solved() -> float:
     """The same crossing recovered from the solver instead of Gamma values."""
 
     def ground(field: float) -> float:
         return energy(BoundarySpec.ROBIN_MINUS, 0, field).energy
 
-    lo, hi = bracket
-    return brent_root(ground, lo, hi, xtol=1e-10, rtol=1e-12)
+    return brent_root(ground, 2.0, 3.2, xtol=1e-10, rtol=1e-12)

@@ -67,6 +67,8 @@ __all__ = [
 # points outside the physical half-line.
 _EXP_CLIP = 700.0
 
+# The cut march stops once rho falls below this share of its peak.
+_X_CUT_THRESHOLD = 1e-20
 _MARCH_LIMIT = 20000
 
 
@@ -77,7 +79,7 @@ class StateFunctions:
     ``phi``, ``gamma`` on the momentum side, plus the boundary data and
     integration bookkeeping (``x_cut``, ``k_switch``) that the observable
     layers use.  ``cfg`` is the one tolerance config of the state: it sets
-    the cut and every integral taken over the state.
+    every integral taken over the state.
     """
 
     def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -183,16 +185,15 @@ class StateFunctions:
             step = min(step, 1.0 / math.sqrt(-e_val))
         x = min(-e_val / field, 0.0)
         rho_max = self.rho(x)
-        threshold = self.cfg.x_cut_threshold
         for _ in range(_MARCH_LIMIT):
             x -= step
             r = self.rho(x)
             if r > rho_max:
                 rho_max = r
-            elif rho_max > 0.0 and r < threshold * rho_max:
+            elif rho_max > 0.0 and r < _X_CUT_THRESHOLD * rho_max:
                 return x - 2.0 * step
         raise ConsistencyError(
-            f"density never fell below {threshold} of its peak within "
+            f"density never fell below {_X_CUT_THRESHOLD} of its peak within "
             f"{_MARCH_LIMIT} steps; the state looks unnormalizable"
         )
 

@@ -7,7 +7,12 @@ import math
 
 from scipy.integrate import quad
 
-from robinwall.quadrature import DEFAULT_TOLERANCES, QuadratureError, ToleranceConfig
+from robinwall.quadrature import (
+    _MAX_SUBDIVISIONS,
+    DEFAULT_TOLERANCES,
+    QuadratureError,
+    ToleranceConfig,
+)
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -21,7 +26,7 @@ def _weighted(psi, x_cut: float, k: float, weight: str, cfg: ToleranceConfig) ->
         wvar=k,
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=_MAX_SUBDIVISIONS,
         maxp1=100,
         full_output=1,
     )

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from robinwall.cli import main
+from robinwall.cli import _build_parser, main
 from robinwall.spectrum import energy
 
 SPECTRUM_HEADER = "bc,n,field,energy,residual,error"
@@ -80,15 +81,58 @@ def test_bad_wall_name_is_a_usage_error(capsys):
     assert "robin-" in err
 
 
-@pytest.mark.parametrize("extra", [
-    pytest.param(("--config", "tol.cfg"), id="config"),
-    pytest.param(("--oracle",), id="spectrum-oracle"),
+# Every option of every subcommand, in parser order; each changes some result.
+HONOURED_OPTIONS = {
+    "spectrum": ["--bc", "--n", "--out", "--output", "--jobs", "--field", "--field-range"],
+    "state": ["--bc", "--n", "--what", "--points", "--k-max", "--out", "--output",
+              "--jobs", "--field", "--field-range"],
+    "polarization": ["--bc", "--n", "--matrix", "--out", "--output", "--jobs",
+                     "--field", "--field-range"],
+    "measures": ["--bc", "--n", "--out", "--output", "--tol-abs", "--tol-rel", "--jobs",
+                 "--field", "--field-range"],
+    "crossing": ["--lo", "--hi", "--xtol", "--out", "--output", "--tol-abs", "--tol-rel"],
+    "fishermax": ["--n", "--lo", "--hi", "--xtol", "--out", "--output", "--tol-abs",
+                  "--tol-rel"],
+    "table1": ["--bc", "--levels", "--out", "--output", "--tol-abs", "--tol-rel", "--jobs",
+               "--field", "--field-range"],
+    "oracle-check": ["--bc", "--n", "--out", "--output", "--field", "--field-range"],
+}
+
+
+def test_each_subcommand_parses_only_the_options_it_honours():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [opt for action in sub._actions if action.dest != "help"
+                  for opt in action.option_strings]
+           for name, sub in commands.choices.items()}
+    assert got == HONOURED_OPTIONS
+    assert sum(len(options) for options in got.values()) == 64
+
+
+_SPECTRUM = ("spectrum", "--bc", "robin-", "--n", "0", "--field", "1.0")
+_CROSSING = ("crossing", "--lo", "1.2", "--hi", "1.7", "--xtol", "0.2")
+_FISHERMAX = ("fishermax", "--n", "1", "--lo", "0.005", "--hi", "0.05", "--xtol", "0.02")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    pytest.param(_SPECTRUM, ("--config", "tol.cfg"), id="config"),
+    pytest.param(_SPECTRUM, ("--oracle",), id="spectrum-oracle"),
+    *[pytest.param((command, "--bc", "neumann", "--field", "1"), (option, "1e-3"),
+                   id=f"{command}{option}")
+      for command in ("spectrum", "state", "polarization", "oracle-check")
+      for option in ("--tol-abs", "--tol-rel")],
+    *[pytest.param(argv, extra, id=f"{argv[0]}{extra[0]}")
+      for argv in (_CROSSING, _FISHERMAX)
+      for extra in (("--field", "99"), ("--field-range", "0.5:2:3"), ("--jobs", "2"))],
+    pytest.param(("oracle-check", "--bc", "neumann", "--field", "1"), ("--jobs", "2"),
+                 id="oracle-check--jobs"),
 ])
-def test_removed_options_are_usage_errors(capsys, extra):
-    # Tolerances come from --tol-abs/--tol-rel only, and oracle-check is
-    # the one route to finite-difference energies.
-    code, out, err = run_cli(capsys, "spectrum", "--bc", "robin-", "--n", "0",
-                             "--field", "1.0", *extra)
+def test_removed_options_are_usage_errors(capsys, argv, extra):
+    # Tolerances come from --tol-abs/--tol-rel and reach only the adaptive
+    # passes; oracle-check is the one route to finite-difference energies;
+    # crossing and fishermax search the field themselves; only the _table
+    # sweeps take --jobs.
+    code, out, err = run_cli(capsys, *argv, *extra)
     assert code == 1
     assert out == ""
     assert err.startswith("usage error:")
@@ -177,8 +221,8 @@ def _matches_serial(capsys, out, err):
                   "--field-range", "1e-6:1:3:log"), 2, _matrix_error_row, id="matrix-error-row"),
     pytest.param(("spectrum", "--bc", "dirichlet", "--field", "0"),
                  2, _field_must_be_positive, id="spectrum-field-zero"),
-    pytest.param(("spectrum", "--bc", "dirichlet", "--field", "1", "--tol-abs", "-1"),
-                 1, _usage_error, id="spectrum-negative-tolerance"),
+    pytest.param(("measures", "--bc", "dirichlet", "--field", "1", "--tol-abs", "-1"),
+                 1, _usage_error, id="measures-negative-tolerance"),
     pytest.param(("table1", "--levels", "2", "--jobs", "2"),
                  0, _matches_serial, id="table1-parallel"),
     pytest.param(("spectrum", "--bc", "dirichlet", "--field", "1", "--jobs", "0"),
@@ -299,6 +343,18 @@ def test_refused_oracle_rows_keep_the_analytic_energy(capsys):
         assert float(row["energy"]) == energy("robin-", n, 1e-3).energy
         assert (row["energy_fd"], row["rel_diff"]) == ("", "")
         assert "half-step correction" in row["error"]
+
+
+def test_oracle_check_names_an_unconverged_grid(capsys):
+    # The grid eigensolver fails at 1e300; the row keeps the analytic
+    # energy and says which wall and field the grid was refused for.
+    code, out, _ = run_cli(capsys, "oracle-check", "--bc", "neumann", "--n", "0",
+                           "--field", "1e300")
+    assert code == 2
+    (row,) = parse_csv(out)
+    assert row["energy"] == "1.0187929716474452e+200"
+    assert row["error"].startswith("neumann grid at field 1e+300 ")
+    assert "did not converge" in row["error"]
 
 
 def test_oracle_check_at_the_zero_energy_field(capsys):

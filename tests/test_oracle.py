@@ -1,6 +1,7 @@
 """Finite-difference cross-check solver."""
 
 import math
+import re
 
 import pytest
 
@@ -73,6 +74,14 @@ def test_unresolved_weak_field_grid_is_refused(bc):
     # 0.5-0.99 of the energy, and a Richardson value would be 0.5-1.4 off.
     with pytest.raises(ConsistencyError, match="half-step correction"):
         fd_energies(bc, 1e-6, 3)
+
+
+@pytest.mark.parametrize("bc", ["robin-", "robin+", "dirichlet", "neumann"])
+def test_unconverged_grid_eigensolver_is_refused(bc):
+    # LAPACK's bisection stops short on the grid at 1e300 (1e220 solves);
+    # the refusal names the wall and the field instead of LAPACK's info code.
+    with pytest.raises(ConsistencyError, match=rf"^{re.escape(bc)} grid at field 1e\+300 "):
+        fd_energies(bc, 1e300, 1)
 
 
 def test_level_through_zero_energy_is_measured():

@@ -236,21 +236,30 @@ def test_bound_state_rejects_negative_level():
 
 
 @pytest.mark.parametrize(
-    "text,member",
+    "text,wall",
     [
         ("dirichlet", BoundarySpec.DIRICHLET),
         ("D", BoundarySpec.DIRICHLET),
         ("n", BoundarySpec.NEUMANN),
+        ("neumann", BoundarySpec.NEUMANN),
         ("Neumann", BoundarySpec.NEUMANN),
         ("robin-", BoundarySpec.ROBIN_MINUS),
         ("r-", BoundarySpec.ROBIN_MINUS),
         ("robin minus", BoundarySpec.ROBIN_MINUS),
+        ("robin+", BoundarySpec.ROBIN_PLUS),
         ("R+", BoundarySpec.ROBIN_PLUS),
         ("robin_plus", BoundarySpec.ROBIN_PLUS),
     ],
 )
-def test_boundary_spec_aliases(text, member):
-    assert BoundarySpec.parse(text) is member
+def test_boundary_spec_aliases(text, wall):
+    # A wall has one spelling, its value; short, case-folded, spaced and
+    # underscored spellings of it are refused.
+    if text == wall.value:
+        assert BoundarySpec.parse(text) is wall
+    else:
+        with pytest.raises(ValueError,
+                           match=r"expected one of dirichlet, neumann, robin-, robin\+$"):
+            BoundarySpec.parse(text)
 
 
 def test_boundary_spec_parse_passes_members_through():

@@ -67,7 +67,7 @@ def test_unit_norm_both_sides(state_of, bc, n, field):
 def test_unconverged_momentum_pass_raises():
     # The vector rule stops silently at its interval limit; the pass must
     # turn that into an error that still carries the estimate and bound.
-    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=32)
+    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15)
     sf = build_state("robin-", 0, 1.0, cfg)
     with pytest.raises(QuadratureError) as info:
         momentum_integrals(sf)
