@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -333,6 +334,8 @@ def _handle_measures(args) -> tuple:
 def _handle_state(args) -> tuple:
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
+    if args.k_max is not None and not (0.0 < args.k_max < math.inf):
+        raise _UsageError("--k-max must be a positive finite number")
     wavefunction = args.what == "wavefunction"
 
     def point(n, field):

@@ -283,14 +283,29 @@ def ray_transform(k, psi0: float, dpsi0: float, energy: float, field: float) -> 
     phi' comes from the same samples through the k-derivative of the
     integrand; formed from the equation it would cancel at large k, where
     phi ~ B / (k^2 - E).  Negative momenta are taken by conjugation.
+    Where kappa^2 - E / F^(2/3) overflows, the next term of that series is
+    below F / k^3 ~ 1e-462 of the first, so phi is B / k^2 and phi' its
+    derivative, formed without squaring k.
     """
     k = np.asarray(k, dtype=float)
     f13 = field ** (1.0 / 3.0)
+    with np.errstate(over="ignore"):
+        kappa = np.abs(k) / f13
+        gap = kappa * kappa - energy / (f13 * f13)
+    huge = ~np.isfinite(gap)
+    if huge.any():
+        phi = np.empty(k.size, dtype=complex)
+        dphi = np.empty_like(phi)
+        phi[~huge], dphi[~huge] = ray_transform(k[~huge], psi0, dpsi0, energy, field)
+        q = k[huge]
+        phi[huge] = (dpsi0 / q / q + 1j * (psi0 / q)) / _SQRT_TWO_PI
+        dphi[huge] = -(2.0 * dpsi0 / q / q / q + 1j * (psi0 / q / q)) / _SQRT_TWO_PI
+        return phi, dphi
     root = math.sqrt(f13)
-    kappa = np.abs(k)[:, None] / f13
+    kappa = kappa[:, None]
+    gap = gap[:, None]
     c0 = psi0 / root / _SQRT_TWO_PI
     c1 = dpsi0 / (f13 * root) / _SQRT_TWO_PI
-    gap = kappa * kappa - energy / (f13 * f13)
     ell = np.minimum(np.minimum(1.0, 2.0 / gap), 1.0 / np.sqrt(0.866 * kappa))
     z = (ell * _RAY_S) * _RAY_DIRECTION
     dz = (ell * _RAY_W) * _RAY_DIRECTION

@@ -70,6 +70,8 @@ _EXP_CLIP = 700.0
 # The cut march stops once rho falls below this share of its peak.
 _X_CUT_THRESHOLD = 1e-20
 _MARCH_LIMIT = 20000
+# Abscissae of the march evaluated per rho call; _MARCH_LIMIT is a multiple.
+_MARCH_BLOCK = 16
 
 
 class StateFunctions:
@@ -173,6 +175,9 @@ class StateFunctions:
 
         Relative to the running density maximum, so node-free decay past
         the turning point is the only region the criterion ever sees.
+        The density is taken ``_MARCH_BLOCK`` steps per call and scanned
+        in order, so the cut does not depend on the block; at most
+        ``_MARCH_BLOCK - 1`` points past it are evaluated for nothing.
         """
         field = self.state.field
         e_val = self.state.energy
@@ -185,13 +190,18 @@ class StateFunctions:
             step = min(step, 1.0 / math.sqrt(-e_val))
         x = min(-e_val / field, 0.0)
         rho_max = self.rho(x)
-        for _ in range(_MARCH_LIMIT):
-            x -= step
-            r = self.rho(x)
-            if r > rho_max:
-                rho_max = r
-            elif rho_max > 0.0 and r < _X_CUT_THRESHOLD * rho_max:
-                return x - 2.0 * step
+        block = [0.0] * _MARCH_BLOCK
+        for _ in range(_MARCH_LIMIT // _MARCH_BLOCK):
+            # Repeated subtraction, not x0 - i*step, keeps every abscissa
+            # (and so the cut) independent of the block size.
+            for i in range(_MARCH_BLOCK):
+                x -= step
+                block[i] = x
+            for x, r in zip(block, self.rho(np.array(block)).tolist()):
+                if r > rho_max:
+                    rho_max = r
+                elif rho_max > 0.0 and r < _X_CUT_THRESHOLD * rho_max:
+                    return x - 2.0 * step
         raise ConsistencyError(
             f"density never fell below {_X_CUT_THRESHOLD} of its peak within "
             f"{_MARCH_LIMIT} steps; the state looks unnormalizable"

@@ -139,6 +139,18 @@ def test_removed_options_are_usage_errors(capsys, argv, extra):
     assert extra[0] in err
 
 
+@pytest.mark.parametrize("k_max", ["nan", "inf", "-1", "0"])
+def test_k_max_must_be_positive_and_finite(capsys, k_max):
+    # Each of these would otherwise print nan cells, negative momenta or
+    # 401 rows at k = 0 and exit 0.
+    code, out, err = run_cli(capsys, "state", "--bc", "neumann", "--field", "1",
+                             "--what", "momentum_density", "--k-max", k_max)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "--k-max" in err
+
+
 def test_domain_failure_exits_two(capsys):
     code, _, err = run_cli(capsys, "fishermax", "--n", "0")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,50 @@ def test_airy_rejects_non_finite():
         scaled_airy(float("nan"))
     with pytest.raises(ValueError):
         scaled_airy([0.0, float("inf")])
+
+
+def _scalar_path_arguments():
+    rng = np.random.default_rng(20)
+    edges = [SCALE_SWITCH, AIRY_ARG_MAX]
+    return np.concatenate([
+        rng.uniform(-1e4, SCALE_SWITCH, 5000),
+        SCALE_SWITCH * np.exp(rng.uniform(0.0, math.log(2.0 ** 21 / SCALE_SWITCH), 5000)),
+        [-1e4, 0.0, 2.0 ** 21]
+        + [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)] + edges,
+    ])
+
+
+def test_scalar_path_matches_array_path_bit_for_bit():
+    # A scalar takes one AMOS call instead of the masked array path.  The
+    # pair must be the array path's element exactly; s is libm pow, as the
+    # 0-d array path gave it; NumPy's array power can miss it by 1 ulp of
+    # z^(3/2), up to 2 ulp of s.
+    z = _scalar_path_arguments()
+    ai, aip, s = scaled_airy(z)
+    for i, x in enumerate(z.tolist()):
+        got = scaled_airy(x)
+        assert [v.hex() for v in got[:2]] == [ai[i].hex(), aip[i].hex()], x
+        ref = (2.0 / 3.0) * math.pow(x, 1.5) if x > SCALE_SWITCH else 0.0
+        assert got[2].hex() == ref.hex(), x
+        assert abs(got[2] - s[i]) <= 2.0 * math.ulp(s[i]), x
+
+
+@pytest.mark.parametrize("z", [
+    2.5, 3, np.float64(2.5), np.int64(3), np.array(2.5), np.float64(40.0), np.array(2.0 ** 21),
+], ids=["float", "int", "float64", "int64", "0-d", "float64-deep", "0-d-past"])
+def test_scalar_inputs_give_three_python_floats(z):
+    got = scaled_airy(z)
+    assert len(got) == 3
+    assert all(type(v) is float for v in got)
+    ref = scaled_airy(np.atleast_1d(np.asarray(z, dtype=float)))
+    assert [v.hex() for v in got[:2]] == [float(r[0]).hex() for r in ref[:2]]
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                               np.array(math.inf)])
+def test_scalar_non_finite_raises(z):
+    with pytest.raises(ValueError, match="finite"):
+        scaled_airy(z)
 
 
 def test_zero_tables_match_reference():

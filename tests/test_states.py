@@ -2,12 +2,14 @@
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
 from scipy.special import airy, xlogy
 
 from scipy.integrate import quad
@@ -18,6 +20,7 @@ from robinwall.quadrature import (
     ToleranceConfig,
     ray_transform,
 )
+from robinwall import special
 from robinwall.special import root_table
 from robinwall.spectrum import DomainError
 from robinwall.states import (
@@ -117,6 +120,68 @@ def test_march_cut_follows_surface_state_decay():
     assert -60.0 <= sf.x_cut <= -10.0
     assert sf.rho(sf.x_cut) < 1e-12 * sf.rho(0.0)
     assert math.isclose(position_norm(sf), 1.0, rel_tol=0.0, abs_tol=2e-5)
+
+
+# x_cut as hex at fields 1e-6, 1e-2, 1 and 1e4, from a march that took
+# rho one point per call: the block size must not move the cut.
+X_CUT_PINNED = {
+    ("dirichlet", 0): ["-0x1.59f3e32e697fbp+10", "-0x1.00ec581a43990p+6",
+                       "-0x1.bad1c6a1ceb7ep+3", "-0x1.48dc99bb37ce4p-1"],
+    ("dirichlet", 2): ["-0x1.a9839538ec0b7p+10", "-0x1.3c027fbf26b06p+6",
+                       "-0x1.1054368ad4822p+4", "-0x1.947e1427df9a5p-1"],
+    ("dirichlet", 10): ["-0x1.3ae4c3d151288p+11", "-0x1.d3b6d1abe0d01p+6",
+                        "-0x1.931056ce7c5cbp+4", "-0x1.2b5648bfec0a4p+0"],
+    ("neumann", 0): ["-0x1.38f846679d837p+10", "-0x1.d0db51d3dd869p+5",
+                     "-0x1.9099f3b7d3db8p+3", "-0x1.29821fe3c0fa1p-1"],
+    ("neumann", 2): ["-0x1.9800a28c2f33ap+10", "-0x1.2f013805227bep+6",
+                     "-0x1.051f2059b7cf2p+4", "-0x1.83d899a02c23ep-1"],
+    ("neumann", 10): ["-0x1.358719c5fd4a3p+11", "-0x1.cbbe8103d3207p+6",
+                      "-0x1.8c320c828be40p+4", "-0x1.263c7b87915c6p+0"],
+    ("robin-", 0): ["-0x1.a00006d0d4a7ap+4", "-0x1.80f612f18e398p+4",
+                    "-0x1.6000000000000p+3", "-0x1.2866aafea23e1p-1"],
+    ("robin-", 2): ["-0x1.85f2de2216a0ep+10", "-0x1.252d1dcbedd6bp+6",
+                    "-0x1.01f27d28a5b1dp+4", "-0x1.839df7111695ap-1"],
+    ("robin-", 10): ["-0x1.303c1269d9290p+11", "-0x1.c7194706b1c32p+6",
+                     "-0x1.8b03d1e29fdd8p+4", "-0x1.2631d5dffa4b2p+0"],
+    ("robin+", 0): ["-0x1.59b3e4743561cp+10", "-0x1.fa19e8af83febp+5",
+                    "-0x1.a4b94c592620cp+3", "-0x1.2a912f853da5fp-1"],
+    ("robin+", 2): ["-0x1.a943983b7240ep+10", "-0x1.384cc56dde35ap+6",
+                    "-0x1.082e55c4b0910p+4", "-0x1.84131e3cbf48bp-1"],
+    ("robin+", 10): ["-0x1.3ac4c78d1daddp+11", "-0x1.d05520ec00250p+6",
+                     "-0x1.8d5eaa1854ea4p+4", "-0x1.2647207711845p+0"],
+}
+
+
+@pytest.mark.parametrize("bc,n", sorted(X_CUT_PINNED))
+def test_march_cut_in_blocks_is_the_pointwise_cut(bc, n):
+    got = [build_state(bc, n, field).x_cut.hex() for field in (1e-6, 1e-2, 1.0, 1e4)]
+    assert got == X_CUT_PINNED[(bc, n)]
+
+
+class _AiryCallCounter:
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(scipy_special, name)
+
+    def airy(self, z):
+        self.calls += 1
+        return scipy_special.airy(z)
+
+    def airye(self, z):
+        self.calls += 1
+        return scipy_special.airye(z)
+
+
+def test_state_build_makes_few_airy_calls(monkeypatch):
+    # One call for the level's certificate, one for the wall value, two for
+    # the first march point and two per 16-point block of the march (two
+    # blocks here); two calls per march point would make 48.
+    counter = _AiryCallCounter()
+    monkeypatch.setattr(special, "sp", counter)
+    build_state("dirichlet", 0, 1.0)
+    assert counter.calls <= 8
 
 
 @given(
@@ -243,6 +308,24 @@ def test_momentum_tail_follows_boundary_value(state_of):
     k = 300.0
     limit = sf.psi0 ** 2 / (2.0 * math.pi)
     assert abs(k * k * sf.gamma(k) / limit - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-", "robin+"])
+@pytest.mark.parametrize("field", [1e-3, 1.0, 1e6])
+def test_phi_is_finite_where_the_ray_gap_overflows(state_of, bc, field):
+    # Past |k| ~ 1.34e154 F^(1/3), kappa^2 overflows; phi is then the
+    # leading term L = (psi'(0)/k^2 + i psi(0)/k) / sqrt(2 pi).
+    sf = state_of(bc, 0, field)
+    ks = np.array([1e155, 1e200, 1e300, 1.7e308])
+    ks = np.concatenate([ks, -ks])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, dphi = sf._pair(ks)
+    assert np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))
+    for k, got in zip(ks.tolist(), phi.tolist()):
+        lead = (sf.dpsi0 / k / k + 1j * sf.psi0 / k) / math.sqrt(2.0 * math.pi)
+        if abs(lead) >= 1e-290:
+            assert abs(got - lead) <= 1e-12 * abs(lead)
 
 
 def test_momentum_density_peak_reference(state_of):
