@@ -38,7 +38,6 @@ from .observables import (
 from .oracle import DecayError, GridSpec, default_grid, fd_energies, fd_moment
 from .quadrature import (
     DEFAULT_TOLERANCES,
-    HalfLineFourierTable,
     QuadratureError,
     ToleranceConfig,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "FlatWellEntropies",
     "GridSpec",
     "GroundCoupling",
-    "HalfLineFourierTable",
     "InfoRecord",
     "PolarizationRecord",
     "QuadratureError",

@@ -1,19 +1,14 @@
-"""Adaptive quadrature and half-line Fourier machinery.
+"""Adaptive quadrature and the momentum transform.
 
 Position-space integrands in this package are Airy profiles on a
 truncated half-line, smooth apart from the logarithmic kink that
 -rho ln(rho) takes at each node.  The momentum side is the hard part: the
 transform of a wavefunction with a nonzero boundary value decays only
-like 1/k, so every density integral has a slow algebraic tail.  Three
-tools cover it:
+like 1/k, so every density integral has a slow algebraic tail.
 
-* :class:`HalfLineFourierTable` expands psi once in Legendre polynomials
-  on equal panels sized by psi alone, and integrates every term against
-  the phase exactly: any momentum costs P exponentials and 16 spherical
-  Bessel values.  It serves momenta below a state's switch momentum.
-* :func:`ray_transform` gives phi and phi' above the switch from the wall
-  data alone, as an incomplete Scorer-type integral (DLMF 9.12) taken by
-  one fixed rule along a ray rotated into the complex plane.
+* :func:`ray_transform` gives phi and phi' at every momentum from the wall
+  data alone, on a ray rotated into the complex plane plus, below
+  kappa = sqrt(eps), one closed-form Airy term; psi's cut never enters.
 * :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
   vector-valued integrand evaluated on a whole interval in one array call;
   it is the only adaptive rule of the package and carries every position
@@ -28,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import spherical_jn
 
+from .special import valley_airy
+
 __all__ = [
     "DEFAULT_TOLERANCES",
-    "HalfLineFourierTable",
     "QuadratureError",
     "ToleranceConfig",
     "integrate_batch",
@@ -39,10 +35,8 @@ __all__ = [
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Gauss-Legendre samples (and Legendre terms) of every equal Fourier-table
-# panel, and the radians of psi's phase or decay one panel may span: a
-# half-width of at most 1 radian leaves terms of order j_16(1) ~ 2e-19
-# outside the 16-term expansion.
+# Samples (and Legendre terms) per Fourier-table panel, and the radians of
+# psi one panel may span: j_16(1) ~ 2e-19 is left outside the expansion.
 _PANEL_ORDER = 16
 _PSI_RADIANS_PER_PANEL = 2.0
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
@@ -109,7 +103,8 @@ _GAUSS_WEIGHTS[1:10:2] = _WG
 _GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 
-# integrate_batch bisects at most _MAX_SUBDIVISIONS - 1 times past its first pieces.
+# integrate_batch bisects at most max(_MAX_SUBDIVISIONS - 1, 2 * pieces) times
+# past its first pieces, so the budget grows with the pieces a pass starts from.
 _MAX_SUBDIVISIONS = 200
 
 
@@ -151,12 +146,13 @@ def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     pair: it bisects the interval whose worst component sits furthest above
     its tolerance and evaluates both halves in one call of 42 points.  It
     stops once every component meets sum(err_i) <= max(abs_tol, rel_tol*|I_i|)
-    on its own; after ``_MAX_SUBDIVISIONS - 1`` bisections it raises
+    on its own; after ``_MAX_SUBDIVISIONS - 1`` bisections, or twice as many
+    as it had first pieces if that is more, it raises
     :class:`QuadratureError` with the per-component estimates.
     """
     edges = np.asarray(points, dtype=float)
     start = edges.size - 1
-    limit = start + _MAX_SUBDIVISIONS - 1
+    limit = start + max(_MAX_SUBDIVISIONS - 1, 2 * start)
     lo = np.empty(limit)
     hi = np.empty(limit)
     lo[:start], hi[:start] = edges[:-1], edges[1:]
@@ -186,47 +182,26 @@ def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         n += 1
 
 
+# Off every library path; perfbench/tracing.py still wraps its methods.
 class HalfLineFourierTable:
-    """Filon-Legendre panel discretization of the transform.
+    """Filon-Legendre table of the transform of psi on [x_cut, 0].
 
-    Momentum-space integrals re-sample the transform thousands of times
-    per state, so the x integral is discretized once.  The half-line is cut
-    into P equal panels (midpoints m_p, one half-width h) on which psi is
-    sampled at 16 Gauss-Legendre nodes and expanded in Legendre
-    polynomials; each term is then integrated against the phase exactly
-    (DLMF 10.54.2):
-
-        integral over [-1, 1] of P_j(t) exp(-i w t) dt = 2 (-i)^j j_j(w).
-
-    The error is that of the expansion of psi alone, whatever the momentum,
-    so the panels follow psi: ``rate`` bounds psi's local wavenumber or
-    decay rate, and each panel spans at most ``_PSI_RADIANS_PER_PANEL`` of
-    it.  The transform at momentum k is then
-    sum_p exp(-ik m_p) sum_j c_pj h 2 (-i)^j j_j(|k| h): P exponentials and
-    16 spherical Bessel values shared by every panel.  The coefficients of
-    psi and of x psi sit side by side in one array, so
-    :meth:`transform_pair` gets phi and phi' for a batch of momenta from one
-    set of phases.
+    psi is expanded in Legendre polynomials on P equal panels (midpoints
+    m_p, half-width h), each spanning at most ``_PSI_RADIANS_PER_PANEL`` of
+    psi's phase at ``rate``, and every term is integrated against the phase
+    exactly (DLMF 10.54.2): phi(k) = sum_p exp(-ik m_p) sum_j c_pj h 2 (-i)^j
+    j_j(|k| h).  Columns [c(psi) | c(x psi)] give phi and phi' together.
     """
 
     def __init__(self, psi, x_cut: float, rate: float):
-        x_cut = float(x_cut)
-        if not x_cut < 0.0:
-            raise ValueError("x_cut must be negative")
-        self.x_cut = x_cut
-        panels = max(1, int(math.ceil(-x_cut * float(rate) / _PSI_RADIANS_PER_PANEL)))
+        panels = max(1, int(math.ceil(-x_cut * rate / _PSI_RADIANS_PER_PANEL)))
         half = -0.5 * x_cut / panels
         mid = x_cut + half * (2.0 * np.arange(panels) + 1.0)
         x = mid[:, None] + half * _PANEL_NODES
-        psi_x = np.asarray(psi(x.ravel()), dtype=float)
-        if psi_x.shape != (x.size,):
-            raise ValueError("psi must evaluate arrays elementwise")
+        psi_x = np.asarray(psi(x.ravel()), dtype=float).reshape(x.shape)
         self.node_count = int(x.size)
         self._mid = mid
         self._half = half
-        psi_x = psi_x.reshape(x.shape)
-        # Columns [c(psi) | c(x psi)]: phi comes from the first 16, phi' from
-        # the last 16.
         self._coeffs = np.concatenate([psi_x @ _TO_LEGENDRE, (x * psi_x) @ _TO_LEGENDRE], axis=1)
 
     def transform(self, k: float) -> complex:
@@ -259,39 +234,48 @@ class HalfLineFourierTable:
         return self.transform_pair(np.ravel(k))[0].reshape(np.shape(k))
 
 
-# The ray rule: 24 Gauss-Legendre points on each of 6 geometric panels along
-# z = s exp(i pi/6), in units of the shortest decay length of the terms of theta.
+# The ray rule: 24 Gauss-Legendre points on each of 6 geometric panels, in
+# units of the shortest decay length of the terms of theta.
 _RAY_ENDS = np.array([0.0, 0.25, 1.0, 3.0, 8.0, 20.0, 45.0])
 _ray_nodes, _ray_weights = np.polynomial.legendre.leggauss(24)
 _ray_half = 0.5 * np.diff(_RAY_ENDS)[:, None]
 _RAY_S = (0.5 * (_RAY_ENDS[1:] + _RAY_ENDS[:-1])[:, None] + _ray_half * _ray_nodes).ravel()
 _RAY_W = (_ray_half * _ray_weights).ravel()
+# Toward the pi/6 valley, and toward the -pi/2 one, where every term of
+# i theta decays while kappa^2 < eps.
 _RAY_DIRECTION = complex(math.cos(math.pi / 6.0), 0.5)
+_DOWN_DIRECTION = complex(math.cos(7.0 * math.pi / 12.0), -math.sin(7.0 * math.pi / 12.0))
 
 
 def ray_transform(k, psi0: float, dpsi0: float, energy: float, field: float) -> tuple:
-    """(phi, d phi/dk) at every momentum of a 1-d array with k^2 > E, from the wall data.
+    """(phi, d phi/dk) at every momentum of a 1-d array, from the wall data.
 
     The transformed stationary equation, i F phi' = (k^2 - E) phi - B(k) with
     B(q) = (psi'(0) + i q psi(0)) / sqrt(2 pi), is of first order, and its
     solution that vanishes as k -> infinity is
-    phi(k) = -(i/F) integral over z >= 0 of B(k + z) exp(i theta / F) dz,
-    theta = z (k^2 - E) + k z^2 + z^3 / 3, formed in that order: as a
-    difference of cubes it loses digits.  Every term of i theta decays
-    along z = s exp(i pi/6), where one fixed rule takes the integral, in
-    Airy units kappa = k / F^(1/3) so that the field drops out of theta.
-    phi' comes from the same samples through the k-derivative of the
-    integrand; formed from the equation it would cancel at large k, where
-    phi ~ B / (k^2 - E).  Negative momenta are taken by conjugation.
-    Where kappa^2 - E / F^(2/3) overflows, the next term of that series is
-    below F / k^3 ~ 1e-462 of the first, so phi is B / k^2 and phi' its
-    derivative, formed without squaring k.
+    phi(k) = -(i/F) integral over z >= 0 of B(k + z) exp(i theta / F) dz.
+    In Airy units kappa = k / F^(1/3), eps = E / F^(2/3), the field drops
+    out: theta / F = Phi(kappa + z) - Phi(kappa), Phi(q) = q^3/3 - eps q,
+    formed as z (kappa^2 - eps) + kappa z^2 + z^3 / 3 (as a difference of
+    cubes it loses digits).  Where kappa^2 >= eps every term decays along
+    z = s exp(i pi/6), and one fixed rule takes the integral there.  Below,
+    the rule runs along z = s exp(-7 i pi/12) into the -pi/2 valley, and the
+    integral between the valleys is added in closed form (DLMF 9.5.1):
+    exp(-i Phi(kappa)) (c1 J - c0 J'), J = 2 pi e^(i pi/3) Ai(eps e^(i pi/3)),
+    where c1 + i c0 q is B in Airy units.
+    phi' comes from the k-derivative of the integrand on the same samples
+    and of the closed-form term; formed from the equation it would cancel
+    at large k, where phi ~ B / (k^2 - E).  Negative momenta are taken by
+    conjugation.  Where kappa^2 - eps overflows, the next term of that
+    series is below F / k^3 ~ 1e-462 of the first, so phi is B / k^2 and
+    phi' its derivative, formed without squaring k.
     """
     k = np.asarray(k, dtype=float)
     f13 = field ** (1.0 / 3.0)
+    eps = energy / (f13 * f13)
     with np.errstate(over="ignore"):
         kappa = np.abs(k) / f13
-        gap = kappa * kappa - energy / (f13 * f13)
+        gap = kappa * kappa - eps
     huge = ~np.isfinite(gap)
     if huge.any():
         phi = np.empty(k.size, dtype=complex)
@@ -302,17 +286,35 @@ def ray_transform(k, psi0: float, dpsi0: float, energy: float, field: float) -> 
         dphi[huge] = -(2.0 * dpsi0 / q / q / q + 1j * (psi0 / q / q)) / _SQRT_TWO_PI
         return phi, dphi
     root = math.sqrt(f13)
-    kappa = kappa[:, None]
-    gap = gap[:, None]
     c0 = psi0 / root / _SQRT_TWO_PI
     c1 = dpsi0 / (f13 * root) / _SQRT_TWO_PI
-    ell = np.minimum(np.minimum(1.0, 2.0 / gap), 1.0 / np.sqrt(0.866 * kappa))
-    z = (ell * _RAY_S) * _RAY_DIRECTION
-    dz = (ell * _RAY_W) * _RAY_DIRECTION
-    wave = np.exp(1j * (z * gap + kappa * z * z + z * z * z / 3.0)) * dz
+    down = gap < 0.0
+    # Decay lengths of the terms of i theta on each ray.  The down ray's
+    # terms turn faster than they decay, so its lengths were tuned shorter,
+    # against a fine rule for eps up to 1e5 (error below 3e-14).
+    ell = np.where(down,
+                   1.0 / np.maximum(np.maximum(1.6, -gap), np.sqrt(1.1 * kappa)),
+                   1.0 / np.maximum(np.maximum(1.0, 0.5 * gap), np.sqrt(0.866 * kappa)))
+    direction = np.where(down, _DOWN_DIRECTION, _RAY_DIRECTION)[:, None]
+    kappa = kappa[:, None]
+    z = (ell[:, None] * _RAY_S) * direction
+    dz = (ell[:, None] * _RAY_W) * direction
+    wave = np.exp(1j * (z * gap[:, None] + kappa * z * z + z * z * z / 3.0)) * dz
     b = c1 + 1j * c0 * (kappa + z)
-    phi = -1j * np.sum(b * wave, axis=1) / root
-    dphi = np.sum((c0 + b * z * (2.0 * kappa + z)) * wave, axis=1) / (f13 * root)
+    phi = np.sum(b * wave, axis=1)
+    dphi = np.sum((c0 + b * z * (2.0 * kappa + z)) * wave, axis=1)
+    if down.any():
+        # valley_airy carries exp(i Phi(sqrt(eps))), so the phase left is
+        # Phi(kappa) - Phi(sqrt(eps)), formed as a square times a sum.
+        r = math.sqrt(eps)
+        j, dj = valley_airy(eps)
+        c = 2.0 * math.pi * (c1 * j - c0 * dj)
+        q = kappa[down, 0]
+        valley = c * np.exp(-1j * ((q - r) * (q - r) * (q + 2.0 * r) / 3.0))
+        phi[down] += valley
+        dphi[down] -= gap[down] * valley
+    phi = -1j * phi / root
+    dphi = dphi / (f13 * root)
     neg = k < 0.0
     phi[neg] = np.conj(phi[neg])
     dphi[neg] = -np.conj(dphi[neg])

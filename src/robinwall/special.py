@@ -11,6 +11,8 @@ value underflows: a caller forms Ai itself as ``ai * exp(-s)``, or a ratio
 of two profile values as ``exp(s1 - s2)`` times a ratio of scaled values.
 From ``AIRY_ARG_MAX`` on scipy has no scaled value; there the pair is
 reported as 0, which is what Ai(z) rounds to long before that argument.
+The momentum transform needs one complex value, Ai on the ray
+arg z = pi/3, which ``valley_airy`` takes from the same AMOS port.
 
 Zeros are seeded by scipy as well but then re-polished with Newton steps
 through Ai itself, which brings the table residuals from the seed accuracy
@@ -34,6 +36,7 @@ __all__ = [
     "build_root_table",
     "root_table",
     "scaled_airy",
+    "valley_airy",
 ]
 
 # Above this argument Ai and Ai' carry the factor exp((2/3) z^(3/2)).
@@ -43,6 +46,9 @@ SCALE_SWITCH = 8.0
 AIRY_ARG_MAX = 2.0 ** 20
 
 _ROOT_RESIDUAL_TOL = 5e-12
+
+# e^(i pi/3)
+_ROTATION = complex(0.5, math.sqrt(0.75))
 
 ZERO_OF_AI = "zero_of_Ai"
 ZERO_OF_AI_PRIME = "zero_of_Ai_prime"
@@ -88,6 +94,18 @@ def _scaled_airy_scalar(z: float) -> tuple:
         return 0.0, 0.0, s
     ai, aip, _, _ = sp.airye(z)
     return float(ai), float(aip), s
+
+
+def valley_airy(eps: float) -> tuple:
+    """J / 2 pi and (dJ/d eps) / 2 pi, times e^(i (2/3) eps^(3/2)), for eps >= 0.
+
+    J(eps) = 2 pi e^(i pi/3) Ai(eps e^(i pi/3)) is the integral of
+    exp(i (q^3/3 - eps q)) from the -pi/2 valley to the pi/6 valley (DLMF
+    9.5.1 rotated by e^(-2 i pi/3)).  The factor is the scaling of scipy's
+    ``airye``, a pure phase here, so the pair stays of order 1.
+    """
+    ai, aip, _, _ = sp.airye(float(eps) * _ROTATION)
+    return complex(_ROTATION * ai), complex(_ROTATION * _ROTATION * aip)
 
 
 @dataclass(frozen=True)

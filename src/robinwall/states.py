@@ -16,21 +16,19 @@ Numerically delicate points handled here:
   return 0/0.
   The hard-wall profiles multiply the scaled value by exp(-s), which
   rounds to 0 once Ai itself underflows.
-* Below the switch momentum ``k_switch`` the transform comes from
-  Filon-Legendre panels (:class:`.quadrature.HalfLineFourierTable`) sized by
-  psi and built lazily; above it :func:`.quadrature.ray_transform` gives it
-  exactly from the wall data alone.
+* At every momentum :func:`.quadrature.ray_transform` gives the transform
+  exactly from the wall data alone, so nothing on the momentum side
+  depends on the cut ``x_cut``, which bounds the position pass only.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
   one adaptive pass per space: :func:`position_integrals` takes psi and
   psi' from one Airy call per interval, starting from pieces split at the
   nodes of psi, and :func:`momentum_integrals` takes phi and phi' from one
-  table or ray call per interval.
+  ray call per interval.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +40,6 @@ from scipy import special as sp  # noqa: F401
 
 from .quadrature import (
     DEFAULT_TOLERANCES,
-    HalfLineFourierTable,
     ToleranceConfig,
     integrate_batch,
     ray_transform,
@@ -79,8 +76,8 @@ class StateFunctions:
 
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
     ``phi``, ``gamma`` on the momentum side, plus the boundary data and
-    integration bookkeeping (``x_cut``, ``k_switch``) that the observable
-    layers use.  ``cfg`` is the one tolerance config of the state: it sets
+    the cut ``x_cut`` of the position integrals that the observable layers
+    use.  ``cfg`` is the one tolerance config of the state: it sets
     every integral taken over the state.
     """
 
@@ -123,10 +120,6 @@ class StateFunctions:
             self.dpsi0 = 0.0
 
         self.x_cut = self._march_cut()
-        # The ray needs k^2 > E; the margin keeps its decay rate up.
-        self.k_switch = 1.2 * math.sqrt(max(e_val, 0.0)) + max(1.0, f13)
-        self._fourier = None
-        self._lock = threading.Lock()
 
     # -- position side -------------------------------------------------
 
@@ -184,9 +177,8 @@ class StateFunctions:
         step = 0.5 / self.field_cbrt
         if e_val < 0.0:
             # A surface state decays over 1/sqrt(-E), which at weak field
-            # is far shorter than the Airy length field**(-1/3).  A whole
-            # decay length per step keeps the two-step margin below at two
-            # decay lengths, which the transform of psi (not psi^2) needs.
+            # is far shorter than the Airy length field**(-1/3), so the
+            # march steps by one decay length.
             step = min(step, 1.0 / math.sqrt(-e_val))
         x = min(-e_val / field, 0.0)
         rho_max = self.rho(x)
@@ -209,27 +201,9 @@ class StateFunctions:
 
     # -- momentum side ---------------------------------------------------
 
-    def _table(self) -> HalfLineFourierTable:
-        with self._lock:
-            if self._fourier is None:
-                # psi's local wavenumber (or decay rate) sqrt|E + F x| peaks
-                # at the wall or at the cut.
-                e_val = self.state.energy
-                rate = math.sqrt(max(abs(e_val), abs(e_val + self.state.field * self.x_cut)))
-                self._fourier = HalfLineFourierTable(self.psi, self.x_cut, rate)
-            return self._fourier
-
     def _pair(self, k: np.ndarray) -> tuple:
-        """(phi, phi') at 1-d momenta: the table below k_switch, the ray above."""
-        far = np.abs(k) >= self.k_switch
-        phi = np.empty(k.size, dtype=complex)
-        dphi = np.empty_like(phi)
-        if not far.all():
-            phi[~far], dphi[~far] = self._table().transform_pair(k[~far])
-        if far.any():
-            phi[far], dphi[far] = ray_transform(k[far], self.psi0, self.dpsi0,
-                                                self.state.energy, self.state.field)
-        return phi, dphi
+        """(phi, phi') at 1-d momenta, from the wall data."""
+        return ray_transform(k, self.psi0, self.dpsi0, self.state.energy, self.state.field)
 
     def phi(self, k):
         """Momentum wavefunction; conjugate-symmetric in k."""
@@ -291,18 +265,22 @@ def momentum_integrals(sf: StateFunctions) -> tuple:
     """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
 
     The four integrands of the density in Airy units kappa = k / F^(1/3),
-    F^(1/3) gamma, share one phi and phi' call per interval of u: the table
-    at kappa = u K on [0, 1], the ray at kappa = K / (2 - u)^6 on [1, 2],
-    K = k_switch / F^(1/3).  The field enters exactly at the end
-    (S_k = S + N ln F^(1/3), I_k = I / F^(2/3), O_k = O / F^(1/3)).
+    F^(1/3) gamma, share one phi and phi' call per interval of u:
+    kappa = u K on [0, 1] and kappa = K / (2 - u)^6 on [1, 2], with
+    K = max(sqrt|eps|, 1) the wavenumber or decay rate of psi at the wall
+    in Airy units (from eps = 1 on, the split sqrt(eps) of the ray).  The
+    field enters exactly at the end (S_k = S + N ln F^(1/3),
+    I_k = I / F^(2/3), O_k = O / F^(1/3)).
     """
     f13 = sf.field_cbrt
+    scale = max(math.sqrt(abs(sf.arg0)), 1.0)
 
     def integrand(u):
         far = u >= 1.0
         t = np.minimum(2.0 - u, 1.0)
-        phi, dphi = sf._pair(sf.k_switch * np.where(far, t ** -6, u))
-        jac = np.where(far, 6.0 / t ** 7, 1.0) * (sf.k_switch / f13)
+        kappa = scale * np.where(far, t ** -6, u)
+        phi, dphi = sf._pair(kappa * f13)
+        jac = np.where(far, 6.0 / t ** 7, 1.0) * scale
         # phi~(kappa) = F^(1/6) phi(k) and phi~'(kappa) = F^(1/2) phi'(k).
         phi, dphi = phi * f13 ** 0.5, dphi * f13 ** 1.5
         g = np.abs(phi) ** 2

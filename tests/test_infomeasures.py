@@ -96,6 +96,15 @@ def test_high_levels_are_measured(bc, n, field):
     assert rec.S_t >= ENTROPY_FLOOR
 
 
+@pytest.mark.parametrize("field", [1e-6, 1.0, 1e3])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_level_200_is_measured(bc, field):
+    # The position pass starts from 201 pieces split at the nodes of psi;
+    # its interval budget grows with them (199 bisections would not do).
+    rec = measure_state(build_state(bc, 200, field))
+    assert rec.S_t >= ENTROPY_FLOOR
+
+
 @pytest.mark.parametrize("field", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e10, 1e12, 1e15, 1e30, 1e100,
                                    1e200, 1e300])
 @pytest.mark.parametrize("bc,n", [("dirichlet", 0), ("dirichlet", 3), ("neumann", 0), ("neumann", 3)])

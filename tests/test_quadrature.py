@@ -13,7 +13,6 @@ from scipy.special import spherical_jn, xlogy
 from quadpack_reference import fourier_half_line
 from robinwall import (
     DEFAULT_TOLERANCES,
-    HalfLineFourierTable,
     ToleranceConfig,
 )
 from robinwall.quadrature import (
@@ -21,6 +20,7 @@ from robinwall.quadrature import (
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
     _MAX_SUBDIVISIONS,
+    HalfLineFourierTable,
     QuadratureError,
     integrate_batch,
 )
@@ -133,6 +133,17 @@ def test_batch_rule_raises_at_interval_limit():
     assert np.shape(info.value.estimate) == (3,)
     assert np.all(np.isfinite(info.value.estimate))
     assert math.isfinite(info.value.error_bound)
+
+
+def test_batch_rule_budget_grows_with_its_first_pieces():
+    # 150 first pieces may be bisected 300 times, not just 199.
+    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15)
+
+    def f(x):
+        return np.stack([1.0 / (1e-4 + (x - 0.37) ** 2), np.cos(40.0 * x)])
+
+    with pytest.raises(QuadratureError, match="^450 intervals left"):
+        integrate_batch(f, np.linspace(0.0, 1.0, 151), cfg)
 
 
 def test_batch_rule_stops_at_a_non_finite_sample():

@@ -1,14 +1,11 @@
 """Wavefunction bundles: profiles, norms, momentum side, extrema."""
 
-import functools
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special as scipy_special
 from scipy.special import airy, xlogy
 
@@ -20,8 +17,8 @@ from robinwall.quadrature import (
     ToleranceConfig,
     ray_transform,
 )
-from robinwall import special
-from robinwall.special import root_table
+from robinwall import special, states
+from robinwall.special import root_table, valley_airy
 from robinwall.spectrum import DomainError
 from robinwall.states import (
     boundary_residual,
@@ -33,6 +30,7 @@ from robinwall.states import (
     position_integrals,
     position_norm,
 )
+from transform_reference import contour_reference, direct_reference
 
 # Reference value of psi(-1) for the attractive wall ground state at
 # field 1, from a 30-digit direct evaluation of the normalized profile.
@@ -184,38 +182,16 @@ def test_state_build_makes_few_airy_calls(monkeypatch):
     assert counter.calls <= 8
 
 
-@given(
-    st.sampled_from(["dirichlet", "neumann", "robin+", "robin-"]),
-    st.integers(min_value=0, max_value=50),
-    st.floats(min_value=-9.0, max_value=6.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_fourier_table_follows_psi_across_the_domain(bc, n, log_field):
-    # Panels are sized by psi alone, so the table stays small everywhere,
-    # and on every panel the 16-term Legendre expansions of psi and x psi
-    # have decayed to rounding by their last two terms.
-    table = build_state(bc, n, 10.0 ** log_field)._table()
-    assert table.node_count <= 8192
-    for block in (table._coeffs[:, :16], table._coeffs[:, 16:]):
-        assert np.max(np.abs(block[:, -2:])) <= 1e-13 * np.max(np.abs(block))
-
-
 def test_transform_matches_direct_quadrature(state_of):
-    sf = state_of("robin-", 0, 1.0)
-    ks = (0.0, 0.7, -2.2)
-    pair, _ = sf._table().transform_pair(np.array(ks))
-    for k, batched in zip(ks, pair):
-        direct = fourier_half_line(sf.psi, k, sf.x_cut)
-        assert abs(sf.phi(k) - direct) < 1e-9
-        assert abs(batched - direct) < 1e-9
-    # The panel-factored phase is hardest where k*|x| is largest: a long
-    # table at the top of its momentum range.
-    sf = state_of("robin-", 1, 0.02)
-    k = 0.99 * sf.k_switch
-    direct = fourier_half_line(sf.psi, k, sf.x_cut)
-    assert abs(sf.phi(k) - direct) < 1e-9
-    pair, _ = sf._table().transform_pair(np.array([k]))
-    assert abs(pair[0] - direct) < 1e-9
+    # QUADPACK's oscillatory-weight rule on the cut profile is an
+    # independent route to phi, on both sides of the split sqrt(E).
+    for bc, n, field, ks in (("robin-", 0, 1.0, (0.0, 0.7, -2.2)),
+                             ("robin-", 1, 0.02, (0.0, 0.13, 0.35, -0.9))):
+        sf = state_of(bc, n, field)
+        for k, batched in zip(ks, sf.phi(np.array(ks))):
+            direct = fourier_half_line(sf.psi, k, sf.x_cut)
+            assert abs(sf.phi(k) - direct) < 1e-9
+            assert abs(batched - direct) < 1e-9
 
 
 RAY_CASES = [
@@ -229,71 +205,106 @@ RAY_CASES = [
 ]
 
 
-def _contour_reference(sf, k):
-    """(phi, phi') at k from the first-order equation in k, at 30 digits.
-
-    phi(k) = -(i/F) int_0^inf B(k+z) exp(i theta/F) dz on z = s exp(i pi/6),
-    with B(q) = (psi'(0) + i q psi(0)) / sqrt(2 pi), taken by mpmath's
-    tanh-sinh rule from the wall data alone. The 30 digits are needed: at
-    weak field the phi' integral cancels about twelve digits of its
-    integrand, in Airy units as in x units. Both integrals share the nodes,
-    so each sample is formed once.
-    """
-    with mpmath.workdps(30):
-        e_val = mpmath.mpf(sf.state.energy)
-        field = mpmath.mpf(sf.state.field)
-        psi0 = mpmath.mpf(sf.psi0)
-        dpsi0 = mpmath.mpf(sf.dpsi0)
-        k = mpmath.mpf(k)
-        root = mpmath.sqrt(2 * mpmath.pi)
-        ray = mpmath.expjpi(mpmath.mpf(1) / 6)
-
-        @functools.lru_cache(maxsize=None)
-        def parts(s):
-            z = s * ray
-            b = (dpsi0 + 1j * (k + z) * psi0) / root
-            wave = mpmath.expj((z * (k * k - e_val) + k * z * z + z ** 3 / 3) / field) * ray
-            return b * wave, (1j * psi0 / root + 1j * b * z * (2 * k + z) / field) * wave
-
-        scale = min(mpmath.cbrt(field), 2 * field / (k * k - e_val))
-        pts = [0] + [scale * c for c in (0.25, 1, 3, 8, 20, 45, 100)] + [mpmath.inf]
-        phi = mpmath.quad(lambda s: parts(s)[0], pts)
-        dphi = mpmath.quad(lambda s: parts(s)[1], pts)
-        return complex(-1j * phi / field), complex(-1j * dphi / field)
-
-
 @pytest.mark.parametrize("bc,n,field", RAY_CASES)
 def test_ray_matches_high_precision_contour(state_of, bc, n, field):
+    # Above the split sqrt(E) the ray runs into the pi/6 valley: from just
+    # past the split out to k = 1e5.
     sf = state_of(bc, n, field)
-    ks = [c * sf.k_switch for c in (1.0, 1.7, 10.0)]
-    ks += [k for k in (1e3, 1e5) if k > sf.k_switch]
+    split = math.sqrt(max(sf.state.energy, 0.0))
+    ks = [split + c * sf.field_cbrt for c in (0.1, 1.0, 10.0)]
+    ks += [k for k in (1e3, 1e5) if k > ks[-1]]
     phi, dphi = ray_transform(np.array(ks), sf.psi0, sf.dpsi0, sf.state.energy, field)
     for k, got, dgot in zip(ks, phi, dphi):
-        want, dwant = _contour_reference(sf, k)
+        want, dwant = contour_reference(sf, k)
         assert abs(got - want) <= 1e-13 * abs(want)
         assert abs(dgot - dwant) <= 1e-13 * abs(dwant)
 
 
 def test_ray_contour_is_the_transform(state_of):
     # The contour stands on the first-order equation in k; the direct
-    # transform of the normalized Airy profile at 20 digits checks it.
+    # transform of the normalized Airy profile at 30 digits checks it.
     sf = state_of("robin-", 0, 1.0)
     k = 2.0
-    with mpmath.workdps(20):
-        e_val = mpmath.mpf(sf.state.energy)
-        ai0 = mpmath.airyai(-e_val)
-
-        def psi_wave(x):
-            return sf.psi0 * mpmath.airyai(-e_val - x) / ai0 * mpmath.expj(-k * x)
-
-        pts = [-mpmath.inf, -12, -8, -6, -4, -2, 0]
-        root = mpmath.sqrt(2 * mpmath.pi)
-        want = complex(mpmath.quad(psi_wave, pts) / root)
-        dwant = complex(mpmath.quad(lambda x: -1j * x * psi_wave(x), pts) / root)
-    got, dgot = _contour_reference(sf, k)
+    want, dwant = direct_reference(sf, k)
+    got, dgot = contour_reference(sf, k)
     assert abs(got - want) <= 1e-13 * abs(want)
     assert abs(dgot - dwant) <= 1e-13 * abs(dwant)
     assert abs(sf.phi(k) - want) <= 1e-13 * abs(want)
+
+
+# States with E > 0 for the route below the split: every wall, n <= 30,
+# fields from 3.9e-5 to 1e3, and 0 < E / F^(2/3) < 1 (robin- n=0 at 1e3).
+DOWN_CASES = [
+    ("dirichlet", 0, 1.0),
+    ("dirichlet", 3, 0.01),
+    ("neumann", 0, 1.0),
+    ("neumann", 0, 1e-3),
+    ("neumann", 30, 1e3),
+    ("robin-", 1, 0.05),
+    ("robin-", 1, 3.90625e-5),
+    ("robin-", 0, 1e3),
+    ("robin+", 2, 1.0),
+    ("robin+", 5, 3.0),
+]
+
+
+@pytest.mark.parametrize("bc,n,field", DOWN_CASES)
+def test_valley_route_is_the_transform(state_of, bc, n, field):
+    # Below the split the ray runs into the -pi/2 valley and the integral
+    # between the valleys is added in closed form; k = 0 is the hardest
+    # point for the ray's length scale.
+    sf = state_of(bc, n, field)
+    split = math.sqrt(sf.state.energy)
+    ks = [c * split for c in (0.0, 0.3, 0.7, 0.95, 0.999)]
+    phi, dphi = sf._pair(np.array(ks))
+    for k, got, dgot in zip(ks, phi, dphi):
+        want, dwant = direct_reference(sf, k)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(dgot - dwant) <= 1e-13 * abs(dwant)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.9, 2.3, 27.5, 280.0, 1e4])
+def test_valley_airy_matches_mpmath(eps):
+    # J / 2 pi = e^(i pi/3) Ai(z) and J' / 2 pi = e^(2i pi/3) Ai'(z) at
+    # z = eps e^(i pi/3), both times exp((2/3) z^(3/2)) = e^(i (2/3) eps^(3/2)).
+    j, dj = valley_airy(eps)
+    with mpmath.workdps(30):
+        turn = mpmath.expjpi(mpmath.mpf(1) / 3)
+        z = mpmath.mpf(eps) * turn
+        phase = mpmath.expj(2 * mpmath.mpf(eps) ** 1.5 / 3)
+        want = complex(turn * mpmath.airyai(z) * phase)
+        dwant = complex(turn ** 2 * mpmath.airyai(z, derivative=1) * phase)
+    assert abs(j - want) <= 1e-14 * abs(want)
+    assert abs(dj - dwant) <= 1e-14 * abs(dwant)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.7, 3.0])
+def test_valley_airy_is_the_integral_between_valleys(eps):
+    # J(eps) = integral of exp(i (q^3/3 - eps q)) dq from infinity in the
+    # -pi/2 valley through 0 to infinity in the pi/6 valley.
+    def leg(angle):
+        ray = mpmath.expjpi(angle)
+        return mpmath.quad(lambda s: mpmath.expj((s * ray) ** 3 / 3 - eps * s * ray) * ray,
+                           [0, 1, 3, mpmath.inf])
+
+    with mpmath.workdps(20):
+        want = complex((leg(mpmath.mpf(1) / 6) - leg(mpmath.mpf(-1) / 2))
+                       * mpmath.expj(2 * mpmath.mpf(eps) ** 1.5 / 3))
+    assert abs(2.0 * math.pi * valley_airy(eps)[0] - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("bc,n,field", [("robin-", 0, 1.0), ("dirichlet", 3, 0.01),
+                                        ("robin+", 1, 300.0)])
+def test_momentum_side_does_not_see_the_cut(monkeypatch, bc, n, field):
+    # phi comes from the wall data alone, so a state cut far earlier has
+    # the same transform and the same momentum measures, bit for bit.
+    sf = build_state(bc, n, field)
+    monkeypatch.setattr(states, "_X_CUT_THRESHOLD", 1e-12)
+    short = build_state(bc, n, field)
+    assert short.x_cut > sf.x_cut
+    ks = np.array([0.0, 0.3, 1.1, 4.0, 25.0, -2.0]) * sf.field_cbrt
+    assert np.array_equal(short.phi(ks), sf.phi(ks))
+    assert momentum_integrals(short) == momentum_integrals(sf)
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
