@@ -16,14 +16,18 @@ Numerically delicate points handled here:
   return 0/0.
   The hard-wall profiles multiply the scaled value by exp(-s), which
   rounds to 0 once Ai itself underflows.
-* At every momentum :func:`.quadrature.ray_transform` gives the transform
+* The position side is cut where the density has fallen to
+  ``_X_CUT_THRESHOLD`` of its value at the turning point (or at the wall,
+  for a surface state), a closed form in the wall-side Airy argument.
+  At every momentum :func:`.quadrature.ray_transform` gives the transform
   exactly from the wall data alone, so nothing on the momentum side
-  depends on the cut ``x_cut``, which bounds the position pass only.
+  depends on the cut.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
-  one adaptive pass per space: :func:`position_integrals` takes psi and
-  psi' from one Airy call per interval, starting from pieces split at the
-  nodes of psi, and :func:`momentum_integrals` takes phi and phi' from one
-  ray call per interval.
+  one adaptive pass per space and both in Airy units, with the field
+  applied exactly at the end: :func:`position_integrals` takes psi and
+  psi' from one Airy call per interval of u = -F^(1/3) x, starting from
+  pieces split at the nodes of psi, and :func:`momentum_integrals` takes
+  phi and phi' from one ray call per interval of k / F^(1/3).
 """
 
 from __future__ import annotations
@@ -64,11 +68,9 @@ __all__ = [
 # points outside the physical half-line.
 _EXP_CLIP = 700.0
 
-# The cut march stops once rho falls below this share of its peak.
+# The position side is cut where rho has fallen to this share of its value
+# at xi0 = max(arg0, 0).
 _X_CUT_THRESHOLD = 1e-20
-_MARCH_LIMIT = 20000
-# Abscissae of the march evaluated per rho call; _MARCH_LIMIT is a multiple.
-_MARCH_BLOCK = 16
 
 
 class StateFunctions:
@@ -76,9 +78,14 @@ class StateFunctions:
 
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
     ``phi``, ``gamma`` on the momentum side, plus the boundary data and
-    the cut ``x_cut`` of the position integrals that the observable layers
-    use.  ``cfg`` is the one tolerance config of the state: it sets
-    every integral taken over the state.
+    the cut of the position integrals that the observable layers use, as
+    ``u_cut`` in Airy units u = -F^(1/3) x and as ``x_cut``.  ``cfg`` is
+    the one tolerance config of the state: it sets every integral taken
+    over the state.
+
+    The profile is amp * Ai(xi) / Ai(arg0) with xi = arg0 + u, formed from
+    scaled values as exp(s0 - s(xi)) times their ratio; a hard wall takes
+    (Ai(arg0), s0) = (1, 0), so its profile is amp * Ai(xi).
     """
 
     def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -90,8 +97,8 @@ class StateFunctions:
         f13 = field ** (1.0 / 3.0)
         self.field_cbrt = f13
         self.arg0 = -e_val / (f13 * f13)
-        self._robin_ratio = bc.is_robin
         ai0, aip0, s0 = (float(v) for v in scaled_airy(self.arg0))
+        self._ai0, self._s0 = 1.0, 0.0
 
         if bc.is_robin:
             if e_val + 1.0 <= 0.0:
@@ -103,11 +110,8 @@ class StateFunctions:
                     "wall value of the profile is consistent with a hard wall; "
                     "the level appears mislabeled"
                 )
-            # The profile is amp * Ai(xi) / Ai(arg0), formed from scaled
-            # values as exp(s0 - s(xi)) times their ratio.
             self._amp = math.sqrt(field / (e_val + 1.0))
-            self._ai0 = ai0
-            self._s0 = s0
+            self._ai0, self._s0 = ai0, s0
             self.psi0 = self._amp
             self.dpsi0 = bc.wall_slope * self.psi0
         elif bc is BoundarySpec.DIRICHLET:
@@ -119,36 +123,46 @@ class StateFunctions:
             self.psi0 = f13 ** 0.5 / math.sqrt(-self.arg0)
             self.dpsi0 = 0.0
 
-        self.x_cut = self._march_cut()
+        # Ai e^s xi^(1/4) grows for xi > 0, so rho(xi0) exp(-(4/3)(xi^(3/2)
+        # - xi0^(3/2))) bounds rho past xi0 = max(arg0, 0), and the cut is
+        # xi_cut = (xi0^(3/2) + decay)^(2/3), where the bound reaches the
+        # threshold.  xi_cut - xi0 = decay (p + q) / (p^2 + p q + q^2) with
+        # p, q the square roots of xi_cut, xi0 keeps it exact to rounding
+        # where the wall is deep in the forbidden region and xi_cut ~ xi0.
+        xi0 = max(self.arg0, 0.0)
+        decay = 0.75 * math.log(1.0 / _X_CUT_THRESHOLD)
+        p = (xi0 ** 1.5 + decay) ** (1.0 / 3.0)
+        q = math.sqrt(xi0)
+        self.u_cut = (xi0 - self.arg0) + decay * (p + q) / (p * p + p * q + q * q)
+
+    @property
+    def x_cut(self) -> float:
+        return -self.u_cut / self.field_cbrt
 
     # -- position side -------------------------------------------------
 
-    def _airy_profile(self, x):
-        """psi and psi' at 1-d array x, from one scaled Airy call."""
-        xi = self.arg0 - self.field_cbrt * x
+    def _airy_profile(self, u):
+        """psi and d psi / du at 1-d array u, from one scaled Airy call."""
+        xi = self.arg0 + u
         ai, aip, s = scaled_airy(xi)
-        if self._robin_ratio:
-            expo = self._s0 - s
-            if self._s0 > 0.0:
-                # At weak field s0 and s(xi) are huge and nearly equal, so
-                # their difference is formed from xi - arg0 = -f^(1/3) x.
-                deep = s > 0.0
-                xd = xi[deep]
-                r0 = math.sqrt(self.arg0)
-                expo[deep] = ((2.0 / 3.0) * self.field_cbrt * x[deep]
-                              * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
-            scale = np.exp(np.minimum(expo, _EXP_CLIP))
-            ai = ai / self._ai0 * scale
-            aip = aip / self._ai0 * scale
-        else:
-            scale = np.exp(-s)
-            ai = ai * scale
-            aip = aip * scale
-        return self._amp * ai, -self.field_cbrt * (self._amp * aip)
+        expo = self._s0 - s
+        if self._s0 > 0.0:
+            # At weak field s0 and s(xi) are huge and nearly equal, so
+            # their difference is formed from xi - arg0 = u.
+            deep = s > 0.0
+            xd = xi[deep]
+            r0 = math.sqrt(self.arg0)
+            expo[deep] = (-(2.0 / 3.0) * u[deep]
+                          * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
+        scale = np.exp(np.minimum(expo, _EXP_CLIP))
+        ai = ai / self._ai0 * scale
+        aip = aip / self._ai0 * scale
+        return self._amp * ai, self._amp * aip
 
     def _profile(self, x, derivative: bool):
         x_arr = np.asarray(x, dtype=float)
-        out = self._airy_profile(np.atleast_1d(x_arr))[int(derivative)]
+        p, dp = self._airy_profile(np.atleast_1d(-self.field_cbrt * x_arr))
+        out = -self.field_cbrt * dp if derivative else p
         return float(out[0]) if x_arr.ndim == 0 else out
 
     def psi(self, x):
@@ -162,42 +176,6 @@ class StateFunctions:
     def rho(self, x):
         p = self.psi(x)
         return p * p
-
-    def _march_cut(self) -> float:
-        """Walk outward past the turning point until the density is dead.
-
-        Relative to the running density maximum, so node-free decay past
-        the turning point is the only region the criterion ever sees.
-        The density is taken ``_MARCH_BLOCK`` steps per call and scanned
-        in order, so the cut does not depend on the block; at most
-        ``_MARCH_BLOCK - 1`` points past it are evaluated for nothing.
-        """
-        field = self.state.field
-        e_val = self.state.energy
-        step = 0.5 / self.field_cbrt
-        if e_val < 0.0:
-            # A surface state decays over 1/sqrt(-E), which at weak field
-            # is far shorter than the Airy length field**(-1/3), so the
-            # march steps by one decay length.
-            step = min(step, 1.0 / math.sqrt(-e_val))
-        x = min(-e_val / field, 0.0)
-        rho_max = self.rho(x)
-        block = [0.0] * _MARCH_BLOCK
-        for _ in range(_MARCH_LIMIT // _MARCH_BLOCK):
-            # Repeated subtraction, not x0 - i*step, keeps every abscissa
-            # (and so the cut) independent of the block size.
-            for i in range(_MARCH_BLOCK):
-                x -= step
-                block[i] = x
-            for x, r in zip(block, self.rho(np.array(block)).tolist()):
-                if r > rho_max:
-                    rho_max = r
-                elif rho_max > 0.0 and r < _X_CUT_THRESHOLD * rho_max:
-                    return x - 2.0 * step
-        raise ConsistencyError(
-            f"density never fell below {_X_CUT_THRESHOLD} of its peak within "
-            f"{_MARCH_LIMIT} steps; the state looks unnormalizable"
-        )
 
     # -- momentum side ---------------------------------------------------
 
@@ -232,27 +210,35 @@ def boundary_residual(sf: StateFunctions) -> float:
 def position_integrals(sf: StateFunctions) -> tuple:
     """(norm, S_x, integral of psi'^2, O_x, <x>) from one adaptive pass.
 
-    rho, -rho ln(rho), psi'^2, rho^2 and x rho share one evaluation of psi
-    and psi' per interval of [x_cut, 0].  The pass starts from the pieces
-    between the interior nodes of psi, where -rho ln(rho) has a logarithmic
-    kink, and maps each piece [a, b] by x = a + (b - a) s(t) with
-    s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.
+    The five integrands of the density in Airy units u = -F^(1/3) x,
+    rho~ = psi~^2 with psi~ = F^(-1/6) psi, share one evaluation of psi and
+    psi' per interval of [0, u_cut]: rho~, -rho~ ln(rho~), (d psi~/du)^2,
+    rho~^2 and u rho~.
+    The pass starts from the pieces between the interior nodes of psi,
+    u_k = a_k - arg0 at the zeros a_k of Ai, where -rho~ ln(rho~) has a
+    logarithmic kink, and maps each piece [a, b] by u = a + (b - a) s(t)
+    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  The field
+    enters exactly at the end (S_x = S - N ln F^(1/3), F^(2/3) times the
+    slope integral, O_x = F^(1/3) O, <x> = -<u> / F^(1/3)).
     """
-    n = sf.state.n
-    nodes = (sf.arg0 - root_table(n + 1).a[:n]) / sf.field_cbrt
-    edges = np.concatenate(([sf.x_cut], nodes, [0.0]))
+    f13 = sf.field_cbrt
+    nodes = root_table(sf.state.n + 1).a[:sf.state.n][::-1] - sf.arg0
+    edges = np.concatenate(([0.0], nodes, [sf.u_cut]))
     width = np.diff(edges)
 
     def integrand(t):
         piece = np.minimum(t.astype(int), width.size - 1)
         t = t - piece
-        x = edges[piece] + width[piece] * (t * t * (3.0 - 2.0 * t))
-        p, dp = sf._airy_profile(x)
-        r = p * p
+        u = edges[piece] + width[piece] * (t * t * (3.0 - 2.0 * t))
+        p, dp = sf._airy_profile(u)
+        r = p * p / f13
         ds = 6.0 * width[piece] * t * (1.0 - t)
-        return np.stack([r, -xlogy(r, r), dp * dp, r * r, x * r]) * ds
+        return np.stack([r, -xlogy(r, r), dp * dp / f13, r * r, u * r]) * ds
 
-    values, _ = integrate_batch(integrand, np.arange(width.size + 1.0), sf.cfg)
+    (norm, entropy, slope, onicescu, mean_u), _ = integrate_batch(
+        integrand, np.arange(width.size + 1.0), sf.cfg)
+    values = (norm, entropy - norm * math.log(f13), slope * (f13 * f13), onicescu * f13,
+              -mean_u / f13)
     return tuple(float(v) for v in values)
 
 
@@ -287,7 +273,10 @@ def momentum_integrals(sf: StateFunctions) -> tuple:
         dg = 2.0 * (phi.conjugate() * dphi).real
         return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
-    (norm, entropy, fisher, onicescu), _ = integrate_batch(integrand, [0.0, 1.0, 2.0], sf.cfg)
+    # Below the split the density has about n humps; n // 2 + 1 first
+    # pieces keep the bisection budget in step with them.
+    points = np.append(np.linspace(0.0, 1.0, sf.state.n // 2 + 2), 2.0)
+    (norm, entropy, fisher, onicescu), _ = integrate_batch(integrand, points, sf.cfg)
     values = (norm, entropy + norm * math.log(f13), fisher / (f13 * f13), onicescu / f13)
     return tuple(2.0 * float(v) for v in values)
 

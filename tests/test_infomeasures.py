@@ -105,6 +105,22 @@ def test_level_200_is_measured(bc, field):
     assert rec.S_t >= ENTROPY_FLOOR
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_level_300_is_measured(bc):
+    # Below the split the momentum density has about n humps; the momentum
+    # pass starts from n // 2 + 1 pieces there, so its budget grows with them.
+    rec = measure_state(build_state(bc, 300, 1.0))
+    assert rec.S_t >= ENTROPY_FLOOR
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_level_100_is_measured_at_strong_field(bc):
+    # The position pass runs in Airy units, so its integrands, and the
+    # tolerances they meet, do not grow with the field.
+    rec = measure_state(build_state(bc, 100, 1e6))
+    assert rec.S_t >= ENTROPY_FLOOR
+
+
 @pytest.mark.parametrize("field", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e10, 1e12, 1e15, 1e30, 1e100,
                                    1e200, 1e300])
 @pytest.mark.parametrize("bc,n", [("dirichlet", 0), ("dirichlet", 3), ("neumann", 0), ("neumann", 3)])

@@ -103,6 +103,20 @@ def test_position_pass_matches_scalar_quadratures(state_of, bc, n, field):
         assert math.isclose(got, ref, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("bc,n", [(bc, n) for bc in ("dirichlet", "neumann") for n in (3, 10, 30)])
+def test_hard_wall_position_pass_is_scale_invariant(bc, n):
+    # A hard-wall profile is a function of u = -F^(1/3) x alone, and the
+    # pass integrates in u with the field applied at the end, so
+    # S_x + (1/3) ln F, O_x / F^(1/3) and <x> F^(1/3) are the same numbers
+    # at every field, to rounding.
+    laws = []
+    for field in [10.0 ** e for e in range(-6, 6)]:
+        _, s_x, _, o_x, mean_x = position_integrals(build_state(bc, n, field))
+        f13 = field ** (1.0 / 3.0)
+        laws.append((s_x + math.log(field) / 3.0, o_x / f13, mean_x * f13))
+    assert np.ptp(laws, axis=0).max() <= 5e-14
+
+
 def test_march_cut_covers_the_decay_region(state_of):
     sf = state_of("robin-", 1, 1.0)
     turning_point = -sf.state.energy / sf.state.field
@@ -120,40 +134,19 @@ def test_march_cut_follows_surface_state_decay():
     assert math.isclose(position_norm(sf), 1.0, rel_tol=0.0, abs_tol=2e-5)
 
 
-# x_cut as hex at fields 1e-6, 1e-2, 1 and 1e4, from a march that took
-# rho one point per call: the block size must not move the cut.
-X_CUT_PINNED = {
-    ("dirichlet", 0): ["-0x1.59f3e32e697fbp+10", "-0x1.00ec581a43990p+6",
-                       "-0x1.bad1c6a1ceb7ep+3", "-0x1.48dc99bb37ce4p-1"],
-    ("dirichlet", 2): ["-0x1.a9839538ec0b7p+10", "-0x1.3c027fbf26b06p+6",
-                       "-0x1.1054368ad4822p+4", "-0x1.947e1427df9a5p-1"],
-    ("dirichlet", 10): ["-0x1.3ae4c3d151288p+11", "-0x1.d3b6d1abe0d01p+6",
-                        "-0x1.931056ce7c5cbp+4", "-0x1.2b5648bfec0a4p+0"],
-    ("neumann", 0): ["-0x1.38f846679d837p+10", "-0x1.d0db51d3dd869p+5",
-                     "-0x1.9099f3b7d3db8p+3", "-0x1.29821fe3c0fa1p-1"],
-    ("neumann", 2): ["-0x1.9800a28c2f33ap+10", "-0x1.2f013805227bep+6",
-                     "-0x1.051f2059b7cf2p+4", "-0x1.83d899a02c23ep-1"],
-    ("neumann", 10): ["-0x1.358719c5fd4a3p+11", "-0x1.cbbe8103d3207p+6",
-                      "-0x1.8c320c828be40p+4", "-0x1.263c7b87915c6p+0"],
-    ("robin-", 0): ["-0x1.a00006d0d4a7ap+4", "-0x1.80f612f18e398p+4",
-                    "-0x1.6000000000000p+3", "-0x1.2866aafea23e1p-1"],
-    ("robin-", 2): ["-0x1.85f2de2216a0ep+10", "-0x1.252d1dcbedd6bp+6",
-                    "-0x1.01f27d28a5b1dp+4", "-0x1.839df7111695ap-1"],
-    ("robin-", 10): ["-0x1.303c1269d9290p+11", "-0x1.c7194706b1c32p+6",
-                     "-0x1.8b03d1e29fdd8p+4", "-0x1.2631d5dffa4b2p+0"],
-    ("robin+", 0): ["-0x1.59b3e4743561cp+10", "-0x1.fa19e8af83febp+5",
-                    "-0x1.a4b94c592620cp+3", "-0x1.2a912f853da5fp-1"],
-    ("robin+", 2): ["-0x1.a943983b7240ep+10", "-0x1.384cc56dde35ap+6",
-                    "-0x1.082e55c4b0910p+4", "-0x1.84131e3cbf48bp-1"],
-    ("robin+", 10): ["-0x1.3ac4c78d1daddp+11", "-0x1.d05520ec00250p+6",
-                     "-0x1.8d5eaa1854ea4p+4", "-0x1.2647207711845p+0"],
-}
-
-
-@pytest.mark.parametrize("bc,n", sorted(X_CUT_PINNED))
-def test_march_cut_in_blocks_is_the_pointwise_cut(bc, n):
-    got = [build_state(bc, n, field).x_cut.hex() for field in (1e-6, 1e-2, 1.0, 1e4)]
-    assert got == X_CUT_PINNED[(bc, n)]
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-", "robin+"])
+def test_cut_is_where_the_density_falls_to_its_threshold(bc):
+    # The closed-form cut bounds rho past xi0 = max(arg0, 0) by 1e-20 of
+    # rho(xi0) and gives that bound away only to the power-law factor of Ai.
+    cases = [(n, field) for n in (0, 2, 10) for field in (1e-6, 1e-2, 1.0, 1e4)]
+    if bc == "robin-":
+        cases.append((0, 1e-9))
+    for n, field in cases:
+        sf = build_state(bc, n, field)
+        with mpmath.workdps(30):
+            xi_cut = mpmath.mpf(sf.arg0) - mpmath.mpf(sf.field_cbrt) * sf.x_cut
+            ratio = (mpmath.airyai(xi_cut) / mpmath.airyai(max(sf.arg0, 0.0))) ** 2
+        assert 1e-22 <= ratio <= 1e-20, (n, field, ratio)
 
 
 class _AiryCallCounter:
@@ -173,13 +166,12 @@ class _AiryCallCounter:
 
 
 def test_state_build_makes_few_airy_calls(monkeypatch):
-    # One call for the level's certificate, one for the wall value, two for
-    # the first march point and two per 16-point block of the march (two
-    # blocks here); two calls per march point would make 48.
+    # One call for the level's certificate and one for the wall value: the
+    # cut is a closed form and evaluates no profile.
     counter = _AiryCallCounter()
     monkeypatch.setattr(special, "sp", counter)
     build_state("dirichlet", 0, 1.0)
-    assert counter.calls <= 8
+    assert counter.calls <= 2
 
 
 def test_transform_matches_direct_quadrature(state_of):
