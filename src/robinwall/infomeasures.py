@@ -6,6 +6,12 @@ and one pass of :func:`.states.momentum_integrals`, each giving its
 space's norm with the measures.  Position Fisher information additionally
 has a closed form in the level energy, which the quadrature route must
 reproduce.
+
+Both passes are memoized on the state's Airy-unit data (see
+:mod:`.states`), so a hard-wall level is integrated once per (wall, n,
+tolerances) whatever the field, and the field enters through the exact
+laws S_x + ln F / 3, S_k - ln F / 3, I_k F^(2/3) and O_k F^(1/3).  Every
+certificate below still runs on every call.
 """
 
 from __future__ import annotations

@@ -28,10 +28,20 @@ Numerically delicate points handled here:
   psi' from one Airy call per interval of u = -F^(1/3) x, starting from
   pieces split at the nodes of psi, and :func:`momentum_integrals` takes
   phi and phi' from one ray call per interval of k / F^(1/3).
+* Both passes are memoized pure functions of the state's
+  :class:`AiryUnitState`: the position pass is keyed on the whole record
+  (wall argument, amplitude, wall ratio, cut, n, tolerances), the momentum
+  pass on the wall data alone (wall argument, psi~(0), the wall slope, n,
+  tolerances).  Each memo holds at most ``_PASS_MEMO_SIZE`` results.  A
+  hard wall's record carries no trace of the field, so a sweep over the
+  field pays one pass per (wall, n, tolerances) and the paper's exact
+  field laws give every other field; a Robin record depends on the field
+  and is measured afresh at each one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,35 +82,92 @@ _EXP_CLIP = 700.0
 # at xi0 = max(arg0, 0).
 _X_CUT_THRESHOLD = 1e-20
 
+# Results each memoized pass keeps, least recently used out first.
+_PASS_MEMO_SIZE = 256
+
+
+@dataclass(frozen=True)
+class AiryUnitState:
+    """One level in Airy units u = -F^(1/3) x: all that its two passes read.
+
+    psi~(u) = F^(-1/6) psi(x) is amp * Ai(xi) / Ai(arg0) with xi = arg0 + u,
+    formed from scaled values as exp(s0 - s(xi)) times their ratio, with
+    (ai0, s0) the scaled Ai(arg0) and its exponent; a hard wall takes
+    (ai0, s0) = (1, 0), so its profile is amp * Ai(xi).  ``psi0`` is psi~(0)
+    and ``dpsi0`` the wall slope F^(-1/2) psi'(0) = -d psi~/du at u = 0.
+    A hard wall's record holds no trace of F, so it has the same bits at
+    every field, and the memoized passes measure it once.
+    """
+
+    arg0: float
+    amp: float
+    ai0: float
+    s0: float
+    psi0: float
+    dpsi0: float
+    u_cut: float
+    n: int
+    cfg: ToleranceConfig
+
+    def profile(self, u):
+        """psi~ and d psi~ / du at 1-d array u, from one scaled Airy call."""
+        xi = self.arg0 + u
+        ai, aip, s = scaled_airy(xi)
+        expo = self.s0 - s
+        if self.s0 > 0.0:
+            # At weak field s0 and s(xi) are huge and nearly equal, so
+            # their difference is formed from xi - arg0 = u.
+            deep = s > 0.0
+            xd = xi[deep]
+            r0 = math.sqrt(self.arg0)
+            expo[deep] = (-(2.0 / 3.0) * u[deep]
+                          * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
+        scale = np.exp(np.minimum(expo, _EXP_CLIP))
+        ai = ai / self.ai0 * scale
+        aip = aip / self.ai0 * scale
+        return self.amp * ai, self.amp * aip
+
+
+def _cut(arg0: float) -> float:
+    """u_cut, where the density bound past xi0 = max(arg0, 0) reaches the threshold.
+
+    Ai e^s xi^(1/4) grows for xi > 0, so rho(xi0) exp(-(4/3)(xi^(3/2) -
+    xi0^(3/2))) bounds rho past xi0, and the cut is xi_cut = (xi0^(3/2) +
+    decay)^(2/3).  xi_cut - xi0 = decay (p + q) / (p^2 + p q + q^2) with p, q
+    the square roots of xi_cut, xi0 keeps it exact to rounding where the
+    wall is deep in the forbidden region and xi_cut ~ xi0.
+    """
+    xi0 = max(arg0, 0.0)
+    decay = 0.75 * math.log(1.0 / _X_CUT_THRESHOLD)
+    p = (xi0 ** 1.5 + decay) ** (1.0 / 3.0)
+    q = math.sqrt(xi0)
+    return (xi0 - arg0) + decay * (p + q) / (p * p + p * q + q * q)
+
 
 class StateFunctions:
     """Callable profile bundle for one solved level.
 
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
     ``phi``, ``gamma`` on the momentum side, plus the boundary data and
-    the cut of the position integrals that the observable layers use, as
-    ``u_cut`` in Airy units u = -F^(1/3) x and as ``x_cut``.  ``cfg`` is
-    the one tolerance config of the state: it sets every integral taken
-    over the state.
+    the cut ``x_cut`` of the position integrals that the observable layers
+    use.  ``cfg`` is the one tolerance config of the state: it sets every
+    integral taken over the state.
 
-    The profile is amp * Ai(xi) / Ai(arg0) with xi = arg0 + u, formed from
-    scaled values as exp(s0 - s(xi)) times their ratio; a hard wall takes
-    (Ai(arg0), s0) = (1, 0), so its profile is amp * Ai(xi).
+    Everything is derived from ``unit``, the level's :class:`AiryUnitState`,
+    and the field.  A hard wall takes its wall argument straight from the
+    zero table, a_(n+1) or a'_(n+1), not from -E / F^(2/3).
     """
 
     def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         self.state = state
-        self.cfg = cfg
         bc = state.bc
-        field = state.field
         e_val = state.energy
-        f13 = field ** (1.0 / 3.0)
+        f13 = state.field ** (1.0 / 3.0)
         self.field_cbrt = f13
-        self.arg0 = -e_val / (f13 * f13)
-        ai0, aip0, s0 = (float(v) for v in scaled_airy(self.arg0))
-        self._ai0, self._s0 = 1.0, 0.0
-
+        ai0, s0 = 1.0, 0.0
         if bc.is_robin:
+            arg0 = -e_val / (f13 * f13)
+            ai0, aip0, s0 = scaled_airy(arg0)
             if e_val + 1.0 <= 0.0:
                 raise ConsistencyError(
                     f"Robin level with E+1 = {e_val + 1.0:.3e} <= 0 cannot be normalized"
@@ -110,59 +177,42 @@ class StateFunctions:
                     "wall value of the profile is consistent with a hard wall; "
                     "the level appears mislabeled"
                 )
-            self._amp = math.sqrt(field / (e_val + 1.0))
-            self._ai0, self._s0 = ai0, s0
-            self.psi0 = self._amp
-            self.dpsi0 = bc.wall_slope * self.psi0
+            psi0 = amp = math.sqrt(f13 * f13 / (e_val + 1.0))
+            dpsi0 = bc.wall_slope * psi0 / f13
         elif bc is BoundarySpec.DIRICHLET:
-            self._amp = f13 ** 0.5 / aip0
-            self.psi0 = 0.0
-            self.dpsi0 = -math.sqrt(field)
+            arg0 = root_table(state.n + 1).ai_zero(state.n + 1)
+            amp = 1.0 / scaled_airy(arg0)[1]
+            psi0, dpsi0 = 0.0, -1.0
         else:
-            self._amp = f13 ** 0.5 / (math.sqrt(-self.arg0) * ai0)
-            self.psi0 = f13 ** 0.5 / math.sqrt(-self.arg0)
-            self.dpsi0 = 0.0
+            arg0 = root_table(state.n + 1).ai_prime_zero(state.n + 1)
+            amp = 1.0 / (math.sqrt(-arg0) * scaled_airy(arg0)[0])
+            psi0, dpsi0 = 1.0 / math.sqrt(-arg0), 0.0
+        self.unit = AiryUnitState(arg0=arg0, amp=amp, ai0=ai0, s0=s0, psi0=psi0,
+                                  dpsi0=dpsi0, u_cut=_cut(arg0), n=state.n, cfg=cfg)
 
-        # Ai e^s xi^(1/4) grows for xi > 0, so rho(xi0) exp(-(4/3)(xi^(3/2)
-        # - xi0^(3/2))) bounds rho past xi0 = max(arg0, 0), and the cut is
-        # xi_cut = (xi0^(3/2) + decay)^(2/3), where the bound reaches the
-        # threshold.  xi_cut - xi0 = decay (p + q) / (p^2 + p q + q^2) with
-        # p, q the square roots of xi_cut, xi0 keeps it exact to rounding
-        # where the wall is deep in the forbidden region and xi_cut ~ xi0.
-        xi0 = max(self.arg0, 0.0)
-        decay = 0.75 * math.log(1.0 / _X_CUT_THRESHOLD)
-        p = (xi0 ** 1.5 + decay) ** (1.0 / 3.0)
-        q = math.sqrt(xi0)
-        self.u_cut = (xi0 - self.arg0) + decay * (p + q) / (p * p + p * q + q * q)
+    @property
+    def cfg(self) -> ToleranceConfig:
+        return self.unit.cfg
 
     @property
     def x_cut(self) -> float:
-        return -self.u_cut / self.field_cbrt
+        return -self.unit.u_cut / self.field_cbrt
+
+    @property
+    def psi0(self) -> float:
+        return self.unit.psi0 * self.field_cbrt ** 0.5
+
+    @property
+    def dpsi0(self) -> float:
+        return self.unit.dpsi0 * self.field_cbrt ** 1.5
 
     # -- position side -------------------------------------------------
 
-    def _airy_profile(self, u):
-        """psi and d psi / du at 1-d array u, from one scaled Airy call."""
-        xi = self.arg0 + u
-        ai, aip, s = scaled_airy(xi)
-        expo = self._s0 - s
-        if self._s0 > 0.0:
-            # At weak field s0 and s(xi) are huge and nearly equal, so
-            # their difference is formed from xi - arg0 = u.
-            deep = s > 0.0
-            xd = xi[deep]
-            r0 = math.sqrt(self.arg0)
-            expo[deep] = (-(2.0 / 3.0) * u[deep]
-                          * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
-        scale = np.exp(np.minimum(expo, _EXP_CLIP))
-        ai = ai / self._ai0 * scale
-        aip = aip / self._ai0 * scale
-        return self._amp * ai, self._amp * aip
-
     def _profile(self, x, derivative: bool):
+        f13 = self.field_cbrt
         x_arr = np.asarray(x, dtype=float)
-        p, dp = self._airy_profile(np.atleast_1d(-self.field_cbrt * x_arr))
-        out = -self.field_cbrt * dp if derivative else p
+        p, dp = self.unit.profile(np.atleast_1d(-f13 * x_arr))
+        out = -f13 ** 1.5 * dp if derivative else f13 ** 0.5 * p
         return float(out[0]) if x_arr.ndim == 0 else out
 
     def psi(self, x):
@@ -180,8 +230,13 @@ class StateFunctions:
     # -- momentum side ---------------------------------------------------
 
     def _pair(self, k: np.ndarray) -> tuple:
-        """(phi, phi') at 1-d momenta, from the wall data."""
-        return ray_transform(k, self.psi0, self.dpsi0, self.state.energy, self.state.field)
+        """(phi, phi') at 1-d momenta, from the wall data in Airy units."""
+        f13 = self.field_cbrt
+        unit = self.unit
+        with np.errstate(over="ignore"):
+            kappa = k / f13
+        phi, dphi = ray_transform(kappa, unit.psi0, unit.dpsi0, -unit.arg0, 1.0)
+        return phi / f13 ** 0.5, dphi / f13 ** 1.5
 
     def phi(self, k):
         """Momentum wavefunction; conjugate-symmetric in k."""
@@ -207,39 +262,46 @@ def boundary_residual(sf: StateFunctions) -> float:
     return abs(sf.psi_prime(0.0) - sf.state.bc.wall_slope * sf.psi(0.0))
 
 
-def position_integrals(sf: StateFunctions) -> tuple:
-    """(norm, S_x, integral of psi'^2, O_x, <x>) from one adaptive pass.
+@functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
+def _position_pass(unit: AiryUnitState) -> tuple:
+    """(N, S, K, O, <u>) of the Airy-unit density rho~ = psi~^2 over [0, u_cut].
 
-    The five integrands of the density in Airy units u = -F^(1/3) x,
-    rho~ = psi~^2 with psi~ = F^(-1/6) psi, share one evaluation of psi and
-    psi' per interval of [0, u_cut]: rho~, -rho~ ln(rho~), (d psi~/du)^2,
-    rho~^2 and u rho~.
-    The pass starts from the pieces between the interior nodes of psi,
+    The five integrands rho~, -rho~ ln(rho~), (d psi~/du)^2, rho~^2 and
+    u rho~ share one evaluation of psi~ and its slope per interval.  The
+    pass starts from the pieces between the interior nodes of psi,
     u_k = a_k - arg0 at the zeros a_k of Ai, where -rho~ ln(rho~) has a
     logarithmic kink, and maps each piece [a, b] by u = a + (b - a) s(t)
-    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  The field
-    enters exactly at the end (S_x = S - N ln F^(1/3), F^(2/3) times the
-    slope integral, O_x = F^(1/3) O, <x> = -<u> / F^(1/3)).
+    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.
     """
-    f13 = sf.field_cbrt
-    nodes = root_table(sf.state.n + 1).a[:sf.state.n][::-1] - sf.arg0
-    edges = np.concatenate(([0.0], nodes, [sf.u_cut]))
+    nodes = root_table(unit.n + 1).a[:unit.n][::-1] - unit.arg0
+    edges = np.concatenate(([0.0], nodes, [unit.u_cut]))
     width = np.diff(edges)
 
     def integrand(t):
         piece = np.minimum(t.astype(int), width.size - 1)
         t = t - piece
         u = edges[piece] + width[piece] * (t * t * (3.0 - 2.0 * t))
-        p, dp = sf._airy_profile(u)
-        r = p * p / f13
+        p, dp = unit.profile(u)
+        r = p * p
         ds = 6.0 * width[piece] * t * (1.0 - t)
-        return np.stack([r, -xlogy(r, r), dp * dp / f13, r * r, u * r]) * ds
+        return np.stack([r, -xlogy(r, r), dp * dp, r * r, u * r]) * ds
 
-    (norm, entropy, slope, onicescu, mean_u), _ = integrate_batch(
-        integrand, np.arange(width.size + 1.0), sf.cfg)
-    values = (norm, entropy - norm * math.log(f13), slope * (f13 * f13), onicescu * f13,
-              -mean_u / f13)
+    values, _ = integrate_batch(integrand, np.arange(width.size + 1.0), unit.cfg)
     return tuple(float(v) for v in values)
+
+
+def position_integrals(sf: StateFunctions) -> tuple:
+    """(norm, S_x, integral of psi'^2, O_x, <x>) from one adaptive pass.
+
+    The pass runs on the density in Airy units u = -F^(1/3) x, a pure
+    function of ``sf.unit`` (see :func:`_position_pass`), and the field
+    enters exactly at the end: S_x = S - N ln F^(1/3), F^(2/3) times the
+    slope integral, O_x = F^(1/3) O, <x> = -<u> / F^(1/3).
+    """
+    f13 = sf.field_cbrt
+    norm, entropy, slope, onicescu, mean_u = _position_pass(sf.unit)
+    return (norm, entropy - norm * math.log(f13), slope * (f13 * f13), onicescu * f13,
+            -mean_u / f13)
 
 
 def position_norm(sf: StateFunctions) -> float:
@@ -247,38 +309,53 @@ def position_norm(sf: StateFunctions) -> float:
     return position_integrals(sf)[0]
 
 
-def momentum_integrals(sf: StateFunctions) -> tuple:
-    """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
+@functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
+def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
+                   cfg: ToleranceConfig) -> tuple:
+    """(N, S, I, O) over kappa >= 0 of the Airy-unit density |phi~|^2.
 
-    The four integrands of the density in Airy units kappa = k / F^(1/3),
-    F^(1/3) gamma, share one phi and phi' call per interval of u:
-    kappa = u K on [0, 1] and kappa = K / (2 - u)^6 on [1, 2], with
-    K = max(sqrt|eps|, 1) the wavenumber or decay rate of psi at the wall
-    in Airy units (from eps = 1 on, the split sqrt(eps) of the ray).  The
-    field enters exactly at the end (S_k = S + N ln F^(1/3),
-    I_k = I / F^(2/3), O_k = O / F^(1/3)).
+    phi~(kappa) = F^(1/6) phi(k) at kappa = k / F^(1/3) is the transform of
+    the wall data psi~(0) = ``psi0`` and F^(-1/2) psi'(0) = ``dpsi0`` at
+    eps = -arg0 and unit field, so the pass is keyed on those alone and
+    the cut never enters.  The four integrands share one phi~ and phi~'
+    call per interval of u: kappa = u K on [0, 1] and kappa = K / (2 - u)^6
+    on [1, 2], with K = max(sqrt|eps|, 1) the wavenumber or decay rate of
+    psi at the wall in Airy units (from eps = 1 on, the split sqrt(eps) of
+    the ray).
     """
-    f13 = sf.field_cbrt
-    scale = max(math.sqrt(abs(sf.arg0)), 1.0)
+    scale = max(math.sqrt(abs(arg0)), 1.0)
 
     def integrand(u):
         far = u >= 1.0
         t = np.minimum(2.0 - u, 1.0)
         kappa = scale * np.where(far, t ** -6, u)
-        phi, dphi = sf._pair(kappa * f13)
+        phi, dphi = ray_transform(kappa, psi0, dpsi0, -arg0, 1.0)
         jac = np.where(far, 6.0 / t ** 7, 1.0) * scale
-        # phi~(kappa) = F^(1/6) phi(k) and phi~'(kappa) = F^(1/2) phi'(k).
-        phi, dphi = phi * f13 ** 0.5, dphi * f13 ** 1.5
         g = np.abs(phi) ** 2
         dg = 2.0 * (phi.conjugate() * dphi).real
         return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
     # Below the split the density has about n humps; n // 2 + 1 first
     # pieces keep the bisection budget in step with them.
-    points = np.append(np.linspace(0.0, 1.0, sf.state.n // 2 + 2), 2.0)
-    (norm, entropy, fisher, onicescu), _ = integrate_batch(integrand, points, sf.cfg)
+    points = np.append(np.linspace(0.0, 1.0, n // 2 + 2), 2.0)
+    values, _ = integrate_batch(integrand, points, cfg)
+    return tuple(float(v) for v in values)
+
+
+def momentum_integrals(sf: StateFunctions) -> tuple:
+    """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
+
+    The pass runs on the density in Airy units kappa = k / F^(1/3),
+    F^(1/3) gamma, a pure function of the wall data in ``sf.unit`` (see
+    :func:`_momentum_pass`), and the field enters exactly at the end
+    (S_k = S + N ln F^(1/3), I_k = I / F^(2/3), O_k = O / F^(1/3)).
+    """
+    f13 = sf.field_cbrt
+    unit = sf.unit
+    norm, entropy, fisher, onicescu = _momentum_pass(unit.arg0, unit.psi0, unit.dpsi0,
+                                                     unit.n, unit.cfg)
     values = (norm, entropy + norm * math.log(f13), fisher / (f13 * f13), onicescu / f13)
-    return tuple(2.0 * float(v) for v in values)
+    return tuple(2.0 * v for v in values)
 
 
 def momentum_norm(sf: StateFunctions) -> float:

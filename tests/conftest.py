@@ -13,7 +13,8 @@ def cached_state(bc, n, field):
 
 @pytest.fixture(scope="session")
 def state_of():
-    """Memoized state factory; momentum tables are expensive to rebuild."""
+    """Memoized state factory: one object per level, so the session-cached
+    references of ``transform_reference``, keyed on the object, meet it once."""
     return cached_state
 
 

@@ -1,9 +1,11 @@
 """Entropy, Fisher, Onicescu, and complexity measures."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from robinwall import states
 from robinwall.infomeasures import (
     ENTROPY_FLOOR,
     entropy_crossing,
@@ -135,9 +137,45 @@ def test_hard_wall_products_are_field_free(state_of, bc, n, field):
     assert math.isclose(rec.onicescu_product, ref.onicescu_product, rel_tol=1e-12)
 
 
+def _scaled_amplitude(sf, factor):
+    sf.unit = replace(sf.unit, amp=sf.unit.amp * factor)
+    return sf
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_hard_wall_measures_follow_the_exact_field_laws(bc):
+    # A hard-wall level has the same Airy-unit record at every field, so
+    # each pass runs once per level and the field enters through the
+    # paper's laws alone: S_x + ln F / 3, S_k - ln F / 3, I_x / F^(2/3),
+    # I_k F^(2/3), O_x / F^(1/3) and O_k F^(1/3) keep their F = 1 values,
+    # to the rounding of the laws (measured 5.5e-15).
+    states._position_pass.cache_clear()
+    states._momentum_pass.cache_clear()
+    for done, n in enumerate((0, 3, 10), start=1):
+        ref = measure_state(build_state(bc, n, 1.0))
+        for field in [10.0 ** e for e in range(-6, 16)]:
+            rec = measure_state(build_state(bc, n, field))
+            log3 = math.log(field) / 3.0
+            f13, f23 = field ** (1.0 / 3.0), field ** (2.0 / 3.0)
+            for got, want in ((rec.S_x + log3, ref.S_x), (rec.S_k - log3, ref.S_k),
+                              (rec.I_x / f23, ref.I_x), (rec.I_k * f23, ref.I_k),
+                              (rec.O_x / f13, ref.O_x), (rec.O_k * f13, ref.O_k)):
+                assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-14), (n, field)
+        for memo in (states._position_pass, states._momentum_pass):
+            assert memo.cache_info().misses == done
+
+
 def test_measure_state_certifies_unit_norm():
-    sf = build_state("robin-", 0, 1.0)
-    sf._amp *= 1.0 + 1e-5
+    sf = _scaled_amplitude(build_state("robin-", 0, 1.0), 1.0 + 1e-5)
+    with pytest.raises(ConsistencyError, match="position norm"):
+        measure_state(sf)
+
+
+def test_memoized_hard_wall_still_certifies_unit_norm():
+    # The passes are memoized on a state's Airy-unit data, not on its
+    # (wall, n): the clean level's result must not serve the scaled one.
+    measure_state(build_state("dirichlet", 2, 1.0))
+    sf = _scaled_amplitude(build_state("dirichlet", 2, 3.0), 1.0 + 1e-5)
     with pytest.raises(ConsistencyError, match="position norm"):
         measure_state(sf)
 
