@@ -45,7 +45,11 @@ SCALE_SWITCH = 8.0
 # scipy's airye returns NaN from this argument on.
 AIRY_ARG_MAX = 2.0 ** 20
 
-_ROOT_RESIDUAL_TOL = 5e-12
+# A polished zero is certified when the next Newton step would move it by
+# at most this many ulps.  Its residual Ai(a) cannot serve: at a zero
+# rounded to the nearest double it grows with |a| (past 5e-12 for Ai' at
+# the 3,000th zero), while the step stays within 2 ulps to 20,000 zeros.
+_ROOT_STEP_ULPS = 8.0
 
 # e^(i pi/3)
 _ROTATION = complex(0.5, math.sqrt(0.75))
@@ -138,16 +142,29 @@ class AiryRootTable:
         return float(self.a_prime[self._check_index(n) - 1])
 
 
+def _newton_steps(a: np.ndarray, ap: np.ndarray) -> tuple:
+    """Newton steps toward the zeros of Ai from a and of Ai' from ap."""
+    ai, aip, _, _ = sp.airy(a)
+    step_a = ai / aip
+    ai, aip, _, _ = sp.airy(ap)
+    # Ai''(x) = x Ai(x), so the Newton slope for zeros of Ai' is x*Ai.
+    return step_a, aip / (ap * ai)
+
+
 def _polish(seeds_a: np.ndarray, seeds_ap: np.ndarray, rounds: int = 2):
     a = np.array(seeds_a, dtype=float)
     ap = np.array(seeds_ap, dtype=float)
     for _ in range(rounds):
-        ai, aip, _, _ = sp.airy(a)
-        a -= ai / aip
-        ai, aip, _, _ = sp.airy(ap)
-        # Ai''(x) = x Ai(x), so the Newton slope for zeros of Ai' is x*Ai.
-        ap -= aip / (ap * ai)
+        step_a, step_ap = _newton_steps(a, ap)
+        a -= step_a
+        ap -= step_ap
     return a, ap
+
+
+def _worst_step_ulps(a: np.ndarray, ap: np.ndarray) -> float:
+    step_a, step_ap = _newton_steps(a, ap)
+    return float(max(np.max(np.abs(step_a) / np.spacing(np.abs(a))),
+                     np.max(np.abs(step_ap) / np.spacing(np.abs(ap)))))
 
 
 def build_root_table(count: int) -> AiryRootTable:
@@ -156,15 +173,12 @@ def build_root_table(count: int) -> AiryRootTable:
         raise ValueError("root table needs at least one zero")
     seeds_a, seeds_ap, _, _ = sp.ai_zeros(count)
     a, ap = _polish(seeds_a, seeds_ap)
-    res_a = float(np.max(np.abs(sp.airy(a)[0])))
-    res_ap = float(np.max(np.abs(sp.airy(ap)[1])))
-    if max(res_a, res_ap) > _ROOT_RESIDUAL_TOL:
+    if _worst_step_ulps(a, ap) > _ROOT_STEP_ULPS:
         a, ap = _polish(a, ap, rounds=1)
-        res_a = float(np.max(np.abs(sp.airy(a)[0])))
-        res_ap = float(np.max(np.abs(sp.airy(ap)[1])))
-        if max(res_a, res_ap) > _ROOT_RESIDUAL_TOL:
+        worst = _worst_step_ulps(a, ap)
+        if worst > _ROOT_STEP_ULPS:
             raise RuntimeError(
-                f"Airy zero refinement stalled, worst residual {max(res_a, res_ap):.3e}"
+                f"Airy zero refinement stalled, worst Newton step {worst:.3g} ulp"
             )
     decreasing = np.all(np.diff(a) < 0.0) and np.all(np.diff(ap) < 0.0)
     if not (decreasing and a[0] < 0.0 and ap[0] < 0.0):

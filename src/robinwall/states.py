@@ -271,7 +271,10 @@ def _position_pass(unit: AiryUnitState) -> tuple:
     pass starts from the pieces between the interior nodes of psi,
     u_k = a_k - arg0 at the zeros a_k of Ai, where -rho~ ln(rho~) has a
     logarithmic kink, and maps each piece [a, b] by u = a + (b - a) s(t)
-    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.
+    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  Each piece
+    enters the first call as its two halves in t, a bisection that nearly
+    every piece took anyway; the interval budget of
+    :func:`.quadrature.integrate_batch` grows with these 2 (n + 1) pieces.
     """
     nodes = root_table(unit.n + 1).a[:unit.n][::-1] - unit.arg0
     edges = np.concatenate(([0.0], nodes, [unit.u_cut]))
@@ -286,7 +289,10 @@ def _position_pass(unit: AiryUnitState) -> tuple:
         ds = 6.0 * width[piece] * t * (1.0 - t)
         return np.stack([r, -xlogy(r, r), dp * dp, r * r, u * r]) * ds
 
-    values, _ = integrate_batch(integrand, np.arange(width.size + 1.0), unit.cfg)
+    # Two first pieces per node gap: nearly every gap was bisected once,
+    # at one Python iteration each; the first call takes those halves.
+    values, _ = integrate_batch(integrand, np.linspace(0.0, width.size, 2 * width.size + 1),
+                                unit.cfg)
     return tuple(float(v) for v in values)
 
 
@@ -321,7 +327,8 @@ def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
     call per interval of u: kappa = u K on [0, 1] and kappa = K / (2 - u)^6
     on [1, 2], with K = max(sqrt|eps|, 1) the wavenumber or decay rate of
     psi at the wall in Airy units (from eps = 1 on, the split sqrt(eps) of
-    the ray).
+    the ray).  The first call takes 2 (n // 2 + 1) equal pieces of [0, 1],
+    about one per hump of the density there, and [1, 1.5] and [1.5, 2].
     """
     scale = max(math.sqrt(abs(arg0)), 1.0)
 
@@ -335,9 +342,10 @@ def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
         dg = 2.0 * (phi.conjugate() * dphi).real
         return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
-    # Below the split the density has about n humps; n // 2 + 1 first
-    # pieces keep the bisection budget in step with them.
-    points = np.append(np.linspace(0.0, 1.0, n // 2 + 2), 2.0)
+    # Below the split the density has about n humps; 2 (n // 2 + 1) first
+    # pieces keep the bisection budget in step with them.  Two more cover
+    # the far side of the split.
+    points = np.append(np.linspace(0.0, 1.0, 2 * (n // 2 + 1) + 1), [1.5, 2.0])
     values, _ = integrate_batch(integrand, points, cfg)
     return tuple(float(v) for v in values)
 

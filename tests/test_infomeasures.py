@@ -101,8 +101,9 @@ def test_high_levels_are_measured(bc, n, field):
 @pytest.mark.parametrize("field", [1e-6, 1.0, 1e3])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
 def test_level_200_is_measured(bc, field):
-    # The position pass starts from 201 pieces split at the nodes of psi;
-    # its interval budget grows with them (199 bisections would not do).
+    # The position pass starts from two pieces in each of the 201 gaps
+    # between the nodes of psi; its interval budget grows with them (199
+    # bisections would not do).
     rec = measure_state(build_state(bc, 200, field))
     assert rec.S_t >= ENTROPY_FLOOR
 
@@ -110,8 +111,24 @@ def test_level_200_is_measured(bc, field):
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
 def test_level_300_is_measured(bc):
     # Below the split the momentum density has about n humps; the momentum
-    # pass starts from n // 2 + 1 pieces there, so its budget grows with them.
+    # pass starts from 2 (n // 2 + 1) pieces there, so its budget grows
+    # with them.
     rec = measure_state(build_state(bc, 300, 1.0))
+    assert rec.S_t >= ENTROPY_FLOOR
+
+
+@pytest.mark.parametrize("field", [1e-6, 1e6])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_level_500_is_measured_at_both_field_ends(bc, field):
+    # Both passes run in Airy units and start from pieces that grow with
+    # n, so level 500 passes at either end of the field range.
+    rec = measure_state(build_state(bc, 500, field))
+    assert rec.S_t >= ENTROPY_FLOOR
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
+def test_level_1000_is_measured(bc):
+    rec = measure_state(build_state(bc, 1000, 1.0))
     assert rec.S_t >= ENTROPY_FLOOR
 
 

@@ -173,6 +173,17 @@ def test_table_grows_on_demand():
     assert math.isclose(big.ai_zero(1), AI_ZEROS[0], rel_tol=1e-14)
 
 
+def test_table_builds_past_three_thousand_zeros():
+    # A table doubles as it grows, so one that holds 1,608 zeros (after
+    # level 1000 of a Robin wall) builds 3,216 on its next request.  There
+    # the asymptotic series is exact to rounding.
+    table = build_root_table(3216)
+    for n in (1000, 3000, 3216):
+        assert math.isclose(table.ai_zero(n), asymptotic_zero(ZERO_OF_AI, n), rel_tol=1e-14)
+        assert math.isclose(table.ai_prime_zero(n), asymptotic_zero(ZERO_OF_AI_PRIME, n),
+                            rel_tol=1e-14)
+
+
 def test_build_root_table_rejects_bad_count():
     with pytest.raises(ValueError):
         build_root_table(0)

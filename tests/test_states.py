@@ -17,7 +17,7 @@ from robinwall.quadrature import (
     ToleranceConfig,
     ray_transform,
 )
-from robinwall import special, states
+from robinwall import quadrature, special, states
 from robinwall.special import root_table, valley_airy
 from robinwall.spectrum import DomainError
 from robinwall.states import (
@@ -30,7 +30,7 @@ from robinwall.states import (
     position_integrals,
     position_norm,
 )
-from transform_reference import contour_reference, direct_reference
+from transform_reference import contour_reference, direct_reference, elementwise_ray_transform
 
 # Reference value of psi(-1) for the attractive wall ground state at
 # field 1, from a 30-digit direct evaluation of the normalized profile.
@@ -224,6 +224,28 @@ def test_ray_contour_is_the_transform(state_of):
     assert abs(sf.phi(k) - want) <= 1e-13 * abs(want)
 
 
+# Wall data (psi~(0), F^(-1/2) psi'(0)) of both hard walls and two Robin-like
+# mixtures, one of each sign of the wall slope.
+WALL_DATA = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.9), (0.8, -1.3)]
+
+
+@pytest.mark.parametrize("eps", [-5.0, -0.3, 0.0, 0.2, 1.0, 3.0, 10.0, 50.0, 300.0, 2000.0])
+def test_ray_moments_match_the_elementwise_sum(eps):
+    # The four moment sums give what the node-by-node sum gave, on both
+    # rays (kappa below and above sqrt(eps)) and for negative momenta.
+    # Below the split, phi' passes through zero, where 1e-15 absolute holds.
+    split = math.sqrt(max(eps, 0.0))
+    kappa = np.concatenate([[0.0], np.logspace(-3.0, 6.0, 91), -np.logspace(-2.0, 3.0, 11),
+                            split * np.array([0.3, 0.7, 0.99, 1.01, 1.5])])
+    below = kappa * kappa <= max(eps, 0.0) + 1.0
+    for psi0, dpsi0 in WALL_DATA:
+        phi, dphi = ray_transform(kappa, psi0, dpsi0, eps, 1.0)
+        want, dwant = elementwise_ray_transform(kappa, psi0, dpsi0, eps)
+        assert np.all(np.abs(phi - want) <= 2e-14 * np.abs(want))
+        derr = np.abs(dphi - dwant)
+        assert np.all((derr <= 2e-14 * np.abs(dwant)) | (below & (derr <= 1e-15)))
+
+
 # States with E > 0 for the route below the split: every wall, n <= 30,
 # fields from 3.9e-5 to 1e3, and 0 < E / F^(2/3) < 1 (robin- n=0 at 1e3).
 DOWN_CASES = [
@@ -302,6 +324,33 @@ def test_momentum_side_does_not_see_the_cut(monkeypatch, bc, n, field):
     states._momentum_pass.cache_clear()
     assert momentum_integrals(short) == want
     assert states._momentum_pass.cache_info().misses == 1
+
+
+def test_robin_passes_stay_within_their_cost(monkeypatch):
+    # Each bisection of a pass costs one qk21 call and one Python iteration;
+    # two first pieces per node gap spare the ones every gap needs anyway.
+    # Starting from one piece per gap took 169 calls (7,350 points) in
+    # position and 115 (5,082) in momentum on these 24 states.
+    kronrod = quadrature._kronrod
+    cost = {"calls": 0, "points": 0}
+
+    def counted(f, lo, hi):
+        cost["calls"] += 1
+        cost["points"] += lo.size * 21
+        return kronrod(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_kronrod", counted)
+    sfs = [build_state(bc, n, field) for bc in ("robin+", "robin-") for n in range(4)
+           for field in (0.02, 1.0, 50.0)]
+    states._position_pass.cache_clear()
+    states._momentum_pass.cache_clear()
+    for sf in sfs:
+        position_integrals(sf)
+    assert cost["calls"] <= 112 and cost["points"] <= 6216
+    cost.update(calls=0, points=0)
+    for sf in sfs:
+        momentum_integrals(sf)
+    assert cost["calls"] <= 75 and cost["points"] <= 4662
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):

@@ -1,15 +1,21 @@
-"""30-digit mpmath references for the momentum transform of a built state.
+"""References for the momentum transform.
 
-Each reference is cached for the whole session, keyed by the state object
-(``cached_state`` hands out one object per level) and the momentum, so a
-(state, k) pair that several tests check is computed once.
+The 30-digit mpmath references of a built state are cached for the whole
+session, keyed by the state object (``cached_state`` hands out one object
+per level) and the momentum, so a (state, k) pair that several tests check
+is computed once.  :func:`elementwise_ray_transform` is the ray rule summed
+node by node, the form that the moment sums of ``ray_transform`` replace.
 """
 
 import functools
 import math
 
 import mpmath
+import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
+
+from robinwall.quadrature import _DOWN_DIRECTION, _RAY_DIRECTION, _RAY_S, _RAY_W
+from robinwall.special import valley_airy
 
 _DPS = 30
 
@@ -100,3 +106,43 @@ def direct_reference(sf, k):
             dphi += -1j * u * term
         root = mpmath.sqrt(2 * mpmath.pi)
         return complex(phi / (root * f13)), complex(dphi / (root * f13 * f13))
+
+
+def elementwise_ray_transform(kappa, psi0, dpsi0, eps):
+    """(phi, phi') of ``ray_transform`` at unit field, summed node by node.
+
+    The same 144 nodes, lengths and valley term, with the integrand of
+    phi, B(kappa + z) exp(i theta) dz, and of phi' formed at every node
+    and summed, as the rule was written before it became four moments.
+    kappa^2 - eps must be finite.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    q = np.abs(kappa)
+    gap = q * q - eps
+    root2pi = math.sqrt(2.0 * math.pi)
+    c0, c1 = psi0 / root2pi, dpsi0 / root2pi
+    down = gap < 0.0
+    ell = np.where(down,
+                   1.0 / np.maximum(np.maximum(1.6, -gap), np.sqrt(1.1 * q)),
+                   1.0 / np.maximum(np.maximum(1.0, 0.5 * gap), np.sqrt(0.866 * q)))
+    direction = np.where(down, _DOWN_DIRECTION, _RAY_DIRECTION)[:, None]
+    qc = q[:, None]
+    z = (ell[:, None] * _RAY_S) * direction
+    dz = (ell[:, None] * _RAY_W) * direction
+    wave = np.exp(1j * (z * gap[:, None] + qc * z * z + z * z * z / 3.0)) * dz
+    b = c1 + 1j * c0 * (qc + z)
+    phi = np.sum(b * wave, axis=1)
+    dphi = np.sum((c0 + b * z * (2.0 * qc + z)) * wave, axis=1)
+    if down.any():
+        r = math.sqrt(eps)
+        j, dj = valley_airy(eps)
+        qd = q[down]
+        valley = (2.0 * math.pi * (c1 * j - c0 * dj)
+                  * np.exp(-1j * ((qd - r) * (qd - r) * (qd + 2.0 * r) / 3.0)))
+        phi[down] += valley
+        dphi[down] -= gap[down] * valley
+    phi = -1j * phi
+    neg = kappa < 0.0
+    phi[neg] = np.conj(phi[neg])
+    dphi[neg] = -np.conj(dphi[neg])
+    return phi, dphi
