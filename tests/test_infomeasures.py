@@ -117,18 +117,12 @@ def test_level_300_is_measured(bc):
     assert rec.S_t >= ENTROPY_FLOOR
 
 
-@pytest.mark.parametrize("field", [1e-6, 1e6])
+@pytest.mark.parametrize("n,field", [(500, 1e-6), (500, 1e6), (1000, 1.0)])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
-def test_level_500_is_measured_at_both_field_ends(bc, field):
+def test_levels_500_and_1000_are_measured(bc, n, field):
     # Both passes run in Airy units and start from pieces that grow with
-    # n, so level 500 passes at either end of the field range.
-    rec = measure_state(build_state(bc, 500, field))
-    assert rec.S_t >= ENTROPY_FLOOR
-
-
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
-def test_level_1000_is_measured(bc):
-    rec = measure_state(build_state(bc, 1000, 1.0))
+    # n, so these levels pass at either end of the field range.
+    rec = measure_state(build_state(bc, n, field))
     assert rec.S_t >= ENTROPY_FLOOR
 
 
