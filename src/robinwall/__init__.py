@@ -16,7 +16,6 @@ from .infomeasures import (
     InfoRecord,
     entropy_crossing,
     fisher,
-    fisher_momentum_coefficient,
     fisher_position_closed,
     fisher_product_maximum,
     flat_well_approximation,
@@ -24,11 +23,9 @@ from .infomeasures import (
 )
 from .observables import (
     DipoleMatrix,
-    GroundCoupling,
     PolarizationRecord,
     dipole_element_quadrature,
     dipole_matrix,
-    ground_coupling_asymptote,
     hellmann_feynman_mean_x,
     mean_position,
     mean_x_quadrature,
@@ -41,7 +38,7 @@ from .quadrature import (
     QuadratureError,
     ToleranceConfig,
 )
-from .special import AiryRootTable, asymptotic_zero, root_table
+from .special import AiryRootTable, root_table
 from .spectrum import (
     BoundarySpec,
     BoundState,
@@ -50,23 +47,18 @@ from .spectrum import (
     DomainError,
     eigenvalue_function,
     energy,
-    energy_asymptotic,
-    level_spacing,
     node_count,
     zero_energy_field,
     zero_energy_field_solved,
 )
 from .states import (
-    ExtremumInfo,
     StateFunctions,
     boundary_residual,
     build_state,
     energy_identity_residual,
-    extrema,
     momentum_norm,
     position_norm,
 )
-from .units import UnitScale, convert_units, electron_scale
 
 __version__ = "0.1.0"
 
@@ -81,41 +73,30 @@ __all__ = [
     "DecayError",
     "DipoleMatrix",
     "DomainError",
-    "ExtremumInfo",
     "FisherMaximum",
     "FlatWellEntropies",
     "GridSpec",
-    "GroundCoupling",
     "InfoRecord",
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
     "ToleranceConfig",
-    "UnitScale",
-    "asymptotic_zero",
     "boundary_residual",
     "build_state",
-    "convert_units",
     "default_grid",
     "dipole_element_quadrature",
     "dipole_matrix",
     "eigenvalue_function",
-    "electron_scale",
     "energy",
-    "energy_asymptotic",
     "energy_identity_residual",
     "entropy_crossing",
-    "extrema",
     "fd_energies",
     "fd_moment",
     "fisher",
-    "fisher_momentum_coefficient",
     "fisher_position_closed",
     "fisher_product_maximum",
     "flat_well_approximation",
-    "ground_coupling_asymptote",
     "hellmann_feynman_mean_x",
-    "level_spacing",
     "mean_position",
     "mean_x_quadrature",
     "measure_state",

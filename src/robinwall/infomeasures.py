@@ -39,7 +39,6 @@ __all__ = [
     "InfoRecord",
     "entropy_crossing",
     "fisher",
-    "fisher_momentum_coefficient",
     "fisher_position_closed",
     "fisher_product_maximum",
     "flat_well_approximation",
@@ -262,18 +261,3 @@ def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3,
         )
     return FisherMaximum(field=best_x, product=best_f)
 
-
-def fisher_momentum_coefficient(bc, n: int, field: float = 1.0) -> float:
-    """Field-free momentum Fisher constant of a hard- or soft-wall level.
-
-    For walls without an extrapolation length the momentum Fisher
-    information scales as a pure power of the field, so one measurement
-    fixes the constant for all fields.
-    """
-    bc = BoundarySpec.parse(bc)
-    if bc.is_robin:
-        raise DomainError(
-            "momentum Fisher information of a Robin wall has no pure power law"
-        )
-    _, i_k = fisher(build_state(bc, n, field))
-    return i_k * float(field) ** (2.0 / 3.0)

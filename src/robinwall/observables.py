@@ -20,11 +20,9 @@ from .states import StateFunctions, position_integrals
 
 __all__ = [
     "DipoleMatrix",
-    "GroundCoupling",
     "PolarizationRecord",
     "dipole_element_quadrature",
     "dipole_matrix",
-    "ground_coupling_asymptote",
     "hellmann_feynman_mean_x",
     "mean_position",
     "mean_x_quadrature",
@@ -182,39 +180,3 @@ def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> flo
     values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], sf_n.cfg)
     return float(values[0])
 
-
-@dataclass(frozen=True)
-class GroundCoupling:
-    """Asymptotic coupling of the attractive-wall ground state to level n.
-
-    ``branch`` records which power law produced the value; ``crossover``
-    flags the window where neither power law is trustworthy.
-    """
-
-    value: float
-    branch: str
-    crossover: bool
-
-
-def ground_coupling_asymptote(n: int, field: float) -> GroundCoupling:
-    """Power-law forms of the ground-to-excited coordinate coupling.
-
-    The control parameter compares the level's Airy scale against the
-    surface-state binding; the two limits carry opposite powers of the
-    field, with a wide crossover between them.
-    """
-    n = int(n)
-    if n < 1:
-        raise DomainError("the coupling asymptote pairs the ground state with n >= 1")
-    field = float(field)
-    if not field > 0.0:
-        raise DomainError("field must be positive")
-    a_next = root_table(n + 1).ai_zero(n + 1)
-    kappa = abs(a_next) * field ** (2.0 / 3.0)
-    if kappa < 1.0:
-        value = math.sqrt(2.0 * field)
-        branch = "low"
-    else:
-        value = math.sqrt(-2.0 / a_next ** 3) / math.sqrt(field)
-        branch = "high"
-    return GroundCoupling(value=value, branch=branch, crossover=0.5 <= kappa <= 2.0)

@@ -32,7 +32,6 @@ __all__ = [
     "AIRY_ARG_MAX",
     "SCALE_SWITCH",
     "AiryRootTable",
-    "asymptotic_zero",
     "build_root_table",
     "root_table",
     "scaled_airy",
@@ -53,9 +52,6 @@ _ROOT_STEP_ULPS = 8.0
 
 # e^(i pi/3)
 _ROTATION = complex(0.5, math.sqrt(0.75))
-
-ZERO_OF_AI = "zero_of_Ai"
-ZERO_OF_AI_PRIME = "zero_of_Ai_prime"
 
 
 def scaled_airy(z):
@@ -202,31 +198,3 @@ def root_table(count: int = 64) -> AiryRootTable:
             _table = build_root_table(max(int(count), 2 * _table.count))
         return _table
 
-
-# Large-index expansions for the zeros (Abramowitz & Stegun style): the
-# n-th zero of Ai sits at -T(3*pi*(4n-1)/8) and the n-th zero of Ai' at
-# -U(3*pi*(4n-3)/8), with T and U asymptotic series in t^(-2).
-_T_COEFFS = (5.0 / 48.0, -5.0 / 36.0, 77125.0 / 82944.0, -108056875.0 / 6967296.0)
-_U_COEFFS = (-7.0 / 48.0, 35.0 / 288.0, -181223.0 / 207360.0, 18683371.0 / 1244160.0)
-
-
-def _zero_series(t: float, coeffs) -> float:
-    u = t ** -2.0
-    acc = 1.0
-    power = 1.0
-    for c in coeffs:
-        power *= u
-        acc += c * power
-    return t ** (2.0 / 3.0) * acc
-
-
-def asymptotic_zero(kind: str, n: int) -> float:
-    """Unrefined large-index location of the n-th zero."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"zero index must be >= 1, got {n}")
-    if kind == ZERO_OF_AI:
-        return -_zero_series(3.0 * math.pi * (4 * n - 1) / 8.0, _T_COEFFS)
-    if kind == ZERO_OF_AI_PRIME:
-        return -_zero_series(3.0 * math.pi * (4 * n - 3) / 8.0, _U_COEFFS)
-    raise ValueError(f"unknown zero kind {kind!r}")

@@ -39,8 +39,6 @@ __all__ = [
     "DomainError",
     "eigenvalue_function",
     "energy",
-    "energy_asymptotic",
-    "level_spacing",
     "node_count",
     "zero_energy_field",
     "zero_energy_field_solved",
@@ -305,49 +303,6 @@ def energy(bc: BoundarySpec, n: int, field: float) -> BoundState:
             "Robin wall keeps a bound level (E = -1), every other state unbinds"
         )
     return _solve(bc, n, field)
-
-
-def energy_asymptotic(bc: BoundarySpec, n: int, field: float, regime: str) -> float:
-    """Closed-form weak- or strong-field expansion of a Robin level.
-
-    Dirichlet and Neumann walls are refused: their exact energies already
-    are closed forms.  Choosing a regime consistent with the field is the
-    caller's responsibility.
-    """
-    bc = BoundarySpec.parse(bc)
-    if not bc.is_robin:
-        raise DomainError("asymptotic expansions exist for Robin walls only")
-    n = int(n)
-    if n < 0:
-        raise DomainError("quantum number must be non-negative")
-    field = float(field)
-    if not field > 0.0:
-        raise DomainError("field must be positive")
-    f23 = field ** (2.0 / 3.0)
-    if regime == "weak":
-        if bc is BoundarySpec.ROBIN_MINUS:
-            if n == 0:
-                return -1.0 + 0.5 * field - 0.125 * field * field
-            # The n-th attractive level tracks the (n-1)-th hard-wall one,
-            # shifted linearly by the finite extrapolation length.
-            return -root_table(n).ai_zero(n) * f23 + field
-        return -root_table(n + 1).ai_zero(n + 1) * f23 - field
-    if regime == "strong":
-        ap = root_table(n + 1).ai_prime_zero(n + 1)
-        admix = 1.0 / (ap * ap * field ** (1.0 / 3.0))
-        sign = -1.0 if bc is BoundarySpec.ROBIN_MINUS else 1.0
-        return -ap * f23 * (1.0 + sign * admix)
-    raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
-
-
-def level_spacing(bc: BoundarySpec, n: int, field: float) -> float:
-    """E_{n+1} - E_n, always positive."""
-    upper = energy(bc, n + 1, field).energy
-    lower = energy(bc, n, field).energy
-    gap = upper - lower
-    if not gap > 0.0:
-        raise ConsistencyError(f"levels {n} and {n + 1} are not ordered: gap {gap:.3e}")
-    return gap
 
 
 def zero_energy_field() -> float:

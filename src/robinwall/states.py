@@ -59,15 +59,13 @@ from .quadrature import (
     ray_transform,
 )
 from .special import root_table, scaled_airy
-from .spectrum import BoundarySpec, BoundState, ConsistencyError, DomainError, energy
+from .spectrum import BoundarySpec, BoundState, ConsistencyError, energy
 
 __all__ = [
-    "ExtremumInfo",
     "StateFunctions",
     "boundary_residual",
     "build_state",
     "energy_identity_residual",
-    "extrema",
     "momentum_integrals",
     "momentum_norm",
     "position_integrals",
@@ -384,81 +382,3 @@ def energy_identity_residual(sf: StateFunctions) -> float:
     total = kinetic + wall - state.field * mean_x
     return float(abs(total - state.energy))
 
-
-@dataclass(frozen=True)
-class ExtremumInfo:
-    """One interior stationary point of the wavefunction."""
-
-    m: int
-    x: float
-    psi_value: float
-
-
-def _newton_extremum(sf: StateFunctions, seed: float) -> float:
-    e_val = sf.state.energy
-    field = sf.state.field
-    clip = 0.5 / sf.field_cbrt
-    x = float(seed)
-    for _ in range(60):
-        slope = sf.psi_prime(x)
-        # psi'' from the stationary equation, no finite differencing.
-        curv = -(e_val + field * x) * sf.psi(x)
-        if curv == 0.0:
-            break
-        step = slope / curv
-        if step > clip:
-            step = clip
-        elif step < -clip:
-            step = -clip
-        x -= step
-        if abs(step) <= 1e-13 * max(1.0, abs(x)):
-            break
-    if abs(x - seed) > 0.2 * max(abs(seed), 1.0 / sf.field_cbrt):
-        raise DomainError(
-            f"refinement wandered from seed {seed:.6g} to {x:.6g}; "
-            "the regime does not describe this state"
-        )
-    if abs(sf.psi_prime(x)) > 1e-8:
-        raise ConsistencyError(
-            f"stationary-point refinement stalled at x = {x:.6g} "
-            f"with slope {sf.psi_prime(x):.3e}"
-        )
-    return x
-
-
-def extrema(sf: StateFunctions, regime: str) -> list:
-    """Interior extrema of an attractive-wall state, refined from seeds.
-
-    Seeds exist for excited levels only: in either regime the ground
-    state keeps its single maximum on the wall, and each excited level
-    carries n stationary points strictly inside the domain.
-    """
-    if sf.state.bc is not BoundarySpec.ROBIN_MINUS:
-        raise DomainError("interior-extremum seeds are specific to the attractive Robin wall")
-    n = sf.state.n
-    f13 = sf.field_cbrt
-    if regime == "weak":
-        if n < 1:
-            raise DomainError("the weak-field ground state has no interior extremum")
-        table = root_table(n + 1)
-        a_n = table.ai_zero(n)
-        seeds = [((a_n - table.ai_prime_zero(m)) / f13 - 1.0, m) for m in range(1, n + 1)]
-    elif regime == "strong":
-        if n < 1:
-            raise DomainError("the strong-field ground state presses its crest onto the wall")
-        table = root_table(n + 1)
-        ap_top = table.ai_prime_zero(n + 1)
-        # The boundary condition pushes the Airy argument at the wall just
-        # above the (n+1)th slope zero, so the innermost crest is truncated
-        # and only n stationary points survive inside.
-        offset = 1.0 / (ap_top * f13 * f13)
-        seeds = [((ap_top - table.ai_prime_zero(m)) / f13 - offset, m)
-                 for m in range(1, n + 1)]
-    else:
-        raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
-
-    out = []
-    for seed, m in seeds:
-        x = _newton_extremum(sf, seed)
-        out.append(ExtremumInfo(m=m, x=x, psi_value=float(sf.psi(x))))
-    return out

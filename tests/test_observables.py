@@ -1,4 +1,4 @@
-"""Dipole moments: closed forms, quadrature cross-checks, coupling limits."""
+"""Dipole moments: closed forms, quadrature cross-checks, weak- and deep-level couplings."""
 
 import math
 
@@ -7,13 +7,13 @@ import pytest
 from robinwall.observables import (
     dipole_element_quadrature,
     dipole_matrix,
-    ground_coupling_asymptote,
     hellmann_feynman_mean_x,
     mean_position,
     mean_x_quadrature,
     polarization,
     zero_field_mean_x,
 )
+from robinwall.special import root_table
 from robinwall.spectrum import BoundarySpec, BoundState, DomainError, energy
 from robinwall.states import build_state
 
@@ -26,7 +26,7 @@ COUPLING_01_AT_FIELD1 = {
 }
 
 # Exact ground-to-level-300 coupling of the attractive wall at field
-# 0.02, kept as a regression anchor for the deep asymptote below.
+# 0.02, kept as a regression anchor for the deep-level form below.
 DEEP_COUPLING_REF = 0.006096846621674892
 
 
@@ -135,32 +135,19 @@ def test_hard_wall_couplings_dilate_as_inverse_cube_root(bc):
 
 
 def test_ground_coupling_low_branch():
-    asym = ground_coupling_asymptote(1, 1e-4)
-    assert asym.branch == "low"
-    assert not asym.crossover
-    assert math.isclose(asym.value, math.sqrt(2e-4), rel_tol=1e-14)
+    # While the partner level's Airy scale |a_2| F^(2/3) is far below the
+    # surface-state binding, the ground-to-first coupling is sqrt(2 F).
     exact = dipole_matrix("robin-", 1e-4, 2).element(0, 1)
-    assert math.isclose(asym.value, exact, rel_tol=0.05)
+    assert math.isclose(math.sqrt(2e-4), exact, rel_tol=0.05)
 
 
 def test_ground_coupling_high_branch():
-    # The deep-level form approaches the exact coupling only as 1/E of
+    # Far above it the coupling to level n is sqrt(-2 / a^3) / sqrt(F),
+    # a = a_(n+1).  That form approaches the exact coupling only as 1/E of
     # the partner level, so the comparison tolerance stays loose.
-    asym = ground_coupling_asymptote(300, 0.02)
-    assert asym.branch == "high"
-    assert not asym.crossover
-    exact = dipole_matrix("robin-", 0.02, 301).element(0, 300)
+    field = 0.02
+    a_next = root_table(301).ai_zero(301)
+    exact = dipole_matrix("robin-", field, 301).element(0, 300)
     assert math.isclose(exact, DEEP_COUPLING_REF, rel_tol=1e-10)
-    assert math.isclose(asym.value, exact, rel_tol=0.25)
-
-
-def test_ground_coupling_flags_crossover_window():
-    assert ground_coupling_asymptote(1, 0.3).crossover
-    assert not ground_coupling_asymptote(1, 1.0).crossover
-
-
-def test_ground_coupling_error_paths():
-    with pytest.raises(DomainError):
-        ground_coupling_asymptote(0, 1.0)
-    with pytest.raises(DomainError):
-        ground_coupling_asymptote(1, 0.0)
+    deep = math.sqrt(-2.0 / a_next ** 3) / math.sqrt(field)
+    assert math.isclose(deep, exact, rel_tol=0.25)

@@ -1,4 +1,4 @@
-"""Eigenvalue solver: frozen references, ordering, asymptotics, error paths."""
+"""Eigenvalue solver: frozen references, ordering, weak- and strong-field limits, error paths."""
 
 import math
 from unittest import mock
@@ -15,8 +15,6 @@ from robinwall import (
     DomainError,
     eigenvalue_function,
     energy,
-    energy_asymptotic,
-    level_spacing,
     node_count,
     root_table,
     zero_energy_field,
@@ -153,50 +151,42 @@ def test_attractive_ground_level_field_floor():
     assert node_count(state.energy, 1e-9) == 0
 
 
-def test_level_spacing_positive_and_consistent():
-    gap = level_spacing("robin-", 0, 1.0)
-    assert math.isclose(gap, RM_FIELD1[1] - RM_FIELD1[0], rel_tol=1e-12)
-
-
 def test_weak_field_spacing_tracks_zero_gap():
     # For a weak field the gap between the first two field-induced levels
     # approaches field^(2/3) times the gap of the first two Ai zeros.
     field = 1e-3
     table = root_table(2)
     want = (table.ai_zero(1) - table.ai_zero(2)) * field ** (2.0 / 3.0)
-    got = level_spacing("robin-", 1, field)
+    got = energy("robin-", 2, field).energy - energy("robin-", 1, field).energy
     assert abs(got - want) / want < 0.03
 
 
 def test_weak_field_expansions():
+    # The attractive ground level stays near the surface state, -1 + F/2 -
+    # F^2/8; every other weak-field Robin level tracks a hard-wall level
+    # -a_n F^(2/3), shifted by +F (robin-, n >= 1) or -F (robin+).
     field = 0.01
     f23 = field ** (2.0 / 3.0)
-    table = root_table(2)
-    ground = energy_asymptotic("robin-", 0, field, "weak")
+    a1 = root_table(1).ai_zero(1)
+    ground = -1.0 + 0.5 * field - 0.125 * field * field
     assert abs(ground - energy("robin-", 0, field).energy) < 5e-5
-    first = energy_asymptotic("robin-", 1, field, "weak")
-    assert math.isclose(first, -table.ai_zero(1) * f23 + field, rel_tol=1e-14)
+    first = -a1 * f23 + field
     assert abs(first - energy("robin-", 1, field).energy) / first < 0.03
-    rep = energy_asymptotic("robin+", 0, field, "weak")
-    assert math.isclose(rep, -table.ai_zero(1) * f23 - field, rel_tol=1e-14)
+    rep = -a1 * f23 - field
     assert abs(rep - energy("robin+", 0, field).energy) / rep < 0.03
 
 
 @pytest.mark.parametrize("bc", ["robin-", "robin+"])
 def test_strong_field_expansion_converges(bc):
-    # The first correction beyond the expansion scales as field**(-2/3)
-    # relative, so the field must be large for a tight check.
+    # The ground level sits at -a'_1 F^(2/3) (1 -/+ 1/(a'_1^2 F^(1/3))).
+    # The first correction beyond it scales as field**(-2/3) relative, so
+    # the field must be large for a tight check.
     field = 1e6
-    approx = energy_asymptotic(bc, 0, field, "strong")
+    ap = root_table(1).ai_prime_zero(1)
+    sign = -1.0 if bc == "robin-" else 1.0
+    approx = -ap * field ** (2.0 / 3.0) * (1.0 + sign / (ap * ap * field ** (1.0 / 3.0)))
     exact = energy(bc, 0, field).energy
     assert abs(approx - exact) / exact < 1e-3
-
-
-def test_asymptotic_rejects_hard_walls_and_bad_regime():
-    with pytest.raises(DomainError):
-        energy_asymptotic("dirichlet", 0, 1.0, "weak")
-    with pytest.raises(ValueError):
-        energy_asymptotic("robin-", 0, 1.0, "medium")
 
 
 def test_zero_energy_field_closed_form_and_solved_root():

@@ -1,4 +1,4 @@
-"""Wavefunction bundles: profiles, norms, momentum side, extrema."""
+"""Wavefunction bundles: profiles, norms, momentum side, wall and energy identities."""
 
 import math
 import warnings
@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import special as scipy_special
-from scipy.special import airy, xlogy
+from scipy.special import xlogy
 
 from scipy.integrate import quad
 
@@ -19,12 +19,10 @@ from robinwall.quadrature import (
 )
 from robinwall import quadrature, special, states
 from robinwall.special import root_table, valley_airy
-from robinwall.spectrum import DomainError
 from robinwall.states import (
     boundary_residual,
     build_state,
     energy_identity_residual,
-    extrema,
     momentum_integrals,
     momentum_norm,
     position_integrals,
@@ -393,46 +391,3 @@ def test_momentum_density_peak_reference(state_of):
 @pytest.mark.parametrize("bc,n,field", PROFILE_CASES)
 def test_energy_identity(state_of, bc, n, field):
     assert energy_identity_residual(state_of(bc, n, field)) < 1e-9
-
-
-def test_weak_field_extrema_match_airy_prediction(state_of):
-    field = 1e-3
-    n = 2
-    sf = state_of("robin-", n, field)
-    table = root_table(n + 1)
-    found = extrema(sf, "weak")
-    assert [e.m for e in found] == [1, 2]
-    scale = field ** (1.0 / 6.0) / abs(airy(table.ai_zero(n))[1])
-    for e in found:
-        assert abs(sf.psi_prime(e.x)) < 1e-8
-        want_x = (table.ai_zero(n) - table.ai_prime_zero(e.m)) / field ** (1.0 / 3.0) - 1.0
-        assert math.isclose(e.x, want_x, rel_tol=1e-2)
-        want_amp = scale * abs(airy(table.ai_prime_zero(e.m))[0])
-        assert math.isclose(abs(e.psi_value), want_amp, rel_tol=1e-2)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_strong_field_extrema_match_airy_prediction(state_of, n):
-    field = 1e4
-    sf = state_of("robin-", n, field)
-    table = root_table(n + 1)
-    top = table.ai_prime_zero(n + 1)
-    found = extrema(sf, "strong")
-    assert [e.m for e in found] == list(range(1, n + 1))
-    scale = field ** (1.0 / 6.0) / (math.sqrt(-top) * airy(top)[0])
-    for e in found:
-        assert abs(sf.psi_prime(e.x)) < 1e-8
-        want = scale * airy(table.ai_prime_zero(e.m))[0]
-        assert math.isclose(e.psi_value, want, rel_tol=5e-3)
-
-
-def test_extrema_error_paths(state_of):
-    ground = state_of("robin-", 0, 1.0)
-    with pytest.raises(DomainError):
-        extrema(ground, "weak")
-    with pytest.raises(DomainError):
-        extrema(ground, "strong")
-    with pytest.raises(DomainError):
-        extrema(build_state("neumann", 1, 1.0), "weak")
-    with pytest.raises(ValueError):
-        extrema(state_of("robin-", 1, 1.0), "medium")
