@@ -266,17 +266,19 @@ def _position_pass(unit: AiryUnitState) -> tuple:
 
     The five integrands rho~, -rho~ ln(rho~), (d psi~/du)^2, rho~^2 and
     u rho~ share one evaluation of psi~ and its slope per interval.  The
-    pass starts from the pieces between the interior nodes of psi,
+    pass runs over the pieces between the interior nodes of psi,
     u_k = a_k - arg0 at the zeros a_k of Ai, where -rho~ ln(rho~) has a
     logarithmic kink, and maps each piece [a, b] by u = a + (b - a) s(t)
-    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  Each piece
-    enters the first call as its two halves in t, a bisection that nearly
-    every piece took anyway; the interval budget of
-    :func:`.quadrature.integrate_batch` grows with these 2 (n + 1) pieces.
+    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  The first
+    call takes each node gap as its two halves in t and the tail, from the
+    last node (or the wall) to u_cut, as ``_tail_pieces`` equal parts, so
+    that one call meets the tolerance; the interval budget of
+    :func:`.quadrature.integrate_batch` grows with these pieces.
     """
     nodes = root_table(unit.n + 1).a[:unit.n][::-1] - unit.arg0
     edges = np.concatenate(([0.0], nodes, [unit.u_cut]))
     width = np.diff(edges)
+    gaps = width.size - 1
 
     def integrand(t):
         piece = np.minimum(t.astype(int), width.size - 1)
@@ -287,11 +289,27 @@ def _position_pass(unit: AiryUnitState) -> tuple:
         ds = 6.0 * width[piece] * t * (1.0 - t)
         return np.stack([r, -xlogy(r, r), dp * dp, r * r, u * r]) * ds
 
-    # Two first pieces per node gap: nearly every gap was bisected once,
-    # at one Python iteration each; the first call takes those halves.
-    values, _ = integrate_batch(integrand, np.linspace(0.0, width.size, 2 * width.size + 1),
-                                unit.cfg)
+    # Two first pieces per node gap, each about half a hump of psi; the
+    # tail gets about one piece per pi of psi's phase or log-decay.
+    tail = _tail_pieces(unit.arg0 + edges[-2])
+    points = np.concatenate((np.linspace(0.0, gaps, 2 * gaps + 1),
+                             gaps + np.arange(1, tail + 1) / tail))
+    values, _ = integrate_batch(integrand, points, unit.cfg)
     return tuple(float(v) for v in values)
+
+
+def _tail_pieces(xi: float) -> int:
+    """First pieces of the position tail that starts at wall-side argument xi.
+
+    The tail holds psi's phase from xi up to the turning point,
+    (2/3) |xi|^(3/2) for xi < 0, and past max(xi, 0) its whole decay to
+    the cut, ln(1 / _X_CUT_THRESHOLD) / 2 (see :func:`_cut`), whatever its
+    length in Airy units.  About one piece per pi of the two, a hump or a
+    fall of psi by e^pi, gives 8 pieces behind a node (xi = a_1) and 7 for
+    a surface state.
+    """
+    reach = (2.0 / 3.0) * max(-xi, 0.0) ** 1.5 + 0.5 * math.log(1.0 / _X_CUT_THRESHOLD)
+    return round(reach / math.pi)
 
 
 def position_integrals(sf: StateFunctions) -> tuple:
@@ -325,8 +343,8 @@ def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
     call per interval of u: kappa = u K on [0, 1] and kappa = K / (2 - u)^6
     on [1, 2], with K = max(sqrt|eps|, 1) the wavenumber or decay rate of
     psi at the wall in Airy units (from eps = 1 on, the split sqrt(eps) of
-    the ray).  The first call takes 2 (n // 2 + 1) equal pieces of [0, 1],
-    about one per hump of the density there, and [1, 1.5] and [1.5, 2].
+    the ray).  The first call takes the pieces of
+    :func:`_momentum_points`, which meet the tolerance in that call.
     """
     scale = max(math.sqrt(abs(arg0)), 1.0)
 
@@ -340,12 +358,30 @@ def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
         dg = 2.0 * (phi.conjugate() * dphi).real
         return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
-    # Below the split the density has about n humps; 2 (n // 2 + 1) first
-    # pieces keep the bisection budget in step with them.  Two more cover
-    # the far side of the split.
-    points = np.append(np.linspace(0.0, 1.0, 2 * (n // 2 + 1) + 1), [1.5, 2.0])
-    values, _ = integrate_batch(integrand, points, cfg)
+    # Just past the split the density's features are about one Airy unit
+    # wide where psi oscillates at the wall (the caustic at kappa = K,
+    # eps > 0), and about K wide where the wall is in the forbidden region.
+    values, _ = integrate_batch(integrand, _momentum_points(n, scale if arg0 < 0.0 else 1.0),
+                                cfg)
     return tuple(float(v) for v in values)
+
+
+def _momentum_points(n: int, ratio: float) -> np.ndarray:
+    """First breakpoints of the momentum pass of level n, in u on [0, 2].
+
+    Below the split the density has about n humps, crowded toward
+    kappa = 0 like the ray phase's slope K^2 - kappa^2, and the caustic at
+    kappa = K makes the last ones the tallest.  n + 2 pieces sit at equal
+    steps of (5u - u^3) / 4, half equal width and half equal hump count,
+    from its closed-form inverse.  Above the split, where
+    kappa = K / (2 - u)^6 stretches u by 6 K, pieces halve toward it until
+    the first spans about K / ``ratio``, the width of the density's
+    features there.
+    """
+    steps = np.arange(n + 2) / (n + 2)
+    below = 2.0 * math.sqrt(5.0 / 3.0) * np.sin(np.arcsin(2.0 * 0.6 ** 1.5 * steps) / 3.0)
+    halvings = math.ceil(math.log2(6.0 * ratio))
+    return np.concatenate((below, [1.0], 1.0 + 0.5 ** np.arange(halvings, -1, -1)))
 
 
 def momentum_integrals(sf: StateFunctions) -> tuple:

@@ -1,11 +1,12 @@
 """Entropy, Fisher, Onicescu, and complexity measures."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from robinwall import states
+from robinwall import ToleranceConfig, states
 from robinwall.infomeasures import (
     ENTROPY_FLOOR,
     entropy_crossing,
@@ -110,8 +111,7 @@ def test_level_200_is_measured(bc, field):
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
 def test_level_300_is_measured(bc):
     # Below the split the momentum density has about n humps; the momentum
-    # pass starts from 2 (n // 2 + 1) pieces there, so its budget grows
-    # with them.
+    # pass starts from n + 2 pieces there, so its budget grows with them.
     rec = measure_state(build_state(bc, 300, 1.0))
     assert rec.S_t >= ENTROPY_FLOOR
 
@@ -173,6 +173,23 @@ def test_hard_wall_measures_follow_the_exact_field_laws(bc):
                 assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-14), (n, field)
         for memo in (states._position_pass, states._momentum_pass):
             assert memo.cache_info().misses == done
+
+
+def test_robin_records_match_a_thousandfold_tighter_tolerance():
+    # Both passes start from pieces that meet the default tolerance in one
+    # call, with no bisection; the records must still agree with passes run
+    # to 1e-13 (the tightest the reference reaches: at 1e-14 it stops at
+    # qk21's 50-eps floor).  The worst value is off by 1.7e-13.
+    fine = ToleranceConfig(abs_tol=1e-13, rel_tol=1e-13)
+    rng = np.random.default_rng(2022)
+    for bc in ("robin-", "robin+"):
+        for n in range(4):
+            for field in 10.0 ** rng.uniform(-2.0, 3.0, size=2):
+                rec = measure_state(build_state(bc, n, field))
+                ref = measure_state(build_state(bc, n, field, fine))
+                for name in [f.name for f in fields(rec) if f.name != "state"]:
+                    got, want = getattr(rec, name), getattr(ref, name)
+                    assert abs(got - want) <= 5e-13 * max(1.0, abs(want)), (bc, n, field, name)
 
 
 def test_measure_state_certifies_unit_norm():

@@ -22,6 +22,7 @@ from robinwall.quadrature import (
     _MAX_SUBDIVISIONS,
     HalfLineFourierTable,
     QuadratureError,
+    _kronrod,
     integrate_batch,
 )
 from robinwall.states import _X_CUT_THRESHOLD
@@ -96,6 +97,25 @@ def test_batch_rule_meets_each_components_tolerance():
     assert values.shape == errors.shape == (2,)
     assert np.all(errors <= cfg.rel_tol * np.abs(values))
     assert np.all(np.abs(values - exact) <= cfg.rel_tol * exact)
+
+
+def test_batch_rule_stops_after_its_first_call_when_it_meets_the_tolerance():
+    # qk21 is exact on these low-degree components, so the first pieces
+    # already meet the tolerance: one call of f, whose sums are returned
+    # as they are, and no bisection.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.stack([np.ones_like(x), x, 3.0 * x * x])
+
+    points = [0.0, 0.25, 0.5, 1.0]
+    values, errors = integrate_batch(f, points)
+    assert calls == [21 * 3]
+    first, first_err = _kronrod(f, np.array(points[:-1]), np.array(points[1:]))
+    assert np.array_equal(values, first.sum(axis=0))
+    assert np.array_equal(errors, first_err.sum(axis=0))
+    assert np.allclose(values, [1.0, 0.5, 1.0], rtol=1e-15)
 
 
 def test_batch_rule_entropy_integrand_with_interior_node():

@@ -351,6 +351,43 @@ def test_robin_passes_stay_within_their_cost(monkeypatch):
     assert cost["calls"] <= 75 and cost["points"] <= 4662
 
 
+def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
+    # The first pieces of both passes are laid out from the state's
+    # geometry so that the first integrand call already meets the
+    # tolerance: no bisection, so no further call, on any of these 120
+    # states.  Two pieces per node gap and tail, 2 (n // 2 + 1) below the
+    # momentum split and two above it took 536 position and 548 momentum
+    # calls here, on 143,472 and 87,696 points; this layout takes 141,057
+    # and 79,527, and may take no more points than that earlier one.
+    real = states.integrate_batch
+    calls = []
+
+    def counted(f, points, cfg):
+        calls.append([0, 0])
+
+        def g(x):
+            calls[-1][0] += 1
+            calls[-1][1] += x.size
+            return f(x)
+
+        return real(g, points, cfg)
+
+    monkeypatch.setattr(states, "integrate_batch", counted)
+    points = {"position": 0, "momentum": 0}
+    for bc in ("dirichlet", "neumann", "robin-", "robin+"):
+        for n in (0, 1, 3, 10, 30, 100):
+            for field in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                unit = build_state(bc, n, field).unit
+                states._position_pass.__wrapped__(unit)
+                states._momentum_pass.__wrapped__(unit.arg0, unit.psi0, unit.dpsi0,
+                                                  unit.n, unit.cfg)
+                (pos_calls, pos_points), (mom_calls, mom_points) = calls[-2:]
+                assert (pos_calls, mom_calls) == (1, 1), (bc, n, field)
+                points["position"] += pos_points
+                points["momentum"] += mom_points
+    assert points["position"] <= 143_472 and points["momentum"] <= 87_696
+
+
 def test_momentum_density_is_even_bit_for_bit(state_of):
     sf = state_of("robin-", 0, 1.0)
     for k in (0.4, 3.3, 17.0):
