@@ -56,8 +56,6 @@ from .states import (
     boundary_residual,
     build_state,
     energy_identity_residual,
-    momentum_norm,
-    position_norm,
 )
 
 __version__ = "0.1.0"
@@ -100,10 +98,8 @@ __all__ = [
     "mean_position",
     "mean_x_quadrature",
     "measure_state",
-    "momentum_norm",
     "node_count",
     "polarization",
-    "position_norm",
     "root_table",
     "zero_energy_field",
     "zero_energy_field_solved",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import integrate_batch
-from .special import root_table
 from .spectrum import BoundarySpec, BoundState, DomainError, energy
 from .states import StateFunctions, position_integrals
 
@@ -141,33 +140,22 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
     field = float(field)
     values = np.empty((size, size), dtype=float)
     f_m13 = field ** (-1.0 / 3.0)
-
-    if bc.is_robin:
-        levels = [energy(bc, n, field) for n in range(size)]
-        for n in range(size):
-            values[n, n] = mean_position(levels[n])
-            e_n = levels[n].energy
-            for m in range(n + 1, size):
-                e_m = levels[m].energy
+    levels = [energy(bc, n, field) for n in range(size)]
+    for n, level in enumerate(levels):
+        values[n, n] = mean_position(level)
+        for m in range(n + 1, size):
+            if bc.is_robin:
+                e_n, e_m = level.energy, levels[m].energy
                 elem = field * (e_n + e_m + 2.0) / (
                     math.sqrt((e_n + 1.0) * (e_m + 1.0)) * (e_n - e_m) ** 2
                 )
-                values[n, m] = elem
-                values[m, n] = elem
-    else:
-        table = root_table(size + 1)
-        for n in range(size):
-            values[n, n] = mean_position(energy(bc, n, field))
-            for m in range(n + 1, size):
-                if bc is BoundarySpec.DIRICHLET:
-                    gap = table.ai_zero(n + 1) - table.ai_zero(m + 1)
-                    elem = 2.0 * f_m13 / gap ** 2
-                else:
-                    zn = table.ai_prime_zero(n + 1)
-                    zm = table.ai_prime_zero(m + 1)
-                    elem = -(zn + zm) * f_m13 / (math.sqrt(zn * zm) * (zn - zm) ** 2)
-                values[n, m] = elem
-                values[m, n] = elem
+            elif bc is BoundarySpec.DIRICHLET:
+                elem = 2.0 * f_m13 / (level.arg0 - levels[m].arg0) ** 2
+            else:
+                zn, zm = level.arg0, levels[m].arg0
+                elem = -(zn + zm) * f_m13 / (math.sqrt(zn * zm) * (zn - zm) ** 2)
+            values[n, m] = elem
+            values[m, n] = elem
     return DipoleMatrix(bc=bc, field=field, values=values)
 
 

@@ -6,9 +6,11 @@ truncated half-line, smooth apart from the logarithmic kink that
 transform of a wavefunction with a nonzero boundary value decays only
 like 1/k, so every density integral has a slow algebraic tail.
 
-* :func:`ray_transform` gives phi and phi' at every momentum from the wall
-  data alone, on a ray rotated into the complex plane plus, below
-  kappa = sqrt(eps), one closed-form Airy term; psi's cut never enters.
+* :func:`ray_transform` gives phi and phi' in Airy units, at every
+  kappa = k / F^(1/3) from the wall data and eps = E / F^(2/3) alone, on a
+  ray rotated into the complex plane plus, below kappa = sqrt(eps), one
+  closed-form Airy term; psi's cut never enters, and :mod:`.states`
+  applies the field.
 * :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
   vector-valued integrand evaluated on a whole interval in one array call;
   it is the only adaptive rule of the package and carries every position
@@ -260,57 +262,56 @@ def _real_product(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def ray_transform(k, psi0: float, dpsi0: float, energy: float, field: float) -> tuple:
-    """(phi, d phi/dk) at every momentum of a 1-d array, from the wall data.
+def ray_transform(kappa, psi0: float, dpsi0: float, eps: float) -> tuple:
+    """(phi~, d phi~/d kappa) at every momentum of a 1-d array, from the wall data.
 
-    The transformed stationary equation, i F phi' = (k^2 - E) phi - B(k) with
-    B(q) = (psi'(0) + i q psi(0)) / sqrt(2 pi), is of first order, and its
-    solution that vanishes as k -> infinity is
-    phi(k) = -(i/F) integral over z >= 0 of B(k + z) exp(i theta / F) dz.
-    In Airy units kappa = k / F^(1/3), eps = E / F^(2/3), the field drops
-    out: theta / F = Phi(kappa + z) - Phi(kappa), Phi(q) = q^3/3 - eps q,
+    Everything is in Airy units: kappa = k / F^(1/3), eps = E / F^(2/3),
+    psi~(0) = ``psi0`` and F^(-1/2) psi'(0) = ``dpsi0``, and the result is
+    phi~ = F^(1/6) phi; :mod:`.states` applies the field.  The transformed
+    stationary equation, i phi~' = (kappa^2 - eps) phi~ - B(kappa) with
+    B(q) = (dpsi0 + i q psi0) / sqrt(2 pi), is of first order, and its
+    solution that vanishes as kappa -> infinity is
+    phi~(kappa) = -i integral over z >= 0 of B(kappa + z) exp(i theta) dz,
+    theta = Phi(kappa + z) - Phi(kappa), Phi(q) = q^3/3 - eps q,
     formed as z (kappa^2 - eps) + kappa z^2 + z^3 / 3 (as a difference of
     cubes it loses digits).  Where kappa^2 >= eps every term decays along
     z = s exp(i pi/6), and one fixed rule takes the integral there.  Below,
     the rule runs along z = s exp(-7 i pi/12) into the -pi/2 valley, and the
     integral between the valleys is added in closed form (DLMF 9.5.1):
     exp(-i Phi(kappa)) (c1 J - c0 J'), J = 2 pi e^(i pi/3) Ai(eps e^(i pi/3)),
-    where c1 + i c0 q is B in Airy units.
-    phi' comes from the k-derivative of the integrand on the same samples
-    and of the closed-form term; formed from the equation it would cancel
-    at large k, where phi ~ B / (k^2 - E).
+    where c1 + i c0 q is B.
+    phi~' comes from the kappa-derivative of the integrand on the same
+    samples and of the closed-form term; formed from the equation it would
+    cancel at large kappa, where phi~ ~ B / (kappa^2 - eps).
     On the ray z = h s, with h = ell * direction one complex number per
     momentum, the exponent is the block i [gap h, kappa h^2, h^3] times the
     constant rows [s; s^2; s^3 / 3], and after one exp both sums are taken
     from the four moments m_j = sum over nodes of exp(...) w s^j:
-    phi ~ h (beta m0 + i c0 h m1) and
-    phi' ~ h (c0 m0 + 2 beta kappa h m1 + (beta + 2 i c0 kappa) h^2 m2
+    phi~ ~ h (beta m0 + i c0 h m1) and
+    phi~' ~ h (c0 m0 + 2 beta kappa h m1 + (beta + 2 i c0 kappa) h^2 m2
     + i c0 h^3 m3), with beta = c1 + i c0 kappa.  Both products with the
     constant tables are real matrix products on the real and imaginary
     parts: after a complex one (zgemm), the bundled OpenBLAS leaves the
     next complex exp several times slower.  Negative momenta are taken by
     conjugation.  Where kappa^2 - eps overflows, the next term of that
-    series is below F / k^3 ~ 1e-462 of the first, so phi is B / k^2 and
-    phi' its derivative, formed without squaring k.
+    series is below 1 / kappa^3 ~ 1e-462 of the first, so phi~ is
+    B / kappa^2 and phi~' its derivative, formed without squaring kappa.
     """
-    k = np.asarray(k, dtype=float)
-    f13 = field ** (1.0 / 3.0)
-    eps = energy / (f13 * f13)
+    signed = np.asarray(kappa, dtype=float)
+    kappa = np.abs(signed)
     with np.errstate(over="ignore"):
-        kappa = np.abs(k) / f13
         gap = kappa * kappa - eps
     huge = ~np.isfinite(gap)
     if huge.any():
-        phi = np.empty(k.size, dtype=complex)
+        phi = np.empty(signed.size, dtype=complex)
         dphi = np.empty_like(phi)
-        phi[~huge], dphi[~huge] = ray_transform(k[~huge], psi0, dpsi0, energy, field)
-        q = k[huge]
+        phi[~huge], dphi[~huge] = ray_transform(signed[~huge], psi0, dpsi0, eps)
+        q = signed[huge]
         phi[huge] = (dpsi0 / q / q + 1j * (psi0 / q)) / _SQRT_TWO_PI
         dphi[huge] = -(2.0 * dpsi0 / q / q / q + 1j * (psi0 / q / q)) / _SQRT_TWO_PI
         return phi, dphi
-    root = math.sqrt(f13)
-    c0 = psi0 / root / _SQRT_TWO_PI
-    c1 = dpsi0 / (f13 * root) / _SQRT_TWO_PI
+    c0 = psi0 / _SQRT_TWO_PI
+    c1 = dpsi0 / _SQRT_TWO_PI
     down = gap < 0.0
     # Decay lengths of the terms of i theta on each ray.  The down ray's
     # terms turn faster than they decay, so its lengths were tuned shorter,
@@ -337,9 +338,8 @@ def ray_transform(k, psi0: float, dpsi0: float, energy: float, field: float) -> 
         valley = c * np.exp(-1j * ((q - r) * (q - r) * (q + 2.0 * r) / 3.0))
         phi[down] += valley
         dphi[down] -= gap[down] * valley
-    phi = -1j * phi / root
-    dphi = dphi / (f13 * root)
-    neg = k < 0.0
+    phi = -1j * phi
+    neg = signed < 0.0
     phi[neg] = np.conj(phi[neg])
     dphi[neg] = -np.conj(dphi[neg])
     return phi, dphi

@@ -103,12 +103,18 @@ class BoundarySpec(enum.Enum):
 
 @dataclass(frozen=True)
 class BoundState:
-    """One solved level, with the diagnostics that certified it."""
+    """One solved level, with the diagnostics that certified it.
+
+    ``arg0`` is the wall-side Airy argument -E / F^(2/3): for a hard wall
+    the zero-table value a_(n+1) or a'_(n+1) itself, the number E was
+    formed from.
+    """
 
     bc: BoundarySpec
     n: int
     field: float
     energy: float
+    arg0: float
     residual: float
     bracket: tuple
 
@@ -274,7 +280,8 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
         raise ConsistencyError(
             f"level {n} solved to E={root:.12g} but the profile has {found_nodes} nodes"
         )
-    return BoundState(bc=bc, n=n, field=field, energy=root,
+    f13 = field ** (1.0 / 3.0)
+    return BoundState(bc=bc, n=n, field=field, energy=root, arg0=-root / (f13 * f13),
                       residual=abs(eigenvalue_function(bc, root, field)), bracket=(lo, hi))
 
 
@@ -286,7 +293,7 @@ def _solve(bc: BoundarySpec, n: int, field: float) -> BoundState:
     root = table.ai_zero(n + 1) if bc is BoundarySpec.DIRICHLET else table.ai_prime_zero(n + 1)
     e_val = -field ** (2.0 / 3.0) * root
     residual = abs(eigenvalue_function(bc, e_val, field))
-    return BoundState(bc=bc, n=n, field=field, energy=e_val, residual=residual,
+    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=root, residual=residual,
                       bracket=(e_val, e_val))
 
 

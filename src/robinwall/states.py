@@ -29,14 +29,16 @@ Numerically delicate points handled here:
   pieces split at the nodes of psi, and :func:`momentum_integrals` takes
   phi and phi' from one ray call per interval of k / F^(1/3).
 * Both passes are memoized pure functions of the state's
-  :class:`AiryUnitState`: the position pass is keyed on the whole record
-  (wall argument, amplitude, wall ratio, cut, n, tolerances), the momentum
-  pass on the wall data alone (wall argument, psi~(0), the wall slope, n,
-  tolerances).  Each memo holds at most ``_PASS_MEMO_SIZE`` results.  A
-  hard wall's record carries no trace of the field, so a sweep over the
-  field pays one pass per (wall, n, tolerances) and the paper's exact
-  field laws give every other field; a Robin record depends on the field
-  and is measured afresh at each one.
+  :class:`AiryUnitState`, and both are keyed on that one record.  It is a
+  function of the wall data (wall argument, psi~(0), the wall slope, n,
+  tolerances), so the momentum pass, which reads only those, misses
+  exactly when the position pass does.  Each memo holds at most
+  ``_PASS_MEMO_SIZE`` results.  A hard wall's record carries no trace of
+  the field, so a sweep over the field pays one pass per (wall, n,
+  tolerances) and the paper's exact field laws, S_x = S - ln F^(1/3) and
+  S_k = S + ln F^(1/3) with the unit norm, give every other field; a Robin
+  record depends on the field and is measured afresh at each one.  The
+  field's F^(1/3) scalings all live in this module.
 """
 
 from __future__ import annotations
@@ -67,9 +69,7 @@ __all__ = [
     "build_state",
     "energy_identity_residual",
     "momentum_integrals",
-    "momentum_norm",
     "position_integrals",
-    "position_norm",
 ]
 
 # exp() arguments are clipped here; the clip can only fire for evaluation
@@ -152,19 +152,19 @@ class StateFunctions:
     integral taken over the state.
 
     Everything is derived from ``unit``, the level's :class:`AiryUnitState`,
-    and the field.  A hard wall takes its wall argument straight from the
-    zero table, a_(n+1) or a'_(n+1), not from -E / F^(2/3).
+    and the field.  The wall argument is the level's ``arg0``, for a hard
+    wall the zero-table value a_(n+1) or a'_(n+1).
     """
 
     def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         self.state = state
         bc = state.bc
         e_val = state.energy
+        arg0 = state.arg0
         f13 = state.field ** (1.0 / 3.0)
         self.field_cbrt = f13
         ai0, s0 = 1.0, 0.0
         if bc.is_robin:
-            arg0 = -e_val / (f13 * f13)
             ai0, aip0, s0 = scaled_airy(arg0)
             if e_val + 1.0 <= 0.0:
                 raise ConsistencyError(
@@ -178,11 +178,9 @@ class StateFunctions:
             psi0 = amp = math.sqrt(f13 * f13 / (e_val + 1.0))
             dpsi0 = bc.wall_slope * psi0 / f13
         elif bc is BoundarySpec.DIRICHLET:
-            arg0 = root_table(state.n + 1).ai_zero(state.n + 1)
             amp = 1.0 / scaled_airy(arg0)[1]
             psi0, dpsi0 = 0.0, -1.0
         else:
-            arg0 = root_table(state.n + 1).ai_prime_zero(state.n + 1)
             amp = 1.0 / (math.sqrt(-arg0) * scaled_airy(arg0)[0])
             psi0, dpsi0 = 1.0 / math.sqrt(-arg0), 0.0
         self.unit = AiryUnitState(arg0=arg0, amp=amp, ai0=ai0, s0=s0, psi0=psi0,
@@ -233,7 +231,7 @@ class StateFunctions:
         unit = self.unit
         with np.errstate(over="ignore"):
             kappa = k / f13
-        phi, dphi = ray_transform(kappa, unit.psi0, unit.dpsi0, -unit.arg0, 1.0)
+        phi, dphi = ray_transform(kappa, unit.psi0, unit.dpsi0, -unit.arg0)
         return phi / f13 ** 0.5, dphi / f13 ** 1.5
 
     def phi(self, k):
@@ -317,42 +315,35 @@ def position_integrals(sf: StateFunctions) -> tuple:
 
     The pass runs on the density in Airy units u = -F^(1/3) x, a pure
     function of ``sf.unit`` (see :func:`_position_pass`), and the field
-    enters exactly at the end: S_x = S - N ln F^(1/3), F^(2/3) times the
-    slope integral, O_x = F^(1/3) O, <x> = -<u> / F^(1/3).
+    enters exactly at the end, with the exact unit norm: S_x = S - ln F^(1/3),
+    F^(2/3) times the slope integral, O_x = F^(1/3) O, <x> = -<u> / F^(1/3).
     """
     f13 = sf.field_cbrt
     norm, entropy, slope, onicescu, mean_u = _position_pass(sf.unit)
-    return (norm, entropy - norm * math.log(f13), slope * (f13 * f13), onicescu * f13,
-            -mean_u / f13)
-
-
-def position_norm(sf: StateFunctions) -> float:
-    """Norm in position space, from the one position pass."""
-    return position_integrals(sf)[0]
+    return (norm, entropy - math.log(f13), slope * (f13 * f13), onicescu * f13, -mean_u / f13)
 
 
 @functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
-def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
-                   cfg: ToleranceConfig) -> tuple:
+def _momentum_pass(unit: AiryUnitState) -> tuple:
     """(N, S, I, O) over kappa >= 0 of the Airy-unit density |phi~|^2.
 
     phi~(kappa) = F^(1/6) phi(k) at kappa = k / F^(1/3) is the transform of
-    the wall data psi~(0) = ``psi0`` and F^(-1/2) psi'(0) = ``dpsi0`` at
-    eps = -arg0 and unit field, so the pass is keyed on those alone and
-    the cut never enters.  The four integrands share one phi~ and phi~'
-    call per interval of u: kappa = u K on [0, 1] and kappa = K / (2 - u)^6
-    on [1, 2], with K = max(sqrt|eps|, 1) the wavenumber or decay rate of
-    psi at the wall in Airy units (from eps = 1 on, the split sqrt(eps) of
-    the ray).  The first call takes the pieces of
+    the wall data psi~(0) and the wall slope at eps = -arg0, so the pass
+    reads those alone and the cut never enters.  The four integrands share
+    one phi~ and phi~' call per interval of u: kappa = u K on [0, 1] and
+    kappa = K / (2 - u)^6 on [1, 2], with K = max(sqrt|eps|, 1) the
+    wavenumber or decay rate of psi at the wall in Airy units (from eps = 1
+    on, the split sqrt(eps) of the ray).  The first call takes the pieces of
     :func:`_momentum_points`, which meet the tolerance in that call.
     """
+    arg0 = unit.arg0
     scale = max(math.sqrt(abs(arg0)), 1.0)
 
     def integrand(u):
         far = u >= 1.0
         t = np.minimum(2.0 - u, 1.0)
         kappa = scale * np.where(far, t ** -6, u)
-        phi, dphi = ray_transform(kappa, psi0, dpsi0, -arg0, 1.0)
+        phi, dphi = ray_transform(kappa, unit.psi0, unit.dpsi0, -arg0)
         jac = np.where(far, 6.0 / t ** 7, 1.0) * scale
         g = np.abs(phi) ** 2
         dg = 2.0 * (phi.conjugate() * dphi).real
@@ -361,8 +352,8 @@ def _momentum_pass(arg0: float, psi0: float, dpsi0: float, n: int,
     # Just past the split the density's features are about one Airy unit
     # wide where psi oscillates at the wall (the caustic at kappa = K,
     # eps > 0), and about K wide where the wall is in the forbidden region.
-    values, _ = integrate_batch(integrand, _momentum_points(n, scale if arg0 < 0.0 else 1.0),
-                                cfg)
+    values, _ = integrate_batch(integrand,
+                                _momentum_points(unit.n, scale if arg0 < 0.0 else 1.0), unit.cfg)
     return tuple(float(v) for v in values)
 
 
@@ -389,20 +380,14 @@ def momentum_integrals(sf: StateFunctions) -> tuple:
 
     The pass runs on the density in Airy units kappa = k / F^(1/3),
     F^(1/3) gamma, a pure function of the wall data in ``sf.unit`` (see
-    :func:`_momentum_pass`), and the field enters exactly at the end
-    (S_k = S + N ln F^(1/3), I_k = I / F^(2/3), O_k = O / F^(1/3)).
+    :func:`_momentum_pass`), and the field enters exactly at the end, with
+    the exact unit norm (S_k = S + ln F^(1/3), I_k = I / F^(2/3),
+    O_k = O / F^(1/3)); the pass covers kappa >= 0, half the norm.
     """
     f13 = sf.field_cbrt
-    unit = sf.unit
-    norm, entropy, fisher, onicescu = _momentum_pass(unit.arg0, unit.psi0, unit.dpsi0,
-                                                     unit.n, unit.cfg)
-    values = (norm, entropy + norm * math.log(f13), fisher / (f13 * f13), onicescu / f13)
+    norm, entropy, fisher, onicescu = _momentum_pass(sf.unit)
+    values = (norm, entropy + 0.5 * math.log(f13), fisher / (f13 * f13), onicescu / f13)
     return tuple(2.0 * v for v in values)
-
-
-def momentum_norm(sf: StateFunctions) -> float:
-    """Norm in momentum space, from the one momentum pass."""
-    return momentum_integrals(sf)[0]
 
 
 def energy_identity_residual(sf: StateFunctions) -> float:

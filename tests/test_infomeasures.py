@@ -158,10 +158,11 @@ def test_hard_wall_measures_follow_the_exact_field_laws(bc):
     # each pass runs once per level and the field enters through the
     # paper's laws alone: S_x + ln F / 3, S_k - ln F / 3, I_x / F^(2/3),
     # I_k F^(2/3), O_x / F^(1/3) and O_k F^(1/3) keep their F = 1 values,
-    # to the rounding of the laws (measured 5.5e-15).
+    # to the rounding of the laws (measured 2.2e-15), and S_t its own
+    # (measured 1.8e-15): the entropy laws use the exact unit norm.
     states._position_pass.cache_clear()
     states._momentum_pass.cache_clear()
-    for done, n in enumerate((0, 3, 10), start=1):
+    for done, n in enumerate((0, 3, 10, 30), start=1):
         ref = measure_state(build_state(bc, n, 1.0))
         for field in [10.0 ** e for e in range(-6, 16)]:
             rec = measure_state(build_state(bc, n, field))
@@ -171,6 +172,7 @@ def test_hard_wall_measures_follow_the_exact_field_laws(bc):
                               (rec.I_x / f23, ref.I_x), (rec.I_k * f23, ref.I_k),
                               (rec.O_x / f13, ref.O_x), (rec.O_k * f13, ref.O_k)):
                 assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-14), (n, field)
+            assert abs(rec.S_t - ref.S_t) <= 5e-15, (n, field)
         for memo in (states._position_pass, states._momentum_pass):
             assert memo.cache_info().misses == done
 

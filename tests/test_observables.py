@@ -63,8 +63,9 @@ def test_polarization_record():
 
 
 def test_mean_position_rejects_near_degenerate_normalization():
-    bad = BoundState(bc=BoundarySpec.ROBIN_MINUS, n=0, field=1e-8,
-                     energy=-1.0 + 1e-13, residual=0.0, bracket=(-1.0, -0.9))
+    bad = BoundState(bc=BoundarySpec.ROBIN_MINUS, n=0, field=1e-8, energy=-1.0 + 1e-13,
+                     arg0=(1.0 - 1e-13) / 1e-8 ** (2.0 / 3.0), residual=0.0,
+                     bracket=(-1.0, -0.9))
     with pytest.raises(DomainError):
         mean_position(bad)
 
@@ -132,6 +133,25 @@ def test_hard_wall_couplings_dilate_as_inverse_cube_root(bc):
         for m in range(3):
             assert math.isclose(strong.element(n, m), 0.5 * weak.element(n, m),
                                 rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("field", [1e-7, 1e-3, 1.0, 1e3])
+def test_hard_wall_couplings_are_the_zero_table_closed_forms(field):
+    # 2 F^(-1/3) / (a_n - a_m)^2 for Dirichlet and
+    # -(a'_n + a'_m) F^(-1/3) / (sqrt(a'_n a'_m) (a'_n - a'_m)^2) for
+    # Neumann, written from the zero table; bit for bit.
+    size = 6
+    table = root_table(size)
+    f_m13 = field ** (-1.0 / 3.0)
+    dirichlet = dipole_matrix("dirichlet", field, size)
+    neumann = dipole_matrix("neumann", field, size)
+    for n in range(size):
+        for m in range(n + 1, size):
+            an, am = table.ai_zero(n + 1), table.ai_zero(m + 1)
+            assert dirichlet.element(n, m) == 2.0 * f_m13 / (an - am) ** 2
+            zn, zm = table.ai_prime_zero(n + 1), table.ai_prime_zero(m + 1)
+            want = -(zn + zm) * f_m13 / (math.sqrt(zn * zm) * (zn - zm) ** 2)
+            assert neumann.element(n, m) == want
 
 
 def test_ground_coupling_low_branch():

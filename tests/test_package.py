@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import robinwall
@@ -47,10 +50,8 @@ PUBLIC = [
     "mean_position",
     "mean_x_quadrature",
     "measure_state",
-    "momentum_norm",
     "node_count",
     "polarization",
-    "position_norm",
     "root_table",
     "zero_energy_field",
     "zero_energy_field_solved",
@@ -102,3 +103,27 @@ def test_no_unused_imports():
     for path in sorted(SOURCE.glob("*.py")):
         unused += _unused_imports(path)
     assert unused == []
+
+
+TRACER_PROBE = """
+import tracing
+tracing.install(tracing.Tracer())
+from robinwall import build_state, dipole_matrix, energy, measure_state, polarization
+measure_state(build_state("robin-", 0, 1.0))
+polarization(energy("dirichlet", 1, 2.0))
+dipole_matrix("neumann", 1.0, 3)
+"""
+
+
+def test_benchmark_tracer_installs_and_runs():
+    # perfbench/tracing.py wraps names from outside the package:
+    # HalfLineFourierTable, the ``sp`` attribute of special, spectrum and
+    # states, infomeasures.fisher, StateFunctions.__init__ and x_cut.  A
+    # change that drops one fails here.  install() rebinds module
+    # attributes, so it runs in a fresh interpreter.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), str(root / "perfbench"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from robinwall import (
     BoundState,
     ConsistencyError,
     DomainError,
+    build_state,
     eigenvalue_function,
     energy,
     node_count,
@@ -59,6 +60,28 @@ def test_hard_wall_levels_are_scaled_zeros(n, field):
     got_n = energy("neumann", n, field).energy
     assert math.isclose(got_d, -table.ai_zero(n + 1) * f23, rel_tol=1e-13)
     assert math.isclose(got_n, -table.ai_prime_zero(n + 1) * f23, rel_tol=1e-13)
+
+
+ARG0_FIELDS = [10.0 ** e for e in range(-6, 7)]
+
+
+@pytest.mark.parametrize("n", [0, 3, 30])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-", "robin+"])
+def test_level_carries_its_wall_argument(bc, n):
+    # A hard wall's arg0 is the zero-table value its energy was formed
+    # from; a Robin wall's is -E / F^(2/3) of the solved energy.  The built
+    # state's Airy-unit record takes it as it is.  Bit for bit.
+    table = root_table(n + 1)
+    for field in ARG0_FIELDS:
+        state = energy(bc, n, field)
+        if bc == "dirichlet":
+            assert state.arg0 == table.ai_zero(n + 1), field
+        elif bc == "neumann":
+            assert state.arg0 == table.ai_prime_zero(n + 1), field
+        else:
+            f13 = field ** (1.0 / 3.0)
+            assert state.arg0 == -state.energy / (f13 * f13), field
+        assert build_state(bc, n, field).unit.arg0 == state.arg0, field
 
 
 def test_energy_returns_cached_record():
@@ -222,7 +245,7 @@ def test_robin_level_below_rounding_is_a_domain_error():
 
 def test_bound_state_rejects_negative_level():
     with pytest.raises(ValueError):
-        BoundState("robin-", -2, 1.0, 0.0, 0.0, (0.0, 1.0))
+        BoundState("robin-", -2, 1.0, 0.0, 0.0, 0.0, (0.0, 1.0))
 
 
 @pytest.mark.parametrize(

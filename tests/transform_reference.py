@@ -109,7 +109,7 @@ def direct_reference(sf, k):
 
 
 def elementwise_ray_transform(kappa, psi0, dpsi0, eps):
-    """(phi, phi') of ``ray_transform`` at unit field, summed node by node.
+    """(phi, phi') of ``ray_transform``, in Airy units, summed node by node.
 
     The same 144 nodes, lengths and valley term, with the integrand of
     phi, B(kappa + z) exp(i theta) dz, and of phi' formed at every node
