@@ -17,7 +17,7 @@ from robinwall.quadrature import (
     ToleranceConfig,
     ray_transform,
 )
-from robinwall import special, states
+from robinwall import quadrature, special, states
 from robinwall.special import root_table, valley_airy
 from robinwall.states import (
     boundary_residual,
@@ -323,28 +323,41 @@ def test_momentum_side_does_not_see_the_cut(monkeypatch, bc, n, field):
     assert states._momentum_pass.cache_info().misses == 1
 
 
-# Case lists of the one-call test, each with the most points its position
-# and momentum passes may take.  Over the 120-state sweep, two pieces per
-# node gap and tail, 2 (n // 2 + 1) below the momentum split and two above
-# it took 536 position and 548 momentum calls on 143,472 and 87,696 points;
-# the geometric layout takes 141,057 and 79,527, and may take no more
-# points than that earlier one.  On the 24 Robin states (robin+/- at n <= 3)
-# bisecting from one piece per gap took 169 and 115 calls on 7,350 and
-# 5,082 points; the layout takes 24 calls each, on 5,481 and 4,179.
-ONE_CALL_CASES = [
-    ([(bc, n, field) for bc in ("dirichlet", "neumann", "robin-", "robin+")
-      for n in (0, 1, 3, 10, 30, 100) for field in (1e-6, 1e-3, 1.0, 1e3, 1e6)],
-     143_472, 87_696),
-    ([(bc, n, field) for bc in ("robin+", "robin-") for n in range(4)
-      for field in (0.02, 1.0, 50.0)],
-     5_481, 4_179),
-]
+def test_robin_passes_stay_within_their_cost(monkeypatch):
+    # Each bisection of a pass costs one qk21 call and one Python iteration.
+    # Starting from one piece per gap took 169 calls (7,350 points) in
+    # position and 115 (5,082) in momentum on these 24 states; the layout
+    # from the state's geometry takes one call per pass, on 5,481 and 4,179.
+    kronrod = quadrature._kronrod
+    cost = {"calls": 0, "points": 0}
+
+    def counted(f, lo, hi):
+        cost["calls"] += 1
+        cost["points"] += lo.size * 21
+        return kronrod(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_kronrod", counted)
+    sfs = [build_state(bc, n, field) for bc in ("robin+", "robin-") for n in range(4)
+           for field in (0.02, 1.0, 50.0)]
+    states._position_pass.cache_clear()
+    states._momentum_pass.cache_clear()
+    for sf in sfs:
+        position_integrals(sf)
+    assert cost["calls"] <= 24 and cost["points"] <= 5481
+    cost.update(calls=0, points=0)
+    for sf in sfs:
+        momentum_integrals(sf)
+    assert cost["calls"] <= 24 and cost["points"] <= 4179
 
 
 def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
     # The first pieces of both passes are laid out from the state's
     # geometry so that the first integrand call already meets the
-    # tolerance: no bisection, so no further call, on any of these states.
+    # tolerance: no bisection, so no further call, on any of these 120
+    # states.  Two pieces per node gap and tail, 2 (n // 2 + 1) below the
+    # momentum split and two above it took 536 position and 548 momentum
+    # calls here, on 143,472 and 87,696 points; this layout takes 141,057
+    # and 79,527, and may take no more points than that earlier one.
     real = states.integrate_batch
     calls = []
 
@@ -359,17 +372,18 @@ def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
         return real(g, points, cfg)
 
     monkeypatch.setattr(states, "integrate_batch", counted)
-    for cases, most_position, most_momentum in ONE_CALL_CASES:
-        points = {"position": 0, "momentum": 0}
-        for bc, n, field in cases:
-            unit = build_state(bc, n, field).unit
-            states._position_pass.__wrapped__(unit)
-            states._momentum_pass.__wrapped__(unit)
-            (pos_calls, pos_points), (mom_calls, mom_points) = calls[-2:]
-            assert (pos_calls, mom_calls) == (1, 1), (bc, n, field)
-            points["position"] += pos_points
-            points["momentum"] += mom_points
-        assert points["position"] <= most_position and points["momentum"] <= most_momentum
+    points = {"position": 0, "momentum": 0}
+    for bc in ("dirichlet", "neumann", "robin-", "robin+"):
+        for n in (0, 1, 3, 10, 30, 100):
+            for field in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                unit = build_state(bc, n, field).unit
+                states._position_pass.__wrapped__(unit)
+                states._momentum_pass.__wrapped__(unit)
+                (pos_calls, pos_points), (mom_calls, mom_points) = calls[-2:]
+                assert (pos_calls, mom_calls) == (1, 1), (bc, n, field)
+                points["position"] += pos_points
+                points["momentum"] += mom_points
+    assert points["position"] <= 143_472 and points["momentum"] <= 87_696
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
