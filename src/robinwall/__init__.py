@@ -33,11 +33,7 @@ from .observables import (
     zero_field_mean_x,
 )
 from .oracle import DecayError, GridSpec, default_grid, fd_energies, fd_moment
-from .quadrature import (
-    DEFAULT_TOLERANCES,
-    QuadratureError,
-    ToleranceConfig,
-)
+from .quadrature import QuadratureError
 from .special import AiryRootTable, root_table
 from .spectrum import (
     BoundarySpec,
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ENTROPY_FLOOR",
-    "DEFAULT_TOLERANCES",
     "AiryRootTable",
     "BoundState",
     "BoundarySpec",
@@ -78,7 +73,6 @@ __all__ = [
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
-    "ToleranceConfig",
     "boundary_residual",
     "build_state",
     "default_grid",

@@ -23,7 +23,6 @@ import numpy as np
 from .infomeasures import entropy_crossing, fisher_product_maximum, measure_state
 from .observables import dipole_matrix, polarization
 from .oracle import fd_energies
-from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .spectrum import BoundarySpec, energy
 from .states import build_state
 
@@ -131,6 +130,16 @@ def _parse_bc(text: str) -> BoundarySpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_field(text: str) -> float:
+    try:
+        field = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad field {text!r}") from None
+    if not field > 0.0:
+        raise argparse.ArgumentTypeError("field grids must stay strictly positive")
+    return field
+
+
 def _parse_field_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) not in (3, 4):
@@ -138,8 +147,6 @@ def _parse_field_range(text: str) -> tuple:
             f"expected start:stop:count or start:stop:count:log, got {text!r}"
         )
     try:
-        start = float(parts[0])
-        stop = float(parts[1])
         count = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad field range {text!r}") from None
@@ -147,8 +154,7 @@ def _parse_field_range(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"unknown spacing {parts[3]!r}")
     if count < 2:
         raise argparse.ArgumentTypeError("field ranges need count >= 2")
-    if not (start > 0.0 and stop > 0.0):
-        raise argparse.ArgumentTypeError("field grids must stay strictly positive")
+    start, stop = _parse_field(parts[0]), _parse_field(parts[1])
     spaced = np.geomspace if len(parts) == 4 else np.linspace
     return tuple(spaced(start, stop, count).tolist())
 
@@ -163,44 +169,28 @@ def _parse_jobs(text: str) -> int:
     return jobs
 
 
-def _tolerances(args) -> ToleranceConfig:
-    try:
-        return ToleranceConfig(args.tol_abs, args.tol_rel)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _fields(args) -> tuple:
     if args.field_range is not None:
         return args.field_range
-    if not args.field > 0.0:
-        raise ValueError("field grids must stay strictly positive")
     return (args.field,)
 
 
-def _add_shared(p, *, fields: bool = False, jobs: bool = False,
-                tolerances: bool = False) -> None:
+def _add_shared(p, *, fields: bool = False, jobs: bool = False) -> None:
     """Give p the output options and the shared groups that it honours.
 
-    ``fields`` adds --field/--field-range (the per-level tables), ``jobs``
-    adds --jobs (the sweeps that run through _table) and ``tolerances``
-    adds --tol-abs/--tol-rel (the tables built on adaptive passes).
+    ``fields`` adds --field/--field-range (the per-level tables) and
+    ``jobs`` adds --jobs (the sweeps that run through _table).
     """
     p.add_argument("--out", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="write to FILE instead of stdout")
-    if tolerances:
-        p.add_argument("--tol-abs", type=float, default=DEFAULT_TOLERANCES.abs_tol,
-                       help="absolute quadrature tolerance (default %(default)g)")
-        p.add_argument("--tol-rel", type=float, default=DEFAULT_TOLERANCES.rel_tol,
-                       help="relative quadrature tolerance (default %(default)g)")
     if jobs:
         p.add_argument("--jobs", type=_parse_jobs, default=1,
                        help="parallel workers for sweep rows (default 1)")
     if fields:
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--field", type=float, default=1.0,
+        group.add_argument("--field", type=_parse_field, default=1.0,
                            help="single field value (default 1.0)")
         group.add_argument("--field-range", type=_parse_field_range, default=None,
                            metavar="A:B:COUNT[:log]",
@@ -210,9 +200,11 @@ def _add_shared(p, *, fields: bool = False, jobs: bool = False,
 _BC_HELP = "wall type: dirichlet, neumann, robin-, robin+"
 
 
-def _add_wall_levels(p) -> None:
+def _add_wall_levels(p, levels=None) -> None:
+    """Add --bc to p and --n to ``levels``, a group of p, or else to p."""
     p.add_argument("--bc", type=_parse_bc, required=True, help=_BC_HELP)
-    p.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
+    target = p if levels is None else levels
+    target.add_argument("--n", type=_parse_n_list, default=(0,), help="comma list of levels")
 
 
 def _build_parser() -> _Parser:
@@ -238,15 +230,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("polarization", help="mean positions and dipole shifts")
     p.set_defaults(handler=_handle_polarization)
-    _add_wall_levels(p)
-    p.add_argument("--matrix", type=int, default=0, metavar="SIZE",
-                   help="emit the SIZE x SIZE coordinate matrix instead")
+    # The matrix always spans levels 0 to SIZE - 1, so --n has no say in it.
+    group = p.add_mutually_exclusive_group()
+    _add_wall_levels(p, group)
+    group.add_argument("--matrix", type=int, default=0, metavar="SIZE",
+                       help="emit the SIZE x SIZE coordinate matrix instead")
     _add_shared(p, fields=True, jobs=True)
 
     p = sub.add_parser("measures", help="entropies, Fisher, disequilibria, products")
     p.set_defaults(handler=_handle_measures)
     _add_wall_levels(p)
-    _add_shared(p, fields=True, jobs=True, tolerances=True)
+    _add_shared(p, fields=True, jobs=True)
 
     p = sub.add_parser("crossing",
                        help="field where the two lowest attractive-wall total "
@@ -255,7 +249,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lo", type=float, default=0.1)
     p.add_argument("--hi", type=float, default=5.0)
     p.add_argument("--xtol", type=float, default=1e-3)
-    _add_shared(p, tolerances=True)
+    _add_shared(p)
 
     p = sub.add_parser("fishermax",
                        help="interior maximum of the Fisher product over the field")
@@ -264,7 +258,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lo", type=float, default=1e-4)
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--xtol", type=float, default=1e-3)
-    _add_shared(p, tolerances=True)
+    _add_shared(p)
 
     p = sub.add_parser("table1",
                        help="shape-complexity table of the lowest hard- and "
@@ -273,7 +267,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bc", type=_parse_bc, default=None,
                    help="restrict to dirichlet or neumann (default both)")
     p.add_argument("--levels", type=int, default=6, help="levels per wall (default 6)")
-    _add_shared(p, fields=True, jobs=True, tolerances=True)
+    _add_shared(p, fields=True, jobs=True)
 
     p = sub.add_parser("oracle-check",
                        help="solver energies against the finite-difference route")
@@ -318,17 +312,16 @@ def _handle_polarization(args) -> tuple:
                   ["energy", "mean_x", "zero_field_mean_x", "dipole"], point, args.jobs)
 
 
-def _measure_table(bc, levels, fields, columns, cfg, jobs) -> tuple:
+def _measure_table(bc, levels, fields, columns, jobs) -> tuple:
     def point(n, field):
-        rec = measure_state(build_state(bc, n, field, cfg))
+        rec = measure_state(build_state(bc, n, field))
         return [{name: getattr(rec, name) for name in columns}]
 
     return _table(bc, levels, fields, columns, point, jobs)
 
 
 def _handle_measures(args) -> tuple:
-    cfg = _tolerances(args)
-    return _measure_table(args.bc, args.n, _fields(args), _MEASURE_COLUMNS, cfg, args.jobs)
+    return _measure_table(args.bc, args.n, _fields(args), _MEASURE_COLUMNS, args.jobs)
 
 
 def _handle_state(args) -> tuple:
@@ -337,6 +330,8 @@ def _handle_state(args) -> tuple:
     if args.k_max is not None and not (0.0 < args.k_max < math.inf):
         raise _UsageError("--k-max must be a positive finite number")
     wavefunction = args.what == "wavefunction"
+    if wavefunction and args.k_max is not None:
+        raise _UsageError("--k-max applies to --what momentum_density only")
 
     def point(n, field):
         sf = build_state(args.bc, n, field)
@@ -355,23 +350,20 @@ def _handle_state(args) -> tuple:
 
 
 def _handle_crossing(args) -> tuple:
-    field_cross = entropy_crossing(_tolerances(args), bracket=(args.lo, args.hi),
-                                   xtol=args.xtol)
+    field_cross = entropy_crossing(bracket=(args.lo, args.hi), xtol=args.xtol)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "lo": args.lo, "hi": args.hi,
              "field_cross": field_cross}]
     return rows, ["bc", "lo", "hi", "field_cross"]
 
 
 def _handle_fishermax(args) -> tuple:
-    result = fisher_product_maximum(args.n, bracket=(args.lo, args.hi),
-                                    xtol=args.xtol, cfg=_tolerances(args))
+    result = fisher_product_maximum(args.n, bracket=(args.lo, args.hi), xtol=args.xtol)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "n": args.n,
              "field_max": result.field, "fisher_product": result.product}]
     return rows, ["bc", "n", "field_max", "fisher_product"]
 
 
 def _handle_table1(args) -> tuple:
-    cfg = _tolerances(args)
     if args.bc is None:
         walls = (BoundarySpec.DIRICHLET, BoundarySpec.NEUMANN)
     elif args.bc.is_robin:
@@ -384,7 +376,7 @@ def _handle_table1(args) -> tuple:
     rows = []
     for wall in walls:
         wall_rows, columns = _measure_table(wall, range(args.levels), fields,
-                                            _MEASURE_COLUMNS[-3:], cfg, args.jobs)
+                                            _MEASURE_COLUMNS[-3:], args.jobs)
         rows.extend(wall_rows)
     return rows, columns
 

@@ -8,8 +8,8 @@ has a closed form in the level energy, which the quadrature route must
 reproduce.
 
 Both passes are memoized on the state's Airy-unit data (see
-:mod:`.states`), so a hard-wall level is integrated once per (wall, n,
-tolerances) whatever the field, and the field enters through the exact
+:mod:`.states`), so a hard-wall level is integrated once per (wall, n)
+whatever the field, and the field enters through the exact
 laws S_x + ln F / 3, S_k - ln F / 3, I_k F^(2/3) and O_k F^(1/3).  Every
 certificate below still runs on every call.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadrature import DEFAULT_TOLERANCES, ToleranceConfig
 from .special import root_table
 from .spectrum import (
     BoundarySpec,
@@ -180,8 +179,7 @@ def flat_well_approximation(field: float) -> FlatWellEntropies:
     return FlatWellEntropies(width=width, S_x=s_x, S_k=s_k, S_t=s_t)
 
 
-def entropy_crossing(cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                     bracket=(0.1, 5.0), xtol: float = 1e-3) -> float:
+def entropy_crossing(bracket=(0.1, 5.0), xtol: float = 1e-3) -> float:
     """Field where the two lowest attractive-wall total entropies meet.
 
     The ground level starts as a tight surface state (low total entropy)
@@ -190,8 +188,8 @@ def entropy_crossing(cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     """
 
     def gap(field: float) -> float:
-        s_t0 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 0, field, cfg)).S_t
-        s_t1 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 1, field, cfg)).S_t
+        s_t0 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 0, field)).S_t
+        s_t1 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 1, field)).S_t
         return s_t0 - s_t1
 
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -215,8 +213,7 @@ class FisherMaximum:
     product: float
 
 
-def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3,
-                           cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FisherMaximum:
+def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3) -> FisherMaximum:
     """Field maximizing I_x * I_k of an excited attractive-wall level.
 
     Golden-section search; the product approaches finite limits on both
@@ -228,7 +225,7 @@ def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3,
         raise DomainError("the ground-state product is monotonic; pick n >= 1")
 
     def product(field: float) -> float:
-        i_x, i_k = fisher(build_state(BoundarySpec.ROBIN_MINUS, n, field, cfg))
+        i_x, i_k = fisher(build_state(BoundarySpec.ROBIN_MINUS, n, field))
         return i_x * i_k
 
     lo, hi = float(bracket[0]), float(bracket[1])

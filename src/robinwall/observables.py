@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .quadrature import integrate_batch
 from .spectrum import BoundarySpec, BoundState, DomainError, energy
 from .states import StateFunctions, position_integrals
@@ -162,9 +163,11 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
 def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> float:
     """Coordinate matrix element by direct integration of the profiles.
 
-    The tolerances are those ``sf_n`` was built with.
+    One adaptive pass over [min of the two cuts, 0] to the fixed pass
+    tolerance, 1e-10 absolute or relative.
     """
     lo = min(sf_n.x_cut, sf_m.x_cut)
-    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], sf_n.cfg)
+    tol = quadrature._PASS_TOLERANCE
+    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], tol, tol)
     return float(values[0])
 

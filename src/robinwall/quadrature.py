@@ -20,7 +20,6 @@ like 1/k, so every density integral has a slow algebraic tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -28,9 +27,7 @@ from scipy.special import spherical_jn
 from .special import valley_airy
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
     "QuadratureError",
-    "ToleranceConfig",
     "integrate_batch",
     "ray_transform",
 ]
@@ -51,19 +48,9 @@ _TO_LEGENDRE = (np.polynomial.legendre.legvander(_PANEL_NODES, _PANEL_ORDER - 1)
 _FILON_PHASES = 2.0 * (-1j) ** _DEGREES
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Absolute and relative tolerance of every adaptive pass over a state."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# Absolute and relative tolerance of every adaptive pass over a state.
+# Callers read it at call time, so a test may set it for one run.
+_PASS_TOLERANCE = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -139,7 +126,7 @@ def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
     return (resk * half).T, np.maximum(50.0 * _EPS * resabs, err).T
 
 
-def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+def integrate_batch(f, points, abs_tol: float, rel_tol: float):
     """Integrate a vector-valued f from points[0] to points[-1]: (values, errors).
 
     ``f`` maps a 1-d array of points to an array of shape (m, points).
@@ -148,9 +135,10 @@ def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     pair: it bisects the interval whose worst component sits furthest above
     its tolerance and evaluates both halves in one call of 42 points.  It
     stops once every component meets sum(err_i) <= max(abs_tol, rel_tol*|I_i|)
-    on its own; after ``_MAX_SUBDIVISIONS - 1`` bisections, or twice as many
-    as it had first pieces if that is more, it raises
-    :class:`QuadratureError` with the per-component estimates.
+    on its own (the passes over a state set both to ``_PASS_TOLERANCE``);
+    after ``_MAX_SUBDIVISIONS - 1`` bisections, or twice as many as it had
+    first pieces if that is more, it raises :class:`QuadratureError` with
+    the per-component estimates.
     """
     edges = np.asarray(points, dtype=float)
     start = edges.size - 1
@@ -166,7 +154,7 @@ def integrate_batch(f, points, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     while True:
         total = vals[:n].sum(axis=0)
         err = errs[:n].sum(axis=0)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         if np.all(err <= tol):
             return total, err
         if n == limit:

@@ -30,12 +30,13 @@ Numerically delicate points handled here:
   phi and phi' from one ray call per interval of k / F^(1/3).
 * Both passes are memoized pure functions of the state's
   :class:`AiryUnitState`, and both are keyed on that one record.  It is a
-  function of the wall data (wall argument, psi~(0), the wall slope, n,
-  tolerances), so the momentum pass, which reads only those, misses
-  exactly when the position pass does.  Each memo holds at most
-  ``_PASS_MEMO_SIZE`` results.  A hard wall's record carries no trace of
-  the field, so a sweep over the field pays one pass per (wall, n,
-  tolerances) and the paper's exact field laws, S_x = S - ln F^(1/3) and
+  function of the wall data (wall argument, psi~(0), the wall slope, n),
+  so the momentum pass, which reads only those, misses exactly when the
+  position pass does.  Every pass meets one fixed tolerance, 1e-10
+  absolute or relative (``quadrature._PASS_TOLERANCE``).  Each memo holds
+  at most ``_PASS_MEMO_SIZE`` results.  A hard wall's record carries no
+  trace of the field, so a sweep over the field pays one pass per
+  (wall, n) and the paper's exact field laws, S_x = S - ln F^(1/3) and
   S_k = S + ln F^(1/3) with the unit norm, give every other field; a Robin
   record depends on the field and is measured afresh at each one.  The
   field's F^(1/3) scalings all live in this module.
@@ -54,12 +55,8 @@ from scipy.special import xlogy
 # special, spectrum and states to count Airy points.
 from scipy import special as sp  # noqa: F401
 
-from .quadrature import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-    integrate_batch,
-    ray_transform,
-)
+from . import quadrature
+from .quadrature import integrate_batch, ray_transform
 from .special import root_table, scaled_airy
 from .spectrum import BoundarySpec, BoundState, ConsistencyError, energy
 
@@ -86,7 +83,7 @@ _PASS_MEMO_SIZE = 256
 
 @dataclass(frozen=True)
 class AiryUnitState:
-    """One level in Airy units u = -F^(1/3) x: all that its two passes read.
+    """One level in Airy units u = -F^(1/3) x: all its two passes read but the tolerance.
 
     psi~(u) = F^(-1/6) psi(x) is amp * Ai(xi) / Ai(arg0) with xi = arg0 + u,
     formed from scaled values as exp(s0 - s(xi)) times their ratio, with
@@ -105,7 +102,6 @@ class AiryUnitState:
     dpsi0: float
     u_cut: float
     n: int
-    cfg: ToleranceConfig
 
     def profile(self, u):
         """psi~ and d psi~ / du at 1-d array u, from one scaled Airy call."""
@@ -148,15 +144,14 @@ class StateFunctions:
     Exposes ``psi``, ``psi_prime``, ``rho`` on the position side and
     ``phi``, ``gamma`` on the momentum side, plus the boundary data and
     the cut ``x_cut`` of the position integrals that the observable layers
-    use.  ``cfg`` is the one tolerance config of the state: it sets every
-    integral taken over the state.
+    use.
 
     Everything is derived from ``unit``, the level's :class:`AiryUnitState`,
     and the field.  The wall argument is the level's ``arg0``, for a hard
     wall the zero-table value a_(n+1) or a'_(n+1).
     """
 
-    def __init__(self, state: BoundState, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    def __init__(self, state: BoundState):
         self.state = state
         bc = state.bc
         e_val = state.energy
@@ -184,11 +179,7 @@ class StateFunctions:
             amp = 1.0 / (math.sqrt(-arg0) * scaled_airy(arg0)[0])
             psi0, dpsi0 = 1.0 / math.sqrt(-arg0), 0.0
         self.unit = AiryUnitState(arg0=arg0, amp=amp, ai0=ai0, s0=s0, psi0=psi0,
-                                  dpsi0=dpsi0, u_cut=_cut(arg0), n=state.n, cfg=cfg)
-
-    @property
-    def cfg(self) -> ToleranceConfig:
-        return self.unit.cfg
+                                  dpsi0=dpsi0, u_cut=_cut(arg0), n=state.n)
 
     @property
     def x_cut(self) -> float:
@@ -245,10 +236,9 @@ class StateFunctions:
         return np.abs(self.phi(k)) ** 2
 
 
-def build_state(bc, n: int, field: float,
-                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> StateFunctions:
+def build_state(bc, n: int, field: float) -> StateFunctions:
     """Solve level (bc, n, field) and wrap it in callable profiles."""
-    return StateFunctions(energy(bc, n, field), cfg)
+    return StateFunctions(energy(bc, n, field))
 
 
 def boundary_residual(sf: StateFunctions) -> float:
@@ -292,7 +282,8 @@ def _position_pass(unit: AiryUnitState) -> tuple:
     tail = _tail_pieces(unit.arg0 + edges[-2])
     points = np.concatenate((np.linspace(0.0, gaps, 2 * gaps + 1),
                              gaps + np.arange(1, tail + 1) / tail))
-    values, _ = integrate_batch(integrand, points, unit.cfg)
+    tol = quadrature._PASS_TOLERANCE
+    values, _ = integrate_batch(integrand, points, tol, tol)
     return tuple(float(v) for v in values)
 
 
@@ -352,8 +343,9 @@ def _momentum_pass(unit: AiryUnitState) -> tuple:
     # Just past the split the density's features are about one Airy unit
     # wide where psi oscillates at the wall (the caustic at kappa = K,
     # eps > 0), and about K wide where the wall is in the forbidden region.
-    values, _ = integrate_batch(integrand,
-                                _momentum_points(unit.n, scale if arg0 < 0.0 else 1.0), unit.cfg)
+    points = _momentum_points(unit.n, scale if arg0 < 0.0 else 1.0)
+    tol = quadrature._PASS_TOLERANCE
+    values, _ = integrate_batch(integrand, points, tol, tol)
     return tuple(float(v) for v in values)
 
 

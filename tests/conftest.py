@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from robinwall import build_state, infomeasures
+from robinwall import build_state, infomeasures, quadrature, states
 
 
 @functools.lru_cache(maxsize=None)
@@ -16,6 +16,26 @@ def state_of():
     """Memoized state factory: one object per level, so the session-cached
     references of ``transform_reference``, keyed on the object, meet it once."""
     return cached_state
+
+
+@pytest.fixture
+def pass_tolerance(monkeypatch):
+    """Setter of the one tolerance every adaptive pass meets, for this test only.
+
+    Both pass memos are emptied at each setting and at teardown, so no
+    result computed at one tolerance serves another.
+    """
+
+    def clear():
+        states._position_pass.cache_clear()
+        states._momentum_pass.cache_clear()
+
+    def set_to(tol):
+        clear()
+        monkeypatch.setattr(quadrature, "_PASS_TOLERANCE", tol)
+
+    yield set_to
+    clear()
 
 
 @pytest.fixture

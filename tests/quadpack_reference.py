@@ -7,25 +7,20 @@ import math
 
 from scipy.integrate import quad
 
-from robinwall.quadrature import (
-    _MAX_SUBDIVISIONS,
-    DEFAULT_TOLERANCES,
-    QuadratureError,
-    ToleranceConfig,
-)
+from robinwall.quadrature import _MAX_SUBDIVISIONS, _PASS_TOLERANCE, QuadratureError
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _weighted(psi, x_cut: float, k: float, weight: str, cfg: ToleranceConfig) -> float:
+def _weighted(psi, x_cut: float, k: float, weight: str) -> float:
     out = quad(
         psi,
         x_cut,
         0.0,
         weight=weight,
         wvar=k,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
+        epsabs=_PASS_TOLERANCE,
+        epsrel=_PASS_TOLERANCE,
         limit=_MAX_SUBDIVISIONS,
         maxp1=100,
         full_output=1,
@@ -35,7 +30,7 @@ def _weighted(psi, x_cut: float, k: float, weight: str, cfg: ToleranceConfig) ->
     return float(out[0])
 
 
-def fourier_half_line(psi, k: float, x_cut: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> complex:
+def fourier_half_line(psi, k: float, x_cut: float) -> complex:
     """(2 pi)^(-1/2) * integral of psi(x) exp(-i k x) over [x_cut, 0].
 
     The oscillatory weight rule subdivides by the local phase, so panels
@@ -44,7 +39,7 @@ def fourier_half_line(psi, k: float, x_cut: float, cfg: ToleranceConfig = DEFAUL
     bit for bit.
     """
     kk = abs(float(k))
-    re = _weighted(psi, x_cut, kk, "cos", cfg)
-    im = _weighted(psi, x_cut, kk, "sin", cfg)
+    re = _weighted(psi, x_cut, kk, "cos")
+    im = _weighted(psi, x_cut, kk, "sin")
     out = complex(re, -im) / _SQRT_TWO_PI
     return out.conjugate() if k < 0.0 else out

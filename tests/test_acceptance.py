@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from robinwall import quadrature
 from robinwall.infomeasures import (
     ENTROPY_FLOOR,
     entropy_crossing,
@@ -304,7 +305,7 @@ def test_criterion_10_property_suite():
         for f in fields:
             for n in (0, 2):
                 sf = _sf(bc, n, f)
-                norm_cap = 10.0 * sf.cfg.abs_tol
+                norm_cap = 10.0 * quadrature._PASS_TOLERANCE
                 x_norm = abs(position_integrals(sf)[0] - 1.0)
                 k_norm = abs(momentum_integrals(sf)[0] - 1.0)
                 worst_norm = max(worst_norm, x_norm, k_norm)

@@ -88,13 +88,10 @@ HONOURED_OPTIONS = {
               "--jobs", "--field", "--field-range"],
     "polarization": ["--bc", "--n", "--matrix", "--out", "--output", "--jobs",
                      "--field", "--field-range"],
-    "measures": ["--bc", "--n", "--out", "--output", "--tol-abs", "--tol-rel", "--jobs",
-                 "--field", "--field-range"],
-    "crossing": ["--lo", "--hi", "--xtol", "--out", "--output", "--tol-abs", "--tol-rel"],
-    "fishermax": ["--n", "--lo", "--hi", "--xtol", "--out", "--output", "--tol-abs",
-                  "--tol-rel"],
-    "table1": ["--bc", "--levels", "--out", "--output", "--tol-abs", "--tol-rel", "--jobs",
-               "--field", "--field-range"],
+    "measures": ["--bc", "--n", "--out", "--output", "--jobs", "--field", "--field-range"],
+    "crossing": ["--lo", "--hi", "--xtol", "--out", "--output"],
+    "fishermax": ["--n", "--lo", "--hi", "--xtol", "--out", "--output"],
+    "table1": ["--bc", "--levels", "--out", "--output", "--jobs", "--field", "--field-range"],
     "oracle-check": ["--bc", "--n", "--out", "--output", "--field", "--field-range"],
 }
 
@@ -106,7 +103,7 @@ def test_each_subcommand_parses_only_the_options_it_honours():
                   for opt in action.option_strings]
            for name, sub in commands.choices.items()}
     assert got == HONOURED_OPTIONS
-    assert sum(len(options) for options in got.values()) == 64
+    assert sum(len(options) for options in got.values()) == 56
 
 
 _SPECTRUM = ("spectrum", "--bc", "robin-", "--n", "0", "--field", "1.0")
@@ -117,21 +114,27 @@ _FISHERMAX = ("fishermax", "--n", "1", "--lo", "0.005", "--hi", "0.05", "--xtol"
 @pytest.mark.parametrize("argv, extra", [
     pytest.param(_SPECTRUM, ("--config", "tol.cfg"), id="config"),
     pytest.param(_SPECTRUM, ("--oracle",), id="spectrum-oracle"),
-    *[pytest.param((command, "--bc", "neumann", "--field", "1"), (option, "1e-3"),
-                   id=f"{command}{option}")
-      for command in ("spectrum", "state", "polarization", "oracle-check")
+    *[pytest.param(argv, (option, "1e-3"), id=f"{argv[0]}{option}")
+      for argv in [(command, "--bc", "neumann", "--field", "1")
+                   for command in ("spectrum", "state", "polarization", "oracle-check",
+                                   "measures", "table1")] + [_CROSSING, _FISHERMAX]
       for option in ("--tol-abs", "--tol-rel")],
     *[pytest.param(argv, extra, id=f"{argv[0]}{extra[0]}")
       for argv in (_CROSSING, _FISHERMAX)
       for extra in (("--field", "99"), ("--field-range", "0.5:2:3"), ("--jobs", "2"))],
     pytest.param(("oracle-check", "--bc", "neumann", "--field", "1"), ("--jobs", "2"),
                  id="oracle-check--jobs"),
+    pytest.param(("polarization", "--bc", "dirichlet", "--field", "1", "--matrix", "2"),
+                 ("--n", "5"), id="polarization-matrix--n"),
+    pytest.param(("state", "--bc", "neumann", "--field", "1", "--what", "wavefunction"),
+                 ("--k-max", "8"), id="state-wavefunction--k-max"),
 ])
 def test_removed_options_are_usage_errors(capsys, argv, extra):
-    # Tolerances come from --tol-abs/--tol-rel and reach only the adaptive
-    # passes; oracle-check is the one route to finite-difference energies;
-    # crossing and fishermax search the field themselves; only the _table
-    # sweeps take --jobs.
+    # Every adaptive pass meets one fixed tolerance; oracle-check is the one
+    # route to finite-difference energies; crossing and fishermax search the
+    # field themselves; only the _table sweeps take --jobs; the --matrix
+    # table always spans levels 0 to SIZE - 1; a wavefunction profile has
+    # no momentum axis.
     code, out, err = run_cli(capsys, *argv, *extra)
     assert code == 1
     assert out == ""
@@ -158,9 +161,9 @@ def test_domain_failure_exits_two(capsys):
 
 
 def test_failed_rows_carry_diagnostics_and_exit_two(capsys):
+    # Below 2^-30 the attractive ground level is refused by design.
     code, out, _ = run_cli(capsys, "measures", "--bc", "robin-", "--n", "0",
-                           "--field", "1.0", "--tol-abs", "1e-30",
-                           "--tol-rel", "1e-30")
+                           "--field", "1e-10")
     assert code == 2
     rows = parse_csv(out)
     assert rows[0]["error"] != ""
@@ -207,8 +210,9 @@ def _matrix_error_row(capsys, out, err):
 
 
 def _field_must_be_positive(capsys, out, err):
+    # Refused while parsing, as a field range through zero is.
     assert out == ""
-    assert err == "error: field grids must stay strictly positive\n"
+    assert err == "usage error: argument --field: field grids must stay strictly positive\n"
 
 
 def _usage_error(capsys, out, err):
@@ -231,10 +235,9 @@ def _matches_serial(capsys, out, err):
                   "--points", "3"), 0, _profile_points_inner, id="state-profile-rows"),
     pytest.param(("polarization", "--bc", "robin-", "--matrix", "2",
                   "--field-range", "1e-6:1:3:log"), 2, _matrix_error_row, id="matrix-error-row"),
-    pytest.param(("spectrum", "--bc", "dirichlet", "--field", "0"),
-                 2, _field_must_be_positive, id="spectrum-field-zero"),
-    pytest.param(("measures", "--bc", "dirichlet", "--field", "1", "--tol-abs", "-1"),
-                 1, _usage_error, id="measures-negative-tolerance"),
+    *[pytest.param(("spectrum", "--bc", "dirichlet", "--field", field),
+                   1, _field_must_be_positive, id=f"spectrum-field-{name}")
+      for name, field in (("zero", "0"), ("negative", "-1"), ("nan", "nan"))],
     pytest.param(("table1", "--levels", "2", "--jobs", "2"),
                  0, _matches_serial, id="table1-parallel"),
     pytest.param(("spectrum", "--bc", "dirichlet", "--field", "1", "--jobs", "0"),

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from robinwall import ToleranceConfig, states
+from robinwall import states
 from robinwall.infomeasures import (
     ENTROPY_FLOOR,
     entropy_crossing,
@@ -177,21 +177,21 @@ def test_hard_wall_measures_follow_the_exact_field_laws(bc):
             assert memo.cache_info().misses == done
 
 
-def test_robin_records_match_a_thousandfold_tighter_tolerance():
-    # Both passes start from pieces that meet the default tolerance in one
+def test_robin_records_match_a_thousandfold_tighter_tolerance(pass_tolerance):
+    # Both passes start from pieces that meet the 1e-10 tolerance in one
     # call, with no bisection; the records must still agree with passes run
     # to 1e-13 (the tightest the reference reaches: at 1e-14 it stops at
     # qk21's 50-eps floor).  The worst value is off by 1.7e-13.
-    fine = ToleranceConfig(abs_tol=1e-13, rel_tol=1e-13)
     rng = np.random.default_rng(2022)
-    for bc in ("robin-", "robin+"):
-        for n in range(4):
-            for field in 10.0 ** rng.uniform(-2.0, 3.0, size=2):
-                rec = measure_state(build_state(bc, n, field))
-                ref = measure_state(build_state(bc, n, field, fine))
-                for name in [f.name for f in fields(rec) if f.name != "state"]:
-                    got, want = getattr(rec, name), getattr(ref, name)
-                    assert abs(got - want) <= 5e-13 * max(1.0, abs(want)), (bc, n, field, name)
+    cases = [(bc, n, field) for bc in ("robin-", "robin+") for n in range(4)
+             for field in 10.0 ** rng.uniform(-2.0, 3.0, size=2)]
+    recs = [measure_state(build_state(*case)) for case in cases]
+    pass_tolerance(1e-13)
+    for case, rec in zip(cases, recs):
+        ref = measure_state(build_state(*case))
+        for name in [f.name for f in fields(rec) if f.name != "state"]:
+            got, want = getattr(rec, name), getattr(ref, name)
+            assert abs(got - want) <= 5e-13 * max(1.0, abs(want)), (*case, name)
 
 
 def test_measure_state_certifies_unit_norm():

@@ -1,6 +1,5 @@
 """Finite-difference cross-check solver."""
 
-import math
 import re
 
 import pytest

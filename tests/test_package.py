@@ -14,7 +14,6 @@ SOURCE = Path(robinwall.__file__).resolve().parent
 
 PUBLIC = [
     "ENTROPY_FLOOR",
-    "DEFAULT_TOLERANCES",
     "AiryRootTable",
     "BoundState",
     "BoundarySpec",
@@ -30,7 +29,6 @@ PUBLIC = [
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
-    "ToleranceConfig",
     "boundary_residual",
     "build_state",
     "default_grid",
@@ -100,7 +98,7 @@ def _unused_imports(path: Path) -> list:
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(SOURCE.glob("*.py")):
+    for path in sorted(SOURCE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
         unused += _unused_imports(path)
     assert unused == []
 

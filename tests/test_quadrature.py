@@ -11,15 +11,12 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn, xlogy
 
 from quadpack_reference import fourier_half_line
-from robinwall import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-)
 from robinwall.quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
     _MAX_SUBDIVISIONS,
+    _PASS_TOLERANCE,
     HalfLineFourierTable,
     QuadratureError,
     _kronrod,
@@ -36,24 +33,10 @@ def exp_state(x):
     return SQRT2 * np.exp(x)
 
 
-def test_tolerance_config_defaults():
-    cfg = DEFAULT_TOLERANCES
-    assert cfg.abs_tol == 1e-10
-    assert cfg.rel_tol == 1e-10
+def test_pass_settings_are_pinned():
+    assert _PASS_TOLERANCE == 1e-10
     assert _MAX_SUBDIVISIONS == 200
     assert _X_CUT_THRESHOLD == 1e-20
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"abs_tol": 0.0},
-        {"rel_tol": -1e-3},
-    ],
-)
-def test_tolerance_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        ToleranceConfig(**kwargs)
 
 
 @given(
@@ -64,7 +47,7 @@ def test_tolerance_config_rejects_bad_values(kwargs):
 def test_integrate_polynomials_match_antiderivative(coeffs, a):
     poly = np.polynomial.Polynomial(coeffs)
     anti = poly.integ()
-    (val,), _ = integrate_batch(lambda x: [poly(x)], [a, 0.0])
+    (val,), _ = integrate_batch(lambda x: [poly(x)], [a, 0.0], _PASS_TOLERANCE, _PASS_TOLERANCE)
     assert math.isclose(val, anti(0.0) - anti(a), rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -92,11 +75,11 @@ def test_batch_rule_meets_each_components_tolerance():
     exact = np.array([1.5e4, 1e-6 / width * (math.atan((1.0 - x0) / width)
                                              + math.atan(x0 / width))])
     assert 1e7 < exact[0] / exact[1] < 1e9
-    cfg = ToleranceConfig(abs_tol=1e-30, rel_tol=1e-10)
-    values, errors = integrate_batch(f, [0.0, 1.0], cfg)
+    rel_tol = 1e-10
+    values, errors = integrate_batch(f, [0.0, 1.0], 1e-30, rel_tol)
     assert values.shape == errors.shape == (2,)
-    assert np.all(errors <= cfg.rel_tol * np.abs(values))
-    assert np.all(np.abs(values - exact) <= cfg.rel_tol * exact)
+    assert np.all(errors <= rel_tol * np.abs(values))
+    assert np.all(np.abs(values - exact) <= rel_tol * exact)
 
 
 def test_batch_rule_stops_after_its_first_call_when_it_meets_the_tolerance():
@@ -110,7 +93,7 @@ def test_batch_rule_stops_after_its_first_call_when_it_meets_the_tolerance():
         return np.stack([np.ones_like(x), x, 3.0 * x * x])
 
     points = [0.0, 0.25, 0.5, 1.0]
-    values, errors = integrate_batch(f, points)
+    values, errors = integrate_batch(f, points, _PASS_TOLERANCE, _PASS_TOLERANCE)
     assert calls == [21 * 3]
     first, first_err = _kronrod(f, np.array(points[:-1]), np.array(points[1:]))
     assert np.array_equal(values, first.sum(axis=0))
@@ -134,7 +117,7 @@ def test_batch_rule_entropy_integrand_with_interior_node():
         return -r * math.log(r) if r > 0.0 else 0.0
 
     for points in ([-1.0, 2.0], [0.3, 2.0], [-1.0, 0.3, 2.0]):
-        values, _ = integrate_batch(f, points)
+        values, _ = integrate_batch(f, points, _PASS_TOLERANCE, _PASS_TOLERANCE)
         a, b = points[0], points[-1]
         want = quad(entropy, a, b, points=[0.3] if a < 0.3 else None,
                     epsabs=1e-14, epsrel=1e-13, limit=200)[0]
@@ -142,13 +125,11 @@ def test_batch_rule_entropy_integrand_with_interior_node():
 
 
 def test_batch_rule_raises_at_interval_limit():
-    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15)
-
     def f(x):
         return np.stack([np.exp(x), 1.0 / (1e-4 + (x - 0.37) ** 2), np.cos(40.0 * x)])
 
     with pytest.raises(QuadratureError) as info:
-        integrate_batch(f, [0.0, 1.0], cfg)
+        integrate_batch(f, [0.0, 1.0], 1e-15, 1e-15)
     assert str(info.value).startswith(f"{_MAX_SUBDIVISIONS} intervals left")
     assert np.shape(info.value.estimate) == (3,)
     assert np.all(np.isfinite(info.value.estimate))
@@ -157,13 +138,12 @@ def test_batch_rule_raises_at_interval_limit():
 
 def test_batch_rule_budget_grows_with_its_first_pieces():
     # 150 first pieces may be bisected 300 times, not just 199.
-    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15)
 
     def f(x):
         return np.stack([1.0 / (1e-4 + (x - 0.37) ** 2), np.cos(40.0 * x)])
 
     with pytest.raises(QuadratureError, match="^450 intervals left"):
-        integrate_batch(f, np.linspace(0.0, 1.0, 151), cfg)
+        integrate_batch(f, np.linspace(0.0, 1.0, 151), 1e-15, 1e-15)
 
 
 def test_batch_rule_stops_at_a_non_finite_sample():
@@ -173,7 +153,7 @@ def test_batch_rule_stops_at_a_non_finite_sample():
         return np.stack([np.exp(x), np.where(x > 0.6, np.nan, x)])
 
     with pytest.raises(QuadratureError, match="not finite at") as info:
-        integrate_batch(f, [0.0, 1.0])
+        integrate_batch(f, [0.0, 1.0], _PASS_TOLERANCE, _PASS_TOLERANCE)
     assert 0.6 < float(str(info.value).split()[-1]) < 1.0
 
 

@@ -12,11 +12,7 @@ from scipy.special import xlogy
 from scipy.integrate import quad
 
 from quadpack_reference import fourier_half_line
-from robinwall.quadrature import (
-    QuadratureError,
-    ToleranceConfig,
-    ray_transform,
-)
+from robinwall.quadrature import QuadratureError, ray_transform
 from robinwall import quadrature, special, states
 from robinwall.special import root_table, valley_airy
 from robinwall.states import (
@@ -61,11 +57,11 @@ def test_unit_norm_both_sides(state_of, bc, n, field):
     assert math.isclose(momentum_integrals(sf)[0], 1.0, rel_tol=0.0, abs_tol=5e-8)
 
 
-def test_unconverged_momentum_pass_raises():
+def test_unconverged_momentum_pass_raises(pass_tolerance):
     # The vector rule stops silently at its interval limit; the pass must
     # turn that into an error that still carries the estimate and bound.
-    cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15)
-    sf = build_state("robin-", 0, 1.0, cfg)
+    sf = build_state("robin-", 0, 1.0)
+    pass_tolerance(1e-15)
     with pytest.raises(QuadratureError) as info:
         momentum_integrals(sf)
     assert np.all(np.isfinite(info.value.estimate))
@@ -361,7 +357,7 @@ def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
     real = states.integrate_batch
     calls = []
 
-    def counted(f, points, cfg):
+    def counted(f, points, abs_tol, rel_tol):
         calls.append([0, 0])
 
         def g(x):
@@ -369,7 +365,7 @@ def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
             calls[-1][1] += x.size
             return f(x)
 
-        return real(g, points, cfg)
+        return real(g, points, abs_tol, rel_tol)
 
     monkeypatch.setattr(states, "integrate_batch", counted)
     points = {"position": 0, "momentum": 0}
