@@ -109,3 +109,52 @@ def test_resolved_weak_field_moment_is_kept(bc, n, field, tol):
     got = fd_moment(bc, field, n)
     want = mean_position(energy(bc, n, field))
     assert abs(got - want) < tol * abs(want)
+
+
+# Oracle outputs of the GridSpec version, which the private grid must keep.
+PINNED_ENERGIES = [
+    ("robin-", 0.3, (-0.8585653607845488, 1.2747755070163003, 2.0351151672643737)),
+    ("robin-", "zero", (-3.8710804216811594e-10, 5.697545331935963, 8.79075418365259)),
+    ("robin-", 1e3, (91.57742042662737, 321.7296049003827, 479.93223475840506)),
+    ("robin+", 0.3, (0.8063375555235673, 1.620396800147765, 2.279282753065497)),
+    ("robin+", "zero", (2.881662656371951, 6.501619175410269, 9.340511868618753)),
+    ("robin+", 1e3, (111.23535553405519, 327.8808336303841, 484.0786993359295)),
+    ("dirichlet", 0.3, (1.047800564725591, 1.8319756044429738, 2.473986302218124)),
+    ("dirichlet", "zero", (4.3994272160746375, 7.691963150643751, 10.387590001220818)),
+    ("dirichlet", 1e3, (233.81074104666627, 408.7949444354515, 552.0559828675889)),
+    ("neumann", 0.3, (0.45656236600321193, 1.4556488064518813, 2.160081548825114)),
+    ("neumann", "zero", (1.9169801642170514, 6.11187013199492, 9.06959002894926)),
+    ("neumann", 1e3, (101.87929717885144, 324.8197582399591, 482.00992116821936)),
+]
+
+
+@pytest.mark.parametrize("bc,field,want", PINNED_ENERGIES)
+def test_grid_energies_are_pinned(bc, field, want):
+    if field == "zero":
+        field = zero_energy_field()
+    assert repr(tuple(float(v) for v in fd_energies(bc, field, 3))) == repr(want)
+
+
+PINNED_MOMENTS = [
+    ("robin-", 0, 1, -0.3917023892879668),
+    ("robin-", 0, 2, 0.28413582712897706),
+    ("robin-", 2, 1, -3.140428293700465),
+    ("robin-", 2, 2, 11.646873872117302),
+    ("robin+", 0, 1, -0.9725136791165485),
+    ("robin+", 0, 2, 1.3574054919274168),
+    ("robin+", 2, 1, -3.2854238336299226),
+    ("robin+", 2, 2, 13.204698405487685),
+    ("dirichlet", 0, 1, -1.5587382736592048),
+    ("dirichlet", 0, 2, 2.9155980069610368),
+    ("dirichlet", 2, 1, -3.680373220329157),
+    ("dirichlet", 2, 2, 16.25417644357542),
+    ("neumann", 0, 1, -0.6791953146753656),
+    ("neumann", 0, 2, 0.7498782681735046),
+    ("neumann", 2, 1, -3.2133994755342328),
+    ("neumann", 2, 2, 12.432616344250581),
+]
+
+
+@pytest.mark.parametrize("bc,n,power,want", PINNED_MOMENTS)
+def test_grid_moments_are_pinned(bc, n, power, want):
+    assert repr(fd_moment(bc, 1.0, n, power)) == repr(want)
