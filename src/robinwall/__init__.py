@@ -32,7 +32,7 @@ from .observables import (
     polarization,
     zero_field_mean_x,
 )
-from .oracle import DecayError, GridSpec, default_grid, fd_energies, fd_moment
+from .oracle import fd_energies, fd_moment
 from .quadrature import QuadratureError
 from .special import AiryRootTable, root_table
 from .spectrum import (
@@ -63,19 +63,16 @@ __all__ = [
     "BoundarySpec",
     "BracketError",
     "ConsistencyError",
-    "DecayError",
     "DipoleMatrix",
     "DomainError",
     "FisherMaximum",
     "FlatWellEntropies",
-    "GridSpec",
     "InfoRecord",
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
     "boundary_residual",
     "build_state",
-    "default_grid",
     "dipole_element_quadrature",
     "dipole_matrix",
     "eigenvalue_function",

@@ -137,7 +137,19 @@ def _parse_field(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad field {text!r}") from None
     if not field > 0.0:
         raise argparse.ArgumentTypeError("field grids must stay strictly positive")
+    if field == math.inf:
+        raise argparse.ArgumentTypeError("field grids must stay finite")
     return field
+
+
+def _parse_xtol(text: str) -> float:
+    try:
+        xtol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from None
+    if not 0.0 < xtol < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
+    return xtol
 
 
 def _parse_field_range(text: str) -> tuple:
@@ -246,18 +258,18 @@ def _build_parser() -> _Parser:
                        help="field where the two lowest attractive-wall total "
                             "entropies meet")
     p.set_defaults(handler=_handle_crossing)
-    p.add_argument("--lo", type=float, default=0.1)
-    p.add_argument("--hi", type=float, default=5.0)
-    p.add_argument("--xtol", type=float, default=1e-3)
+    p.add_argument("--lo", type=_parse_field, default=0.1)
+    p.add_argument("--hi", type=_parse_field, default=5.0)
+    p.add_argument("--xtol", type=_parse_xtol, default=1e-3)
     _add_shared(p)
 
     p = sub.add_parser("fishermax",
                        help="interior maximum of the Fisher product over the field")
     p.set_defaults(handler=_handle_fishermax)
     p.add_argument("--n", type=int, default=1, help="attractive-wall level")
-    p.add_argument("--lo", type=float, default=1e-4)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--xtol", type=float, default=1e-3)
+    p.add_argument("--lo", type=_parse_field, default=1e-4)
+    p.add_argument("--hi", type=_parse_field, default=1.0)
+    p.add_argument("--xtol", type=_parse_xtol, default=1e-3)
     _add_shared(p)
 
     p = sub.add_parser("table1",

@@ -99,7 +99,7 @@ def fisher(sf: StateFunctions):
 def measure_state(sf: StateFunctions) -> InfoRecord:
     """All measures of a built state, after checking its certificates.
 
-    Both passes run under the tolerances the state was built with.  Unit
+    Both passes meet the one fixed quadrature tolerance, 1e-10.  Unit
     norm in both spaces comes first, then the entropy floor, then the
     momentum-space Stam bound, then the closed-form position Fisher
     information against its quadrature route.
@@ -186,6 +186,8 @@ def entropy_crossing(bracket=(0.1, 5.0), xtol: float = 1e-3) -> float:
     and spreads with the field faster than the first excited level, so
     the difference changes sign once.
     """
+    if not 0.0 < xtol < math.inf:
+        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
 
     def gap(field: float) -> float:
         s_t0 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 0, field)).S_t
@@ -223,6 +225,8 @@ def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3) -> F
     n = int(n)
     if n < 1:
         raise DomainError("the ground-state product is monotonic; pick n >= 1")
+    if not 0.0 < xtol < math.inf:
+        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
 
     def product(field: float) -> float:
         i_x, i_k = fisher(build_state(BoundarySpec.ROBIN_MINUS, n, field))

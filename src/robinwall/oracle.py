@@ -7,137 +7,75 @@ a ghost node that is eliminated symmetrically, and diagonalizes the
 resulting tridiagonal matrix.  One Richardson step over a halved grid
 upgrades eigenvalues and moments to fourth order, which is enough to
 confront the spectral solver at the 1e-4 level without heroic grids.
+The grid follows from the field and the level count alone: 2001 nodes
+from the truncation point to the wall, then 4001 over the same span.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .special import root_table
 from .spectrum import BoundarySpec, ConsistencyError, DomainError
 
-__all__ = [
-    "DecayError",
-    "GridSpec",
-    "default_grid",
-    "fd_energies",
-    "fd_energies_raw",
-    "fd_moment",
-]
+__all__ = ["fd_energies", "fd_moment"]
+
+_POINTS = 2001  # nodes of the coarse grid, truncation point and wall included
 
 
-class DecayError(RuntimeError):
-    """An eigenvector still carries weight at the truncated edge."""
-
-    def __init__(self, message: str, suggested_x_min: float):
-        super().__init__(message)
-        self.suggested_x_min = suggested_x_min
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid from a truncation point up to the wall at zero."""
-
-    x_min: float
-    n_points: int = 2001
-
-    def __post_init__(self):
-        if not self.x_min < 0.0:
-            raise ValueError("x_min must be negative")
-        if self.n_points < 64:
-            raise ValueError("n_points below 64 cannot resolve anything useful")
-
-    @property
-    def h(self) -> float:
-        return -self.x_min / (self.n_points - 1)
-
-    def refined(self) -> "GridSpec":
-        """Same span at half the step."""
-        return GridSpec(x_min=self.x_min, n_points=2 * self.n_points - 1)
-
-
-def default_grid(bc, field: float, levels: int) -> GridSpec:
+def _x_min(field: float, levels: int) -> float:
     """Truncation that leaves the requested levels fully decayed.
 
     The turning point of the highest level sets the scale; a fixed
     number of local Airy widths past it buries the edge in the forbidden
     region.
     """
-    field = float(field)
-    if not field > 0.0:
-        raise DomainError("field must be positive")
-    levels = int(levels)
-    if levels < 1:
-        raise ValueError("need at least one level")
     top = abs(root_table(levels + 2).ai_zero(levels + 2))
     # A margin of field itself would swamp the F^(2/3) level scale at strong
     # field and stretch the grid far beyond the F^(-1/3) width of the state.
     e_max = field ** (2.0 / 3.0) * top + min(field, field ** (2.0 / 3.0)) + 2.0
-    x_min = -(e_max / field + 15.0 * field ** (-1.0 / 3.0))
-    return GridSpec(x_min=x_min)
+    return -(e_max / field + 15.0 * field ** (-1.0 / 3.0))
 
 
-def _assemble(bc: BoundarySpec, field: float, grid: GridSpec):
-    """Tridiagonal (diag, offdiag) pair and the matching node array.
+def _solve_grid(bc: BoundarySpec, field: float, levels: int, x_min: float,
+                points: int) -> tuple:
+    """(lowest eigenvalues, their eigenvectors, the nodes from x_min to 0).
 
     For walls with a slope condition the ghost node beyond the wall is
     eliminated with the centered derivative, and the resulting
     nonsymmetric last row is symmetrized by rescaling the wall component;
     eigenvalues are untouched and the wall amplitude is recovered by
-    multiplying the last eigenvector entry back by sqrt(2).
+    multiplying the last eigenvector entry back by sqrt(2).  A level that
+    still carries weight at the truncated edge is refused.
     """
-    h = grid.h
-    inv_h2 = 1.0 / (h * h)
-    x = np.linspace(grid.x_min, 0.0, grid.n_points)
-    if bc is BoundarySpec.DIRICHLET:
-        nodes = x[1:-1]
-        diag = 2.0 * inv_h2 - field * nodes
-        off = np.full(nodes.size - 1, -inv_h2)
-        return diag, off, nodes
-    sigma = bc.wall_slope
-    nodes = x[1:]
-    diag = 2.0 * inv_h2 - field * nodes
-    diag[-1] = 2.0 * (1.0 - h * sigma) * inv_h2
-    off = np.full(nodes.size - 1, -inv_h2)
-    off[-1] = -math.sqrt(2.0) * inv_h2
-    return diag, off, nodes
-
-
-def _check_decay(vectors: np.ndarray, grid: GridSpec):
-    worst = np.max(np.abs(vectors[0, :]) / np.max(np.abs(vectors), axis=0))
-    if worst > 1e-10:
-        raise DecayError(
-            f"eigenvector weight {worst:.3e} at the truncated edge; "
-            "the grid does not reach the forbidden region",
-            suggested_x_min=1.5 * grid.x_min,
-        )
-
-
-def _solve_grid(bc: BoundarySpec, field: float, levels: int, grid: GridSpec):
     # Imported here so that only grid solves pay for loading scipy.linalg.
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off, nodes = _assemble(bc, field, grid)
+    h = -x_min / (points - 1)
+    inv_h2 = 1.0 / (h * h)
+    x = np.linspace(x_min, 0.0, points)
+    nodes = x[1:-1] if bc is BoundarySpec.DIRICHLET else x[1:]
+    diag = 2.0 * inv_h2 - field * nodes
+    off = np.full(nodes.size - 1, -inv_h2)
+    if bc is not BoundarySpec.DIRICHLET:
+        diag[-1] = 2.0 * (1.0 - h * bc.wall_slope) * inv_h2
+        off[-1] = -math.sqrt(2.0) * inv_h2
+    head = f"{bc.value} grid at field {field:g} (level count {levels})"
     try:
         values, vectors = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, levels - 1)
         )
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError(
-            f"{bc.value} grid at field {field:g} (level count {levels}): the "
-            f"tridiagonal eigensolver did not converge ({exc})") from None
-    _check_decay(vectors, grid)
-    return values, vectors, nodes
-
-
-def fd_energies_raw(bc, field: float, levels: int, grid: GridSpec) -> np.ndarray:
-    """Grid eigenvalues with no extrapolation, ascending."""
-    bc = BoundarySpec.parse(bc)
-    values, _, _ = _solve_grid(bc, float(field), int(levels), grid)
-    return values
+            f"{head}: the tridiagonal eigensolver did not converge ({exc})") from None
+    worst = np.max(np.abs(vectors[0, :]) / np.max(np.abs(vectors), axis=0))
+    if worst > 1e-10:
+        raise ConsistencyError(
+            f"{head}: eigenvector weight {worst:.3e} at the truncated edge; "
+            "the grid does not reach the forbidden region")
+    return values, vectors, x
 
 
 def _refuse_unresolved(bc: BoundarySpec, field: float, coarse: np.ndarray,
@@ -158,45 +96,38 @@ def _refuse_unresolved(bc: BoundarySpec, field: float, coarse: np.ndarray,
             f"{correction[n]:.3g} exceeds 1e-2; the grid does not resolve the state")
 
 
-def fd_energies(bc, field: float, levels: int, grid: GridSpec | None = None) -> np.ndarray:
-    """Lowest eigenvalues from the grid solver.
+def _richardson(bc, field, levels: int, value):
+    """(4 fine - coarse) / 3 of ``value(energies, vectors, x)`` over two grids.
+
+    The fine grid halves the coarse step over the same span, and the pair
+    is refused unless both resolve every level.
+    """
+    bc = BoundarySpec.parse(bc)
+    field = float(field)
+    if not field > 0.0:
+        raise DomainError("field must be positive")
+    if field == math.inf:
+        raise DomainError("field must be finite")
+    if levels < 1:
+        raise ValueError("need at least one level")
+    x_min = _x_min(field, levels)
+    coarse = _solve_grid(bc, field, levels, x_min, _POINTS)
+    fine = _solve_grid(bc, field, levels, x_min, 2 * _POINTS - 1)
+    _refuse_unresolved(bc, field, coarse[0], fine[0])
+    return (4.0 * value(*fine) - value(*coarse)) / 3.0
+
+
+def fd_energies(bc, field: float, levels: int) -> np.ndarray:
+    """Lowest eigenvalues from the grid solver, ascending.
 
     The second-order error is cancelled between the grid and its half-step
     refinement (one Richardson step), and a grid that does not resolve a
     level is refused with a ConsistencyError.
     """
-    bc = BoundarySpec.parse(bc)
-    field = float(field)
-    levels = int(levels)
-    grid = grid or default_grid(bc, field, levels)
-    coarse = fd_energies_raw(bc, field, levels, grid)
-    fine = fd_energies_raw(bc, field, levels, grid.refined())
-    _refuse_unresolved(bc, field, coarse, fine)
-    return (4.0 * fine - coarse) / 3.0
+    return _richardson(bc, field, int(levels), lambda energies, vectors, x: energies)
 
 
-def _moment_on_grid(bc: BoundarySpec, field: float, n: int, power: int,
-                    grid: GridSpec) -> tuple:
-    """(moment of level n, the grid's levels 0..n)."""
-    values, vectors, nodes = _solve_grid(bc, field, n + 1, grid)
-    psi = vectors[:, n].copy()
-    if bc is not BoundarySpec.DIRICHLET:
-        psi[-1] *= math.sqrt(2.0)
-    # Pad the truncated edge (and, for a hard wall, the wall node) with
-    # the boundary zeros so the trapezoid weights come out right.
-    if bc is BoundarySpec.DIRICHLET:
-        full_x = np.concatenate(([grid.x_min], nodes, [0.0]))
-        full_psi = np.concatenate(([0.0], psi, [0.0]))
-    else:
-        full_x = np.concatenate(([grid.x_min], nodes))
-        full_psi = np.concatenate(([0.0], psi))
-    rho = full_psi * full_psi
-    norm = np.trapezoid(rho, full_x)
-    return float(np.trapezoid(full_x ** power * rho, full_x) / norm), values
-
-
-def fd_moment(bc, field: float, n: int, power: int = 1,
-              grid: GridSpec | None = None) -> float:
+def fd_moment(bc, field: float, n: int, power: int = 1) -> float:
     """Richardson-extrapolated coordinate moment of one grid eigenstate.
 
     The grid is refused as in :func:`fd_energies`, on the energies of the
@@ -205,11 +136,19 @@ def fd_moment(bc, field: float, n: int, power: int = 1,
     0.68 off.
     """
     bc = BoundarySpec.parse(bc)
-    field = float(field)
     n = int(n)
     power = int(power)
-    grid = grid or default_grid(bc, field, n + 1)
-    coarse, coarse_levels = _moment_on_grid(bc, field, n, power, grid)
-    fine, fine_levels = _moment_on_grid(bc, field, n, power, grid.refined())
-    _refuse_unresolved(bc, field, coarse_levels, fine_levels)
-    return (4.0 * fine - coarse) / 3.0
+
+    def moment(energies, vectors, x) -> float:
+        # The truncated edge (and, for a hard wall, the wall node) keeps
+        # its boundary zero so the trapezoid weights come out right.
+        psi = np.zeros_like(x)
+        if bc is BoundarySpec.DIRICHLET:
+            psi[1:-1] = vectors[:, n]
+        else:
+            psi[1:] = vectors[:, n]
+            psi[-1] *= math.sqrt(2.0)
+        rho = psi * psi
+        return float(np.trapezoid(x ** power * rho, x) / np.trapezoid(rho, x))
+
+    return _richardson(bc, field, n + 1, moment)

@@ -141,9 +141,14 @@ def brent_root(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
     The steps (inverse quadratic extrapolation, secant interpolation or
     bisection) and the stopping half-width (xtol + rtol |x|) / 2 are those
     of scipy.optimize.brentq, so both return the same double.  Raises
-    ValueError when f has the same sign at both ends or returns NaN, and
+    ValueError, with brentq's message, for xtol <= 0 or rtol < 4 eps, when
+    f has the same sign at both ends or when it returns NaN, and
     RuntimeError after maxiter steps.
     """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
 
     def value(x: float) -> float:
         fx = f(x)

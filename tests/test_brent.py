@@ -90,6 +90,22 @@ def test_same_end_signs_raise_value_error():
         brent_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [{"xtol": 0.0}, {"xtol": -1.0}, {"rtol": 1e-20}])
+def test_bad_tolerances_raise_as_brentq_does(tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.3
+
+    with pytest.raises(ValueError) as want:
+        brentq(f, 0.0, 1.0, **tol)
+    with pytest.raises(ValueError) as got:
+        brent_root(f, 0.0, 1.0, **tol)
+    assert str(got.value) == str(want.value)
+    assert calls == []
+
+
 def test_exact_zero_at_an_end_point_is_returned():
     assert brent_root(lambda x: x - 1.0, 1.0, 5.0) == 1.0
     assert brent_root(lambda x: x - 5.0, 1.0, 5.0) == 5.0

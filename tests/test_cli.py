@@ -215,6 +215,15 @@ def _field_must_be_positive(capsys, out, err):
     assert err == "usage error: argument --field: field grids must stay strictly positive\n"
 
 
+def _field_must_be_finite(option):
+    def check(capsys, out, err):
+        # Refused while parsing, before any row or NumPy warning.
+        assert out == ""
+        assert err == f"usage error: argument {option}: field grids must stay finite\n"
+
+    return check
+
+
 def _usage_error(capsys, out, err):
     assert out == ""
     assert err.startswith("usage error:")
@@ -238,6 +247,10 @@ def _matches_serial(capsys, out, err):
     *[pytest.param(("spectrum", "--bc", "dirichlet", "--field", field),
                    1, _field_must_be_positive, id=f"spectrum-field-{name}")
       for name, field in (("zero", "0"), ("negative", "-1"), ("nan", "nan"))],
+    pytest.param(("spectrum", "--bc", "neumann", "--field", "inf"),
+                 1, _field_must_be_finite("--field"), id="spectrum-field-inf"),
+    pytest.param(("spectrum", "--bc", "neumann", "--field-range", "1:inf:3"),
+                 1, _field_must_be_finite("--field-range"), id="spectrum-field-range-inf"),
     pytest.param(("table1", "--levels", "2", "--jobs", "2"),
                  0, _matches_serial, id="table1-parallel"),
     pytest.param(("spectrum", "--bc", "dirichlet", "--field", "1", "--jobs", "0"),
@@ -396,6 +409,35 @@ def test_fishermax_smoke(capsys):
     rows = parse_csv(out)
     assert 0.005 < float(rows[0]["field_max"]) < 0.05
     assert float(rows[0]["fisher_product"]) > 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((*base, option, value), id=f"{base[0]}{option}={value}")
+    for base in (_CROSSING, _FISHERMAX)
+    for option, value in (("--xtol", "nan"), ("--xtol", "inf"), ("--lo", "0"),
+                          ("--lo", "-1"), ("--hi", "inf"), ("--hi", "nan"))
+])
+def test_search_bounds_and_tolerance_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: argument {argv[-2]}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((*base, "--xtol", value), id=f"{base[0]}--xtol={value}")
+    for base in (_CROSSING, _FISHERMAX) for value in ("0", "-1")
+])
+def test_nonpositive_xtol_is_a_usage_error(argv):
+    # fishermax never ended here, so a timeout turns a regression into a failure.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "robinwall", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("usage error: argument --xtol: "
+                           "tolerance must be positive and finite\n")
 
 
 def test_module_entry_point_runs():

@@ -1,7 +1,11 @@
 """Entropy, Fisher, Onicescu, and complexity measures."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,37 @@ def test_fisher_product_maximum_error_paths():
         fisher_product_maximum(0)
     with pytest.raises(BracketError):
         fisher_product_maximum(1, bracket=(0.6, 0.7), xtol=5e-3)
+
+
+@pytest.mark.parametrize("xtol", [math.nan, math.inf])
+def test_searches_refuse_a_nonfinite_xtol(xtol):
+    with pytest.raises(ValueError, match="xtol must be positive and finite"):
+        fisher_product_maximum(1, xtol=xtol)
+    with pytest.raises(ValueError, match="xtol must be positive and finite"):
+        entropy_crossing(xtol=xtol)
+
+
+XTOL_PROBE = """
+from robinwall import entropy_crossing, fisher_product_maximum
+for search in (lambda x: fisher_product_maximum(1, xtol=x), lambda x: entropy_crossing(xtol=x)):
+    for xtol in (0.0, -1.0):
+        try:
+            search(xtol)
+        except ValueError as exc:
+            print(exc)
+"""
+
+
+def test_searches_refuse_a_nonpositive_xtol():
+    # The golden-section loop never ends at xtol <= 0, so the calls run in a
+    # child process whose timeout turns a regression into a failure.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", XTOL_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"xtol must be positive and finite, got {xtol}" for xtol in ("0.0", "-1.0") * 2]
 
 
 def test_momentum_fisher_constant_is_field_free():

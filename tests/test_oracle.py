@@ -1,35 +1,36 @@
 """Finite-difference cross-check solver."""
 
+import math
 import re
 
 import pytest
 
-from robinwall.oracle import (
-    DecayError,
-    GridSpec,
-    default_grid,
-    fd_energies,
-    fd_energies_raw,
-    fd_moment,
-)
+import robinwall.oracle
+from robinwall.oracle import _POINTS, _solve_grid, _x_min, fd_energies, fd_moment
 from robinwall.observables import mean_position
-from robinwall.spectrum import ConsistencyError, energy, zero_energy_field
+from robinwall.spectrum import (
+    BoundarySpec,
+    ConsistencyError,
+    DomainError,
+    energy,
+    zero_energy_field,
+)
 
 
-def test_grid_spec_geometry():
-    grid = GridSpec(-5.0)
-    assert grid.h == 0.0025
-    assert grid.refined().n_points == 2 * grid.n_points - 1
-    assert grid.refined().h == grid.h / 2.0
+def test_oracle_surface_is_two_functions():
+    assert robinwall.oracle.__all__ == ["fd_energies", "fd_moment"]
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(0.0)
-    with pytest.raises(ValueError):
-        GridSpec(-5.0, n_points=32)
-    with pytest.raises(ValueError):
-        default_grid("robin-", 1.0, 0)
+def test_bad_requests_are_refused():
+    with pytest.raises(ValueError, match="at least one level"):
+        fd_energies("robin-", 1.0, 0)
+    with pytest.raises(ValueError, match="at least one level"):
+        fd_moment("robin-", 1.0, -1)
+    for field in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="field must be positive"):
+            fd_energies("neumann", field, 1)
+    with pytest.raises(DomainError, match="field must be finite"):
+        fd_moment("neumann", math.inf, 0)
 
 
 @pytest.mark.parametrize("bc", ["robin-", "robin+", "dirichlet", "neumann"])
@@ -40,17 +41,17 @@ def test_grid_energies_confront_airy_solver(bc):
 
 
 def test_richardson_beats_the_raw_grid():
-    grid = default_grid("robin-", 1.0, 2)
-    raw = fd_energies_raw("robin-", 1.0, 2, grid)
-    rich = fd_energies("robin-", 1.0, 2, grid)
+    raw, _, _ = _solve_grid(BoundarySpec.ROBIN_MINUS, 1.0, 2, _x_min(1.0, 2), _POINTS)
+    rich = fd_energies("robin-", 1.0, 2)
     exact = energy("robin-", 0, 1.0).energy
     assert abs(rich[0] - exact) < 1e-3 * abs(raw[0] - exact)
 
 
 def test_shallow_grid_reports_the_decay_failure():
-    with pytest.raises(DecayError) as caught:
-        fd_energies("robin-", 0.2, 4, GridSpec(-6.0))
-    assert caught.value.suggested_x_min < -6.0
+    with pytest.raises(ConsistencyError,
+                       match=r"^robin- grid at field 0\.2 \(level count 4\): eigenvector "
+                             r"weight .* at the truncated edge"):
+        _solve_grid(BoundarySpec.ROBIN_MINUS, 0.2, 4, -6.0, _POINTS)
 
 
 def test_grid_moment_matches_closed_mean():
