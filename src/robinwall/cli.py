@@ -361,15 +361,21 @@ def _handle_state(args) -> tuple:
     return _table(args.bc, args.n, _fields(args), columns, point, args.jobs)
 
 
+def _bracket(args) -> tuple:
+    if not args.lo < args.hi:
+        raise _UsageError(f"--lo ({args.lo:g}) must be below --hi ({args.hi:g})")
+    return args.lo, args.hi
+
+
 def _handle_crossing(args) -> tuple:
-    field_cross = entropy_crossing(bracket=(args.lo, args.hi), xtol=args.xtol)
+    field_cross = entropy_crossing(bracket=_bracket(args), xtol=args.xtol)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "lo": args.lo, "hi": args.hi,
              "field_cross": field_cross}]
     return rows, ["bc", "lo", "hi", "field_cross"]
 
 
 def _handle_fishermax(args) -> tuple:
-    result = fisher_product_maximum(args.n, bracket=(args.lo, args.hi), xtol=args.xtol)
+    result = fisher_product_maximum(args.n, bracket=_bracket(args), xtol=args.xtol)
     rows = [{"bc": BoundarySpec.ROBIN_MINUS.value, "n": args.n,
              "field_max": result.field, "fisher_product": result.product}]
     return rows, ["bc", "n", "field_max", "fisher_product"]

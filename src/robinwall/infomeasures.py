@@ -179,6 +179,16 @@ def flat_well_approximation(field: float) -> FlatWellEntropies:
     return FlatWellEntropies(width=width, S_x=s_x, S_k=s_k, S_t=s_t)
 
 
+def _search_bracket(bracket, xtol: float) -> tuple:
+    """(lo, hi) of a field search, refusing a bad tolerance or a reversed bracket."""
+    if not 0.0 < xtol < math.inf:
+        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError(f"search bracket needs lo < hi, got lo = {lo!r}, hi = {hi!r}")
+    return lo, hi
+
+
 def entropy_crossing(bracket=(0.1, 5.0), xtol: float = 1e-3) -> float:
     """Field where the two lowest attractive-wall total entropies meet.
 
@@ -186,15 +196,13 @@ def entropy_crossing(bracket=(0.1, 5.0), xtol: float = 1e-3) -> float:
     and spreads with the field faster than the first excited level, so
     the difference changes sign once.
     """
-    if not 0.0 < xtol < math.inf:
-        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
+    lo, hi = _search_bracket(bracket, xtol)
 
     def gap(field: float) -> float:
         s_t0 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 0, field)).S_t
         s_t1 = measure_state(build_state(BoundarySpec.ROBIN_MINUS, 1, field)).S_t
         return s_t0 - s_t1
 
-    lo, hi = float(bracket[0]), float(bracket[1])
     g_lo = gap(lo)
     g_hi = gap(hi)
     if g_lo * g_hi >= 0.0:
@@ -225,14 +233,12 @@ def fisher_product_maximum(n: int, bracket=(1e-4, 1.0), xtol: float = 1e-3) -> F
     n = int(n)
     if n < 1:
         raise DomainError("the ground-state product is monotonic; pick n >= 1")
-    if not 0.0 < xtol < math.inf:
-        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
+    lo, hi = _search_bracket(bracket, xtol)
 
     def product(field: float) -> float:
         i_x, i_k = fisher(build_state(BoundarySpec.ROBIN_MINUS, n, field))
         return i_x * i_k
 
-    lo, hi = float(bracket[0]), float(bracket[1])
     edge = max(product(lo), product(hi))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -1,52 +1,47 @@
 """Normalized eigenstates as callable position and momentum profiles.
 
-A solved level from :mod:`.spectrum` determines the state only up to
-normalization.  This module attaches the closed-form normalization for
-each wall type and exposes the wavefunction, its derivative, both
-densities, and the momentum transform behind one object.
+In Airy units u = -F^(1/3) x every level of every wall is the profile
+Ai(z0 + u) / ||Ai|| of its wall-side argument z0 = -E / F^(2/3) alone,
+with ||Ai||^2 = Ai'(z0)^2 - z0 Ai(z0)^2 (Albright, J. Phys. A 10, 485,
+1977): Dirichlet level n sits at the zero a_(n+1) of Ai, Neumann level n
+at a'_(n+1), the Robin levels in between.  This module builds that profile
+and exposes the wavefunction, its derivative, both densities, and the
+momentum transform behind one object.
 
 Numerically delicate points handled here:
 
-* For an attractive Robin wall at weak field the wall-side Airy argument
-  is large and positive, so the profile is a ratio of two underflowing
-  Airy values.  The ratio is evaluated through exponentially scaled Airy
-  functions with the combined exponent formed first, from the distance to
-  the wall rather than as a difference of two large exponents, which
-  keeps the state exact down to fields where the plain route would
-  return 0/0.
-  The hard-wall profiles multiply the scaled value by exp(-s), which
-  rounds to 0 once Ai itself underflows.
+* The level's rounding moves the state along the Airy line, never off
+  its norm.  Below a field of about 1e-14 a Robin level lands on a
+  hard-wall zero and would pass for that state, so a Robin state must
+  meet its own wall condition to ``_WALL_MISS``.
+* At weak field the attractive ground state's z0 is large, so the
+  profile is a ratio of two underflowing Airy values, formed from scaled
+  ones with the exponent difference taken from the distance to the wall.
+  The norm there cancels about 2 z0^(3/2)-fold (1e-6 at F = 1e-9).
 * The position side is cut where the density has fallen to
   ``_X_CUT_THRESHOLD`` of its value at the turning point (or at the wall,
-  for a surface state), a closed form in the wall-side Airy argument.
-  At every momentum :func:`.quadrature.ray_transform` gives the transform
-  exactly from the wall data alone, so nothing on the momentum side
-  depends on the cut.
+  for a surface state), a closed form in z0.  At every momentum
+  :func:`.quadrature.ray_transform` gives the transform exactly from the
+  wall data alone, so nothing on the momentum side depends on the cut.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
   one adaptive pass per space and both in Airy units, with the field
   applied exactly at the end: :func:`position_integrals` takes psi and
-  psi' from one Airy call per interval of u = -F^(1/3) x, starting from
-  pieces split at the nodes of psi, and :func:`momentum_integrals` takes
-  phi and phi' from one ray call per interval of k / F^(1/3).
-* Both passes are memoized pure functions of the state's
-  :class:`AiryUnitState`, and both are keyed on that one record.  It is a
-  function of the wall data (wall argument, psi~(0), the wall slope, n),
-  so the momentum pass, which reads only those, misses exactly when the
-  position pass does.  Every pass meets one fixed tolerance, 1e-10
-  absolute or relative (``quadrature._PASS_TOLERANCE``).  Each memo holds
-  at most ``_PASS_MEMO_SIZE`` results.  A hard wall's record carries no
-  trace of the field, so a sweep over the field pays one pass per
-  (wall, n) and the paper's exact field laws, S_x = S - ln F^(1/3) and
-  S_k = S + ln F^(1/3) with the unit norm, give every other field; a Robin
-  record depends on the field and is measured afresh at each one.  The
-  field's F^(1/3) scalings all live in this module.
+  psi' from one Airy call per interval of u, starting from pieces split
+  at the nodes of psi, and :func:`momentum_integrals` takes phi and phi'
+  from one ray call per interval of k / F^(1/3).
+* Both passes meet one fixed tolerance (``quadrature._PASS_TOLERANCE``)
+  and are memoized on the state's :class:`AiryUnitState`, keyed on (z0, n)
+  alone.  A hard wall's record carries no trace of the field, so a sweep
+  over the field pays one pass per (wall, n) and the exact field laws,
+  S_x = S - ln F^(1/3) and S_k = S + ln F^(1/3), give every other field.
+  The field's F^(1/3) scalings all live in this module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -80,28 +75,37 @@ _X_CUT_THRESHOLD = 1e-20
 # Results each memoized pass keeps, least recently used out first.
 _PASS_MEMO_SIZE = 256
 
+# Largest relative miss of a Robin state's own wall condition: solved
+# levels miss by at most 2.5e-6, levels on a hard-wall zero by order 1.
+_WALL_MISS = 1e-3
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class AiryUnitState:
-    """One level in Airy units u = -F^(1/3) x: all its two passes read but the tolerance.
+    """One level in Airy units u = -F^(1/3) x: (arg0, n) and what follows from them.
 
-    psi~(u) = F^(-1/6) psi(x) is amp * Ai(xi) / Ai(arg0) with xi = arg0 + u,
-    formed from scaled values as exp(s0 - s(xi)) times their ratio, with
-    (ai0, s0) the scaled Ai(arg0) and its exponent; a hard wall takes
-    (ai0, s0) = (1, 0), so its profile is amp * Ai(xi).  ``psi0`` is psi~(0)
-    and ``dpsi0`` the wall slope F^(-1/2) psi'(0) = -d psi~/du at u = 0.
-    A hard wall's record holds no trace of F, so it has the same bits at
-    every field, and the memoized passes measure it once.
+    psi~(u) = F^(-1/6) psi(x) = Ai(arg0 + u) / norm, formed from scaled
+    values as exp(s0 - s) times their ratio.  ``norm`` is ||Ai|| signed
+    (-1)^n, which keeps psi > 0 next to the wall; ``psi0`` is psi~(0) and
+    ``dpsi0`` the wall slope F^(-1/2) psi'(0) = -d psi~/du at u = 0.  The
+    record compares and hashes on (arg0, n) alone and holds no trace of F
+    or of the wall, so a hard wall's has the same bits at every field.
     """
 
     arg0: float
-    amp: float
-    ai0: float
-    s0: float
-    psi0: float
-    dpsi0: float
-    u_cut: float
     n: int
+    norm: float = dataclasses.field(init=False, compare=False)
+    s0: float = dataclasses.field(init=False, compare=False)
+    psi0: float = dataclasses.field(init=False, compare=False)
+    dpsi0: float = dataclasses.field(init=False, compare=False)
+    u_cut: float = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        ai0, aip0, s0 = scaled_airy(self.arg0)
+        norm = (-1.0) ** self.n * math.sqrt(aip0 * aip0 - self.arg0 * ai0 * ai0)
+        for name, value in (("norm", norm), ("s0", s0), ("psi0", ai0 / norm),
+                            ("dpsi0", -aip0 / norm), ("u_cut", _cut(self.arg0))):
+            object.__setattr__(self, name, value)
 
     def profile(self, u):
         """psi~ and d psi~ / du at 1-d array u, from one scaled Airy call."""
@@ -116,10 +120,8 @@ class AiryUnitState:
             r0 = math.sqrt(self.arg0)
             expo[deep] = (-(2.0 / 3.0) * u[deep]
                           * (xd + np.sqrt(xd) * r0 + self.arg0) / (np.sqrt(xd) + r0))
-        scale = np.exp(np.minimum(expo, _EXP_CLIP))
-        ai = ai / self.ai0 * scale
-        aip = aip / self.ai0 * scale
-        return self.amp * ai, self.amp * aip
+        scale = np.exp(np.minimum(expo, _EXP_CLIP)) / self.norm
+        return ai * scale, aip * scale
 
 
 def _cut(arg0: float) -> float:
@@ -146,40 +148,24 @@ class StateFunctions:
     the cut ``x_cut`` of the position integrals that the observable layers
     use.
 
-    Everything is derived from ``unit``, the level's :class:`AiryUnitState`,
-    and the field.  The wall argument is the level's ``arg0``, for a hard
-    wall the zero-table value a_(n+1) or a'_(n+1).
+    Everything is derived from the field and ``unit``, the
+    :class:`AiryUnitState` at the level's wall argument ``arg0``.
     """
 
     def __init__(self, state: BoundState):
         self.state = state
-        bc = state.bc
-        e_val = state.energy
-        arg0 = state.arg0
-        f13 = state.field ** (1.0 / 3.0)
-        self.field_cbrt = f13
-        ai0, s0 = 1.0, 0.0
-        if bc.is_robin:
-            ai0, aip0, s0 = scaled_airy(arg0)
-            if e_val + 1.0 <= 0.0:
+        self.field_cbrt = f13 = state.field ** (1.0 / 3.0)
+        self.unit = unit = AiryUnitState(arg0=state.arg0, n=state.n)
+        if state.bc.is_robin:
+            # A level solved onto a hard-wall zero misses its own wall
+            # condition F^(1/3) psi~'(0) = sigma psi~(0) by order 1.
+            slope, value = f13 * unit.dpsi0, state.bc.wall_slope * unit.psi0
+            miss = abs(slope - value) / max(abs(slope), abs(value))
+            if miss > _WALL_MISS:
                 raise ConsistencyError(
-                    f"Robin level with E+1 = {e_val + 1.0:.3e} <= 0 cannot be normalized"
+                    f"{state.bc.value} level {state.n} at field {state.field:g} misses its "
+                    f"wall condition by {miss:.3e} relative; the level appears mislabeled"
                 )
-            if abs(ai0) < 1e-10 * max(abs(aip0), 0.05):
-                raise ConsistencyError(
-                    "wall value of the profile is consistent with a hard wall; "
-                    "the level appears mislabeled"
-                )
-            psi0 = amp = math.sqrt(f13 * f13 / (e_val + 1.0))
-            dpsi0 = bc.wall_slope * psi0 / f13
-        elif bc is BoundarySpec.DIRICHLET:
-            amp = 1.0 / scaled_airy(arg0)[1]
-            psi0, dpsi0 = 0.0, -1.0
-        else:
-            amp = 1.0 / (math.sqrt(-arg0) * scaled_airy(arg0)[0])
-            psi0, dpsi0 = 1.0 / math.sqrt(-arg0), 0.0
-        self.unit = AiryUnitState(arg0=arg0, amp=amp, ai0=ai0, s0=s0, psi0=psi0,
-                                  dpsi0=dpsi0, u_cut=_cut(arg0), n=state.n)
 
     @property
     def x_cut(self) -> float:

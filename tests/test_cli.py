@@ -425,6 +425,22 @@ def test_search_bounds_and_tolerance_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("crossing", "--lo", "2", "--hi", "1"),
+    ("crossing", "--lo", "1.5", "--hi", "1.5"),
+    ("fishermax", "--n", "1", "--lo", "0.5", "--hi", "0.01"),
+    ("fishermax", "--n", "1", "--lo", "0.05", "--hi", "0.05"),
+])
+def test_reversed_search_bracket_is_a_usage_error(capsys, argv):
+    # crossing used to sort a reversed bracket out through Brent, and
+    # fishermax skipped its search and reported no interior maximum.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: --lo (")
+    assert "must be below --hi" in err
+
+
+@pytest.mark.parametrize("argv", [
     pytest.param((*base, "--xtol", value), id=f"{base[0]}--xtol={value}")
     for base in (_CROSSING, _FISHERMAX) for value in ("0", "-1")
 ])

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from robinwall.infomeasures import (
     measure_state,
 )
 from robinwall.spectrum import BracketError, ConsistencyError, DomainError, energy
-from robinwall.states import build_state
+from robinwall.states import AiryUnitState, build_state
 
 # Closed-form position Fisher informations of the two Robin walls at
 # field 1, n = 0 (30-digit evaluation through the level energies).
@@ -151,8 +151,25 @@ def test_hard_wall_products_are_field_free(state_of, bc, n, field):
     assert math.isclose(rec.onicescu_product, ref.onicescu_product, rel_tol=1e-12)
 
 
+@dataclass(frozen=True)
+class _ScaledUnit(AiryUnitState):
+    """The Airy-unit record of (arg0, n) with its profile and wall data times ``factor``.
+
+    Its own class and the extra field make it unequal to the unit-norm
+    record of the same level, so the pass memos hold it apart.
+    """
+
+    factor: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("psi0", "dpsi0"):
+            object.__setattr__(self, name, getattr(self, name) * self.factor)
+        object.__setattr__(self, "norm", self.norm / self.factor)
+
+
 def _scaled_amplitude(sf, factor):
-    sf.unit = replace(sf.unit, amp=sf.unit.amp * factor)
+    sf.unit = _ScaledUnit(sf.unit.arg0, sf.unit.n, factor)
     return sf
 
 
@@ -268,6 +285,16 @@ def test_searches_refuse_a_nonfinite_xtol(xtol):
         fisher_product_maximum(1, xtol=xtol)
     with pytest.raises(ValueError, match="xtol must be positive and finite"):
         entropy_crossing(xtol=xtol)
+
+
+@pytest.mark.parametrize("bracket", [(0.5, 0.01), (2.0, 1.0), (0.05, 0.05)])
+def test_searches_refuse_a_reversed_bracket(bracket):
+    # The golden-section search skipped its loop on a reversed bracket and
+    # reported no interior maximum; Brent sorted it out without a word.
+    with pytest.raises(ValueError, match="search bracket needs lo < hi"):
+        fisher_product_maximum(1, bracket=bracket)
+    with pytest.raises(ValueError, match="search bracket needs lo < hi"):
+        entropy_crossing(bracket=bracket)
 
 
 XTOL_PROBE = """

@@ -1,5 +1,6 @@
 """Wavefunction bundles: profiles, norms, momentum side, wall and energy identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,9 @@ from scipy.integrate import quad
 from quadpack_reference import fourier_half_line
 from robinwall.quadrature import QuadratureError, ray_transform
 from robinwall import quadrature, special, states
+from robinwall.infomeasures import measure_state
+from robinwall.observables import dipole_element_quadrature, dipole_matrix
+from robinwall.spectrum import ConsistencyError
 from robinwall.special import root_table, valley_airy
 from robinwall.states import (
     boundary_residual,
@@ -48,6 +52,22 @@ def test_pointwise_reference_value(state_of):
 def test_wall_condition_satisfied(state_of, bc, n, field):
     sf = state_of(bc, n, field)
     assert boundary_residual(sf) < 1e-10
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-", "robin+"])
+def test_psi_is_positive_next_to_the_wall(bc):
+    # The signed norm (-1)^n ||Ai|| fixes the overall sign: psi > 0 between
+    # the wall and its nearest node.  The closed-form dipole elements carry
+    # the signs of states so fixed, which the signed quadrature confirms.
+    for n in (0, 1, 2, 3, 10, 31):
+        for field in (1e-3, 1.0, 1e3):
+            sf = build_state(bc, n, field)
+            node = root_table(n + 1).a[n - 1] - sf.unit.arg0 if n else sf.unit.u_cut
+            assert sf.psi(-0.5 * node / sf.field_cbrt) > 0.0, (n, field)
+    closed = dipole_matrix(bc, 1.0, 3)
+    for n, m in ((0, 1), (0, 2), (1, 2)):
+        direct = dipole_element_quadrature(build_state(bc, n, 1.0), build_state(bc, m, 1.0))
+        assert math.isclose(direct, closed.element(n, m), rel_tol=1e-9), (n, m)
 
 
 @pytest.mark.parametrize("bc,n,field", PROFILE_CASES)
@@ -119,12 +139,74 @@ def test_cut_covers_the_decay_region(state_of):
 
 def test_cut_follows_surface_state_decay():
     # At field 1e-9 the attractive ground state decays over 1/sqrt(-E) ~ 1,
-    # far inside the Airy length field**(-1/3) = 1000.  Its norm rests on
-    # E + 1 ~ 5e-10, whose few-ulp rounding leaves a few 1e-6 relative.
+    # far inside the Airy length field**(-1/3) = 1000.  Its wall argument
+    # is about 1e6, where Ai'^2 - z Ai^2 cancels about 2 z^(3/2)-fold, so
+    # the rounding of the norm leaves about 1e-6 (measured 9.4e-7).
     sf = build_state("robin-", 0, 1e-9)
     assert -60.0 <= sf.x_cut <= -10.0
     assert sf.rho(sf.x_cut) < 1e-12 * sf.rho(0.0)
-    assert math.isclose(position_integrals(sf)[0], 1.0, rel_tol=0.0, abs_tol=2e-5)
+    assert math.isclose(position_integrals(sf)[0], 1.0, rel_tol=0.0, abs_tol=2e-6)
+
+
+@pytest.mark.parametrize("bc", ["robin-", "robin+"])
+@pytest.mark.parametrize("field", [1e-9, 1e-10, 1e-12])
+def test_weak_field_robin_states_are_measured(bc, field):
+    # Each state is Ai(z0 + u) / ||Ai|| from its wall argument z0 alone, so
+    # the level's rounding moves the state along the Airy line and leaves
+    # both norms at 1 (measured within 3e-14).
+    for n in (3, 10, 30, 100):
+        sf = build_state(bc, n, field)
+        measure_state(sf)
+        for norm in (position_integrals(sf)[0], momentum_integrals(sf)[0]):
+            assert abs(norm - 1.0) <= 1e-12, (n, norm)
+
+
+@pytest.mark.parametrize("bc,n,field", [
+    *[("robin+", n, field) for n in (0, 3, 30) for field in (1e-15, 1e-20)],
+    ("robin+", 3, 3.16e-15),
+    ("robin-", 3, 3.16e-15),
+])
+def test_robin_level_off_its_wall_condition_is_refused(bc, n, field):
+    # Below about 1e-14 the Robin shift from the hard-wall zero drops
+    # below the rounding of E, and the level lands on (or near) the zero.
+    # The state from z0 alone would then be the hard-wall state; its miss
+    # of the Robin wall condition (0.4 to 1 here, at most 2.5e-6 for
+    # solved levels) refuses it.
+    with pytest.raises(ConsistencyError, match="misses its wall condition"):
+        build_state(bc, n, field)
+
+
+def _pass_values(arg0, n):
+    unit = states.AiryUnitState(arg0, n)
+    return np.array(states._position_pass(unit) + states._momentum_pass(unit))
+
+
+@pytest.mark.parametrize("bc,fields,zero_of", [
+    ("robin+", (1e-6, 1e-9), "a"),
+    ("robin+", (1e6, 1e9), "a_prime"),
+    ("robin-", (1e6, 1e9), "a_prime"),
+])
+@pytest.mark.parametrize("n", [0, 3, 30])
+def test_robin_records_reach_the_hard_walls_at_first_order(bc, fields, zero_of, n):
+    # The paper's limits on the Airy line: a weak field moves the robin+
+    # wall argument z0 onto the Dirichlet zero a_(n+1), a strong one moves
+    # both Robin walls onto the Neumann zero a'_(n+1).  The pass values at
+    # z0 differ from the hard wall's by (z0 - zero) times their central
+    # difference along the line, and what is left is second order
+    # (measured below 1.7 (z0 - zero)^2 times the record's largest value,
+    # up to 1.7e-2 of the first-order step at |z0 - zero| = 1e-2).
+    zero = float(getattr(root_table(n + 1), zero_of)[n])
+    wall = "dirichlet" if zero_of == "a" else "neumann"
+    hard = build_state(wall, n, 1.0).unit
+    assert dataclasses.astuple(states.AiryUnitState(zero, n)) == dataclasses.astuple(hard)
+    base = _pass_values(zero, n)
+    h = 1e-4
+    slope = (_pass_values(zero + h, n) - _pass_values(zero - h, n)) / (2.0 * h)
+    for field in fields:
+        dz = build_state(bc, n, field).unit.arg0 - zero
+        assert 1e-5 < abs(dz) < 2e-2, (field, dz)
+        miss = _pass_values(zero + dz, n) - base - dz * slope
+        assert np.abs(miss).max() <= 2.0 * dz * dz * np.abs(base).max(), (field, dz)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-", "robin+"])
@@ -159,12 +241,14 @@ class _AiryCallCounter:
 
 
 def test_state_build_makes_few_airy_calls(monkeypatch):
-    # One call for the level's certificate and one for the wall value: the
-    # cut is a closed form and evaluates no profile.
+    # One call for the level's certificate and one for the Airy pair at the
+    # wall argument: the cut is a closed form and evaluates no profile.
     counter = _AiryCallCounter()
     monkeypatch.setattr(special, "sp", counter)
-    build_state("dirichlet", 0, 1.0)
-    assert counter.calls <= 2
+    for bc in ("dirichlet", "neumann"):
+        counter.calls = 0
+        build_state(bc, 0, 1.0)
+        assert counter.calls <= 2, bc
 
 
 def test_transform_matches_direct_quadrature(state_of):

@@ -58,20 +58,23 @@ def contour_reference(sf, k):
 def _profile_samples(sf):
     """(u, weight * psi) on [u_min, 0] in Airy units u = F^(1/3) x, at 30 digits.
 
-    psi = c Ai(-eps - u) with c fixed by the nonzero wall datum.  Each unit
-    piece of u carries 24 Gauss-Legendre nodes, and psi there comes from the
-    Taylor series of the Airy equation y'' = (x_c - v) y about the piece's
-    centre x_c, started from mpmath's Ai and Ai' at x_c.  The pieces run 20
-    units past the turning point, where Ai has fallen below e^(-59).
+    psi = c Ai(-eps - u) with c fixed by the wall datum whose Airy value,
+    Ai or Ai' at -eps, is larger: a hard wall's other datum is rounding.
+    Each unit piece of u carries 24 Gauss-Legendre nodes, and psi there
+    comes from the Taylor series of the Airy equation y'' = (x_c - v) y
+    about the piece's centre x_c, started from mpmath's Ai and Ai' at x_c.
+    The pieces run 20 units past the turning point, where Ai has fallen
+    below e^(-59).
     """
     with mpmath.workdps(_DPS):
         nodes = GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
         f13 = mpmath.cbrt(mpmath.mpf(sf.state.field))
         eps = mpmath.mpf(sf.state.energy) / f13 ** 2
-        if sf.psi0 != 0.0:
-            amp = mpmath.mpf(sf.psi0) / mpmath.airyai(-eps)
+        ai, aip = mpmath.airyai(-eps), mpmath.airyai(-eps, derivative=1)
+        if abs(ai) > abs(aip):
+            amp = mpmath.mpf(sf.psi0) / ai
         else:
-            amp = mpmath.mpf(sf.dpsi0) / (-f13 * mpmath.airyai(-eps, derivative=1))
+            amp = mpmath.mpf(sf.dpsi0) / (-f13 * aip)
         out = []
         for j in range(math.ceil(max(float(eps), 0.0) + 20.0)):
             centre = -mpmath.mpf(j) - mpmath.mpf(1) / 2
