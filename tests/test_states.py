@@ -203,9 +203,10 @@ def test_robin_records_reach_the_hard_walls_at_first_order(bc, fields, zero_of, 
     h = 1e-4
     slope = (_pass_values(zero + h, n) - _pass_values(zero - h, n)) / (2.0 * h)
     for field in fields:
-        dz = build_state(bc, n, field).unit.arg0 - zero
+        z0 = build_state(bc, n, field).unit.arg0
+        dz = z0 - zero
         assert 1e-5 < abs(dz) < 2e-2, (field, dz)
-        miss = _pass_values(zero + dz, n) - base - dz * slope
+        miss = _pass_values(z0, n) - base - dz * slope
         assert np.abs(miss).max() <= 2.0 * dz * dz * np.abs(base).max(), (field, dz)
 
 
