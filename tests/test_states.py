@@ -13,11 +13,12 @@ from scipy.special import xlogy
 from scipy.integrate import quad
 
 from quadpack_reference import fourier_half_line
+from robin_reference import robin_root
 from robinwall.quadrature import QuadratureError, ray_transform
 from robinwall import quadrature, special, states
 from robinwall.infomeasures import measure_state
 from robinwall.observables import dipole_element_quadrature, dipole_matrix
-from robinwall.spectrum import ConsistencyError
+from robinwall.spectrum import BoundarySpec, BoundState, ConsistencyError, energy
 from robinwall.special import root_table, valley_airy
 from robinwall.states import (
     boundary_residual,
@@ -161,19 +162,40 @@ def test_weak_field_robin_states_are_measured(bc, field):
             assert abs(norm - 1.0) <= 1e-12, (n, norm)
 
 
-@pytest.mark.parametrize("bc,n,field", [
+VERY_WEAK_ROBIN_LEVELS = [
     *[("robin+", n, field) for n in (0, 3, 30) for field in (1e-15, 1e-20)],
     ("robin+", 3, 3.16e-15),
     ("robin-", 3, 3.16e-15),
-])
+]
+
+
+@pytest.mark.parametrize("bc,n,field", VERY_WEAK_ROBIN_LEVELS)
+def test_very_weak_field_robin_states_are_measured(bc, n, field):
+    # In z the Robin shift from the hard-wall zero is about F^(1/3), 1e-5
+    # at 1e-15, far above the rounding of z: the level solves to within
+    # 3 ulp of mpmath's 50-digit root, and its state passes measure_state
+    # with both norms at 1.
+    state = energy(bc, n, field)
+    zero = root_table(n + 1).ai_zero(n + 1 if bc == "robin+" else n)
+    assert abs(state.arg0 - zero) > 0.5 * field ** (1.0 / 3.0)
+    assert abs(robin_root(state.bc, field, state.arg0) - state.arg0) <= 3.0 * math.ulp(state.arg0)
+    sf = build_state(bc, n, field)
+    measure_state(sf)
+    for norm in (position_integrals(sf)[0], momentum_integrals(sf)[0]):
+        assert abs(norm - 1.0) <= 1e-12, norm
+
+
+@pytest.mark.parametrize("bc,n,field", VERY_WEAK_ROBIN_LEVELS)
 def test_robin_level_off_its_wall_condition_is_refused(bc, n, field):
-    # Below about 1e-14 the Robin shift from the hard-wall zero drops
-    # below the rounding of E, and the level lands on (or near) the zero.
-    # The state from z0 alone would then be the hard-wall state; its miss
-    # of the Robin wall condition (0.4 to 1 here, at most 2.5e-6 for
-    # solved levels) refuses it.
+    # A Robin label on the hard-wall level at a_(n+1): the state from z0
+    # alone is the Dirichlet state, whose miss of the Robin wall condition
+    # (1 here, at most 2.6e-8 for solved levels) refuses it.
+    zero = root_table(n + 1).ai_zero(n + 1)
+    mislabelled = BoundState(bc=BoundarySpec.parse(bc), n=n, field=field,
+                             energy=-field ** (2.0 / 3.0) * zero, arg0=zero,
+                             residual=0.0, bracket=(0.0, 0.0))
     with pytest.raises(ConsistencyError, match="misses its wall condition"):
-        build_state(bc, n, field)
+        states.StateFunctions(mislabelled)
 
 
 def _pass_values(arg0, n):
