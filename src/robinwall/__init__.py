@@ -41,9 +41,7 @@ from .spectrum import (
     BracketError,
     ConsistencyError,
     DomainError,
-    eigenvalue_function,
     energy,
-    node_count,
     zero_energy_field,
     zero_energy_field_solved,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "build_state",
     "dipole_element_quadrature",
     "dipole_matrix",
-    "eigenvalue_function",
     "energy",
     "energy_identity_residual",
     "entropy_crossing",
@@ -89,7 +86,6 @@ __all__ = [
     "mean_position",
     "mean_x_quadrature",
     "measure_state",
-    "node_count",
     "polarization",
     "root_table",
     "zero_energy_field",

@@ -17,8 +17,10 @@ nearer hard-wall zero, and a step that would leave the bracket becomes a
 bisection.  E is formed from the solved z, as a hard wall forms it from
 the zero table.  A sign change of the determinant across a certified
 width of z (a few ulps, widened by the determinant's own rounding)
-certifies the root, and a node count certifies its index.  Brent's
-method (``brent_root``) serves the searches along the field.
+certifies the root.  The bracket itself fixes the index: the zeros
+interlace as a'_1 > a_1 > a'_2 > a_2 > ..., so a z strictly inside it
+has exactly n zeros of Ai above it.  Brent's method (``brent_root``)
+serves the searches along the field.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ __all__ = [
     "BracketError",
     "ConsistencyError",
     "DomainError",
-    "eigenvalue_function",
     "energy",
-    "node_count",
     "zero_energy_field",
     "zero_energy_field_solved",
 ]
@@ -112,9 +112,10 @@ class BoundState:
     ``arg0`` is the wall-side Airy argument z, and ``energy`` is formed
     from it as -F^(2/3) z: for a hard wall z is the zero-table value
     a_(n+1) or a'_(n+1) itself, for a Robin wall the solved root.
-    ``residual`` is |eigenvalue_function| at ``energy``; ``bracket`` holds
-    the energies that enclose a Robin level (its hard-wall neighbours, or
-    -1) and is (E, E) for a hard wall.
+    ``residual`` is |determinant| at ``arg0`` (Ai, Ai' or
+    F^(1/3) Ai' + sigma Ai, scaled as ``scaled_airy`` scales them);
+    ``bracket`` holds the energies that enclose a Robin level (its
+    hard-wall neighbours, or -1) and is (E, E) for a hard wall.
     """
 
     bc: BoundarySpec
@@ -211,37 +212,6 @@ def brent_root(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
     raise RuntimeError(f"Brent's method did not converge in {maxiter} steps; last x={xcur!r}")
 
 
-def eigenvalue_function(bc: BoundarySpec, energy_value: float, field: float) -> float:
-    """Boundary determinant whose zeros in E are the levels.
-
-    Deep in the classically forbidden region the value is rescaled by a
-    positive exponential to stay representable; zeros are unaffected.
-    """
-    if not field > 0.0:
-        raise DomainError("field must be positive; the spectrum is continuous otherwise")
-    ai, aip, _ = scaled_airy(-float(energy_value) / field ** (2.0 / 3.0))
-    if bc is BoundarySpec.DIRICHLET:
-        return float(ai)
-    if bc is BoundarySpec.NEUMANN:
-        return float(aip)
-    return float(field ** (1.0 / 3.0) * aip + bc.wall_slope * ai)
-
-
-def node_count(energy_value: float, field: float) -> int:
-    """Number of interior zeros of the Airy profile with wall energy E."""
-    z = -float(energy_value) / float(field) ** (2.0 / 3.0)
-    if z >= 0.0:
-        return 0
-    need = int((2.0 / (3.0 * math.pi)) * (-z) ** 1.5) + 4
-    table = root_table(need)
-    # A value-fixed wall pins one zero exactly on the boundary, and rounding
-    # can drop the reconstructed argument a hair below it, so zeros within a
-    # relative guard of the wall are not interior.  Genuine interior zeros
-    # sit at least O(field**(1/3)) away in this variable.
-    guard = 1e-9 * max(1.0, -z)
-    return int(np.count_nonzero(table.a > z + guard))
-
-
 def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
     """Wall arguments (lo, hi) that enclose Robin level n and no other level of that wall.
 
@@ -261,10 +231,19 @@ def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
     return neumann, table.ai_zero(n)
 
 
-def _determinant(sigma: float, f13: float, z: float) -> tuple:
-    """F^(1/3) Ai'(z) + sigma Ai(z) and its z-derivative, both times e^s, from one Airy call."""
+def _determinant(bc: BoundarySpec, f13: float, z: float) -> tuple:
+    """Wall determinant at z and its z-derivative, both times e^s, from one Airy call.
+
+    Ai(z) for a Dirichlet wall, Ai'(z) for Neumann and
+    F^(1/3) Ai'(z) + sigma Ai(z) for Robin; its zeros in z are the levels.
+    """
     ai, aip, _ = scaled_airy(z)
     # Ai''(z) = z Ai(z) (DLMF 9.2.1).
+    if bc is BoundarySpec.DIRICHLET:
+        return ai, aip
+    if bc is BoundarySpec.NEUMANN:
+        return aip, z * ai
+    sigma = bc.wall_slope
     return f13 * aip + sigma * ai, f13 * z * ai + sigma * aip
 
 
@@ -305,12 +284,11 @@ def _newton_root(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) -
     within the certified width of z and returns z minus that step, or on
     an evaluation point when no double is left between the ends.
     """
-    sigma = bc.wall_slope
     f13 = field ** (1.0 / 3.0)
     lo_positive = n % 2 == 0
     z = _newton_start(bc, n, field, lo, hi)
     for _ in range(_MAX_STEPS):
-        d, slope = _determinant(sigma, f13, z)
+        d, slope = _determinant(bc, f13, z)
         if d == 0.0:
             return z
         if (d > 0.0) == lo_positive:
@@ -334,8 +312,8 @@ def _certify_root(bc: BoundarySpec, z: float, field: float) -> None:
     """Raise unless the determinant changes sign within ``_certified_width`` of z."""
     f13 = field ** (1.0 / 3.0)
     width = _certified_width(z, f13)
-    below, _ = _determinant(bc.wall_slope, f13, z - width)
-    above, _ = _determinant(bc.wall_slope, f13, z + width)
+    below, _ = _determinant(bc, f13, z - width)
+    above, _ = _determinant(bc, f13, z + width)
     if not (below < 0.0 < above or above < 0.0 < below):
         raise ConsistencyError(
             f"determinant keeps its sign ({below:.3e}, {above:.3e}) within "
@@ -357,7 +335,8 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
     e_val = -f23 * z
     # The tabulated zero and the solved z each carry about an ulp of
     # rounding, so a Robin shift from the hard-wall zero of two ulps or
-    # less cannot be told from none.
+    # less cannot be told from none.  Strictly inside (lo, hi), z has
+    # exactly n zeros of Ai above it, which certifies the index.
     if not (min(z - lo, hi - z) > 2.0 * math.ulp(z) and e_lo < e_val < e_hi):
         raise DomainError(
             f"{bc.value} level {n} at field {field:g}: the level solves to z={z:.17g}, "
@@ -365,13 +344,8 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
             "Robin shift from the hard-wall zero has dropped below the rounding of z"
         )
     _certify_root(bc, z, field)
-    found_nodes = node_count(e_val, field)
-    if found_nodes != n:
-        raise ConsistencyError(
-            f"level {n} solved to E={e_val:.12g} but the profile has {found_nodes} nodes"
-        )
-    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=z,
-                      residual=abs(eigenvalue_function(bc, e_val, field)),
+    residual, _ = _determinant(bc, field ** (1.0 / 3.0), z)
+    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=z, residual=abs(residual),
                       bracket=(e_lo, e_hi))
 
 
@@ -379,11 +353,11 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
 def _solve(bc: BoundarySpec, n: int, field: float) -> BoundState:
     if bc.is_robin:
         return _solve_robin(bc, n, field)
-    table = root_table(n + 4)
+    table = root_table(n + 1)
     root = table.ai_zero(n + 1) if bc is BoundarySpec.DIRICHLET else table.ai_prime_zero(n + 1)
     e_val = -field ** (2.0 / 3.0) * root
-    residual = abs(eigenvalue_function(bc, e_val, field))
-    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=root, residual=residual,
+    residual, _ = _determinant(bc, field ** (1.0 / 3.0), root)
+    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=root, residual=abs(residual),
                       bracket=(e_val, e_val))
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import airy, airye
 
 from robinwall.spectrum import (
     _RTOL,
     BoundarySpec,
     brent_root,
-    eigenvalue_function,
     energy,
     zero_energy_field_solved,
 )
@@ -72,12 +72,25 @@ def test_matches_brentq_on_random_cubics(c0, c1, c2, lo, hi):
         assert_same_steps(f, lo, hi)
 
 
+def robin_determinant_in_energy(bc, field):
+    """E -> F^(1/3) Ai'(z) + sigma Ai(z) at z = -E / F^(2/3), times e^((2/3) z^(3/2)) above z = 8."""
+    f13 = field ** (1.0 / 3.0)
+    f23 = field ** (2.0 / 3.0)
+
+    def determinant(e):
+        z = -e / f23
+        ai, aip, _, _ = (airye if z > 8.0 else airy)(z)
+        return float(f13 * aip + bc.wall_slope * ai)
+
+    return determinant
+
+
 @pytest.mark.parametrize("field", [1e-7, 3.9e-4, 0.5, 2.58, 70.0, 1e6, 1e30])
 @pytest.mark.parametrize("n", [0, 1, 5, 30])
 @pytest.mark.parametrize("bc", [BoundarySpec.ROBIN_MINUS, BoundarySpec.ROBIN_PLUS])
 def test_matches_brentq_on_the_robin_determinant(bc, n, field):
     lo, hi = energy(bc, n, field).bracket
-    assert_same_steps(lambda e: eigenvalue_function(bc, e, field), lo, hi,
+    assert_same_steps(robin_determinant_in_energy(bc, field), lo, hi,
                       xtol=1e-14, rtol=_RTOL)
 
 

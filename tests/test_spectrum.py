@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robin_reference import robin_root
+from zero_reference import zeros_above
 from robinwall import spectrum
 from robinwall import (
     BoundarySpec,
@@ -15,9 +16,7 @@ from robinwall import (
     ConsistencyError,
     DomainError,
     build_state,
-    eigenvalue_function,
     energy,
-    node_count,
     root_table,
     zero_energy_field,
     zero_energy_field_solved,
@@ -115,9 +114,7 @@ def test_solver_invariants(log_field, n, bc):
     field = 10.0 ** log_field
     state = energy(bc, n, field)
     assert state.residual < 1e-11
-    assert node_count(state.energy, field) == n
-    wall = BoundarySpec.parse(bc)
-    assert abs(eigenvalue_function(wall, state.energy, field)) < 1e-11
+    assert zeros_above(state.arg0) == n
 
 
 @given(
@@ -136,7 +133,7 @@ def test_robin_levels_across_the_domain(log_field, n, bc):
     assert airy.call_count <= 12
     lo, hi = state.bracket
     assert lo < state.energy < hi
-    assert node_count(state.energy, field) == n
+    assert zeros_above(state.arg0) == n
     neumann = energy("neumann", n, field).energy
     if bc is BoundarySpec.ROBIN_PLUS:
         assert (lo, hi) == (neumann, energy("dirichlet", n, field).energy)
@@ -153,7 +150,7 @@ def test_weak_field_level_that_a_residual_bound_rejected():
     state = energy("robin+", 25, field)
     assert energy("neumann", 25, field).energy < state.energy
     assert state.energy < energy("dirichlet", 25, field).energy
-    assert node_count(state.energy, field) == 25
+    assert zeros_above(state.arg0) == 25
 
 
 def test_certificate_rejects_a_moved_root():
@@ -201,7 +198,7 @@ def test_attractive_ground_level_field_floor():
         energy("robin-", 0, 5e-10)
     state = energy("robin-", 0, 1e-9)
     assert -1.0 < state.energy < -1.0 + 1e-9
-    assert node_count(state.energy, 1e-9) == 0
+    assert zeros_above(state.arg0) == 0
 
 
 def test_weak_field_spacing_tracks_zero_gap():
@@ -260,8 +257,6 @@ def test_domain_errors():
         energy("robin-", 0, -1.0)
     with pytest.raises(DomainError):
         energy("robin-", -1, 1.0)
-    with pytest.raises(DomainError):
-        eigenvalue_function("robin-", 0.0, 0.0)
 
 
 def test_robin_level_below_rounding_is_a_domain_error():

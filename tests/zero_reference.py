@@ -1,13 +1,20 @@
-"""Large-index expansions of the negative zeros of Ai and Ai'.
+"""Large-index expansions of the negative zeros of Ai and Ai', and a node count.
 
 The n-th zero of Ai sits at -T(3 pi (4n - 1) / 8) and the n-th zero of
 Ai' at -U(3 pi (4n - 3) / 8), with T and U asymptotic series in t^(-2)
 (Abramowitz & Stegun §10.4).  The polished zero table seeds from
 ``scipy.special.ai_zeros``, not from these series, so they check it
 independently.
+
+``zeros_above`` counts the interior nodes of a level's profile
+Ai(z0 - F^(1/3) x) on x < 0: the zeros of Ai strictly above z0.
 """
 
 import math
+
+import numpy as np
+
+from robinwall import root_table
 
 ZERO_OF_AI = "zero_of_Ai"
 ZERO_OF_AI_PRIME = "zero_of_Ai_prime"
@@ -36,3 +43,11 @@ def asymptotic_zero(kind: str, n: int) -> float:
     if kind == ZERO_OF_AI_PRIME:
         return -_zero_series(3.0 * math.pi * (4 * n - 3) / 8.0, _U_COEFFS)
     raise ValueError(f"unknown zero kind {kind!r}")
+
+
+def zeros_above(z0: float) -> int:
+    """Zeros of Ai in the zero table strictly above z0, with no guard."""
+    table = root_table()
+    while table.a[-1] > z0:
+        table = root_table(2 * table.count)
+    return int(np.count_nonzero(table.a > z0))
