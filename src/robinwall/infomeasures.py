@@ -4,8 +4,8 @@ Everything is computed, and certified, by :func:`measure_state`: one
 pass of :func:`.states.position_integrals` over the truncated half-line
 and one pass of :func:`.states.momentum_integrals`, each giving its
 space's norm with the measures.  Position Fisher information additionally
-has a closed form in the level energy, which the quadrature route must
-reproduce.
+has a closed form in the level's wall data, which the quadrature route
+must reproduce.
 
 Both passes are memoized on the state's Airy-unit data (see
 :mod:`.states`), so a hard-wall level is integrated once per (wall, n)
@@ -26,7 +26,7 @@ from .spectrum import (
     BracketError,
     ConsistencyError,
     DomainError,
-    brent_root,
+    wall_closed_form,
 )
 from .states import StateFunctions, build_state, momentum_integrals, position_integrals
 
@@ -78,16 +78,17 @@ class InfoRecord:
 
 
 def fisher_position_closed(state: BoundState) -> float:
-    """Position Fisher information from the level energy alone.
+    """Position Fisher information from the level's wall data alone.
 
-    The gradient integral closes on the energy through the stationary
-    equation; the wall enters with the sign of its extrapolation length.
+    I_x = 4 times the integral of psi'^2, which the Airy antiderivatives
+    close as (4/3) F^(2/3) (2 p d - z0) on every wall (p d = 0 for a hard
+    wall, so I_x = 4E/3).  Where the normalization's cancellation could
+    move it by more than 1e-6 relative, it is refused (see
+    :func:`.spectrum.wall_closed_form`).
     """
-    e_val = state.energy
-    if not state.bc.is_robin:
-        return (4.0 / 3.0) * e_val
-    sign = state.bc.wall_slope
-    return (4.0 / 3.0) * (e_val * e_val + e_val + sign * 2.0 * state.field) / (e_val + 1.0)
+    return wall_closed_form(state, -1.0, 2.0, (4.0 / 3.0) * state.field ** (2.0 / 3.0),
+                            "position Fisher information",
+                            "4 times the slope integral of position_integrals still gives it")
 
 
 def fisher(sf: StateFunctions):
@@ -212,7 +213,10 @@ def entropy_crossing(bracket=(0.1, 5.0), xtol: float = 1e-3) -> float:
             hi=hi,
             detail=f"gap({lo}) = {g_lo:.6g}, gap({hi}) = {g_hi:.6g}",
         )
-    return brent_root(gap, lo, hi, xtol=xtol)
+    # Imported here so that only the searches along the field load scipy.optimize.
+    from scipy.optimize import brentq
+
+    return brentq(gap, lo, hi, xtol=xtol)
 
 
 @dataclass(frozen=True)

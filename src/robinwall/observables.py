@@ -1,21 +1,22 @@
 """Mean positions, field-induced dipole shifts, and coordinate matrix elements.
 
-Every quantity here has a closed form in the level energy (or the Airy
-zeros), so the default paths never integrate.  Quadrature twins and a
-finite-difference route through the energy derivative exist for
-cross-checking, not for production use.
+Every quantity here has one closed form for all four walls, in the
+levels' wall data (z0, p, d) of :class:`.spectrum.BoundState`, from the
+Airy antiderivatives (Albright, J. Phys. A 10, 485, 1977), so the default
+paths never integrate.  Quadrature twins and a finite-difference route
+through the energy derivative exist for cross-checking, not for
+production use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
 from .quadrature import integrate_batch
-from .spectrum import BoundarySpec, BoundState, DomainError, energy
+from .spectrum import BoundarySpec, BoundState, DomainError, energy, wall_closed_form
 from .states import StateFunctions, position_integrals
 
 __all__ = [
@@ -43,38 +44,17 @@ def zero_field_mean_x(bc: BoundarySpec, n: int) -> float:
     return 0.0
 
 
-# The solver leaves a level a few ulps from the exact root, set by the
-# rounding of the Airy values.  Against 50-digit mpmath (F from 1e-9 to
-# 1e6): robin+ n <= 30 and robin- 1 <= n <= 30 within 6.6 ulp, and the
-# attractive ground level within 9.4 ulp for F <= 1e-2, where this bound
-# decides.  Near F = 0.3 that level's determinant cancels and it lies up
-# to 140 ulp off, inside its certified band, where |d<x>/dE| is about 20.
-_ENERGY_ULPS = 64.0
-
-
 def mean_position(state: BoundState) -> float:
-    """Closed-form mean coordinate of a solved level.
+    """Closed-form mean coordinate of a solved level, (2 z0 - p d) / (3 F^(1/3)).
 
-    For a Robin wall the closed form amplifies the rounding of E by
-    |d<x>/dE|, which grows like 1/field^2 for the attractive ground level
-    at weak field.  Where that error could exceed 1e-6 relative (at least
-    1e-6 absolute) the value is refused rather than returned.
+    For a hard wall p d = 0 and <x> = -2E / (3F).  Where the
+    normalization's cancellation could move the value by more than 1e-6
+    relative (at least 1e-6 absolute), as for the attractive ground level
+    below a field of about 8.4e-5, it is refused (see
+    :func:`.spectrum.wall_closed_form`).
     """
-    e_val = state.energy
-    field = state.field
-    if not state.bc.is_robin:
-        return -(2.0 / 3.0) * e_val / field
-    denom = e_val + 1.0
-    sign = state.bc.wall_slope
-    if denom != 0.0:
-        mean = -(2.0 * e_val * denom / field + sign) / (3.0 * denom)
-        slope = abs(sign / (3.0 * denom * denom) - 2.0 / (3.0 * field))
-        if _ENERGY_ULPS * math.ulp(e_val) * slope <= 1e-6 * max(1.0, abs(mean)):
-            return mean
-    raise DomainError(
-        "the closed-form mean position cancels too far this close to E = -1; "
-        "use mean_x_quadrature on the built state"
-    )
+    return wall_closed_form(state, 2.0, -1.0, 1.0 / (3.0 * state.field ** (1.0 / 3.0)),
+                            "mean position", "use mean_x_quadrature on the built state")
 
 
 @dataclass(frozen=True)
@@ -135,7 +115,8 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
     """Closed-form coordinate matrix over the lowest ``size`` levels.
 
     Diagonal entries are the mean positions; off-diagonal entries couple
-    levels through the field and are symmetric by construction.
+    levels through the field (see :func:`_coupling`) and are symmetric by
+    construction.
     """
     bc = BoundarySpec.parse(bc)
     size = int(size)
@@ -148,19 +129,18 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
     for n, level in enumerate(levels):
         values[n, n] = mean_position(level)
         for m in range(n + 1, size):
-            if bc.is_robin:
-                e_n, e_m = level.energy, levels[m].energy
-                elem = field * (e_n + e_m + 2.0) / (
-                    math.sqrt((e_n + 1.0) * (e_m + 1.0)) * (e_n - e_m) ** 2
-                )
-            elif bc is BoundarySpec.DIRICHLET:
-                elem = 2.0 * f_m13 / (level.arg0 - levels[m].arg0) ** 2
-            else:
-                zn, zm = level.arg0, levels[m].arg0
-                elem = -(zn + zm) * f_m13 / (math.sqrt(zn * zm) * (zn - zm) ** 2)
-            values[n, m] = elem
-            values[m, n] = elem
+            values[n, m] = values[m, n] = _coupling(level, levels[m], f_m13)
     return DipoleMatrix(bc=bc, field=field, values=values)
+
+
+def _coupling(a: BoundState, b: BoundState, f_m13: float) -> float:
+    """<a|x|b> = F^(-1/3) (2 d_a d_b - (z_a + z_b) p_a p_b) / (z_a - z_b)^2 on every wall.
+
+    For a Dirichlet wall p = 0 and d = -1, which leaves 2 F^(-1/3) /
+    (z_a - z_b)^2; ``f_m13`` is F^(-1/3).
+    """
+    za, zb = a.arg0, b.arg0
+    return f_m13 * (2.0 * a.dpsi0 * b.dpsi0 - (za + zb) * a.psi0 * b.psi0) / (za - zb) ** 2
 
 
 def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> float:

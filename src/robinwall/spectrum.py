@@ -19,8 +19,14 @@ the zero table.  A sign change of the determinant across a certified
 width of z (a few ulps, widened by the determinant's own rounding)
 certifies the root.  The bracket itself fixes the index: the zeros
 interlace as a'_1 > a_1 > a'_2 > a_2 > ..., so a z strictly inside it
-has exactly n zeros of Ai above it.  Brent's method (``brent_root``)
-serves the searches along the field.
+has exactly n zeros of Ai above it.
+
+The Airy pair of the level's last determinant also gives its wall data:
+in Airy units u = -F^(1/3) x every level is Ai(z0 + u) / N, whatever its
+wall, with N^2 = Ai'(z0)^2 - z0 Ai(z0)^2 (Albright, J. Phys. A 10, 485,
+1977).  Its value p = Ai(z0) / N and slope d = -Ai'(z0) / N at the wall
+close every observable of :mod:`.observables` and
+:mod:`.infomeasures` in one formula for all four walls.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 # Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
 # special, spectrum and states to count Airy points.
 from scipy import special as sp  # noqa: F401
@@ -44,6 +49,8 @@ __all__ = [
     "ConsistencyError",
     "DomainError",
     "energy",
+    "wall_closed_form",
+    "wall_data",
     "zero_energy_field",
     "zero_energy_field_solved",
 ]
@@ -112,10 +119,14 @@ class BoundState:
     ``arg0`` is the wall-side Airy argument z, and ``energy`` is formed
     from it as -F^(2/3) z: for a hard wall z is the zero-table value
     a_(n+1) or a'_(n+1) itself, for a Robin wall the solved root.
-    ``residual`` is |determinant| at ``arg0`` (Ai, Ai' or
-    F^(1/3) Ai' + sigma Ai, scaled as ``scaled_airy`` scales them);
-    ``bracket`` holds the energies that enclose a Robin level (its
-    hard-wall neighbours, or -1) and is (E, E) for a hard wall.
+    ``residual`` is the Newton step |D / D'| of the determinant D (Ai, Ai'
+    or F^(1/3) Ai' + sigma Ai) at ``arg0``, in ulps of ``arg0``: within
+    ``special._ROOT_STEP_ULPS`` for a hard wall, within the certified width
+    for a Robin wall.  ``bracket`` holds the energies that enclose a Robin
+    level (its hard-wall neighbours, or -1) and is (E, E) for a hard wall.
+    ``psi0`` and ``dpsi0`` are the level's wall data in Airy units, p =
+    Ai(z0) / N and d = -Ai'(z0) / N (see :func:`wall_data`), from the
+    same Airy pair as ``residual``: psi(0) = F^(1/6) p, psi'(0) = F^(1/2) d.
     """
 
     bc: BoundarySpec
@@ -125,14 +136,64 @@ class BoundState:
     arg0: float
     residual: float
     bracket: tuple
+    psi0: float
+    dpsi0: float
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("quantum number must be non-negative")
 
 
-# Brent's smallest relative stopping width, as in scipy's brentq.
-_RTOL = 4.0 * np.finfo(float).eps
+def wall_data(z: float, n: int, ai: float, aip: float) -> tuple:
+    """(p, d, N) of level n at wall argument z, from Ai(z) and Ai'(z) scaled alike.
+
+    N = (-1)^n sqrt(Ai'(z)^2 - z Ai(z)^2) is the signed Airy norm, which
+    keeps the profile positive next to the wall; p = Ai(z) / N and
+    d = -Ai'(z) / N are free of the common scale, and d^2 - z p^2 = 1.
+    """
+    norm = (-1.0) ** n * math.sqrt(aip * aip - z * ai * ai)
+    return ai / norm, -aip / norm, norm
+
+
+_EPS = 2.0 ** -52
+
+# Scale of the rounding bound of :func:`wall_closed_form`, in units of
+# eps kappa (|p d| + |z0|) |scale|.  Against 50-digit mpmath at the solved
+# z0 (4 walls, n <= 30, F from 1e-9 to 1e6) the forms stay within 4.6
+# units wherever z0 <= 0 or z0 > 2.1, which covers every refusal.  For
+# 0 < z0 < 2.1 (robin- n = 0 at 0.26 < F < 2.58) scipy's Airy values carry
+# up to tens of ulps and the forms reach 168 units, 1.5e-12 relative.
+# With 8 the attractive ground level keeps <x> from F = 8.4e-5 and I_x
+# from F = 7.1e-9.
+_CANCELLATION_EPS = 8.0
+
+# Relative (at least absolute) rounding above which a closed form is refused.
+_CLOSED_FORM_RTOL = 1e-6
+
+
+def wall_closed_form(state: BoundState, z_weight: float, pd_weight: float, scale: float,
+                     name: str, fallback: str) -> float:
+    """scale (z_weight z0 + pd_weight p d), refused where rounding could move it by 1e-6.
+
+    N^2 cancels kappa = d^2 + |z0| p^2 fold (1 for z0 <= 0, about
+    4 z0 / F^(1/3) for the weak-field robin- ground level), and p and d
+    carry that cancellation of the Airy pair's rounding; the form is then
+    uncertain by ``_CANCELLATION_EPS`` eps kappa (|p d| + |z0|) |scale|.
+    Where that exceeds 1e-6 relative (at least 1e-6 absolute) the value
+    is refused with a ``DomainError`` that names ``fallback``.
+    """
+    z, pd = state.arg0, state.psi0 * state.dpsi0
+    value = scale * (z_weight * z + pd_weight * pd)
+    kappa = state.dpsi0 * state.dpsi0 + abs(z) * state.psi0 * state.psi0
+    error = _CANCELLATION_EPS * _EPS * kappa * (abs(pd) + abs(z)) * abs(scale)
+    if error > _CLOSED_FORM_RTOL * max(1.0, abs(value)):
+        raise DomainError(
+            f"{name} of {state.bc.value} level {state.n} at field {state.field:g}: the "
+            f"normalization Ai'^2 - z0 Ai^2 cancels {kappa:.3g}-fold at z0 = {z:.6g}, so "
+            f"the closed form is uncertain by {error:.2e}; {fallback}"
+        )
+    return value
+
 
 # A Robin root is certified within this many ulps of z, widened by the
 # Airy rounding band below; the Newton iteration stops on a step inside
@@ -146,70 +207,6 @@ _MAX_STEPS = 100
 # blurs the zero over 2 * _AIRY_RTOL * F^(1/3) / |E+1| in z, or
 # 2 * _AIRY_RTOL * F / |E+1| in E.
 _AIRY_RTOL = 1e-14
-
-
-def brent_root(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
-               maxiter: int = 100) -> float:
-    """Root of f in [a, b] by Brent's method, step for step as scipy's brentq.c.
-
-    The steps (inverse quadratic extrapolation, secant interpolation or
-    bisection) and the stopping half-width (xtol + rtol |x|) / 2 are those
-    of scipy.optimize.brentq, so both return the same double.  Raises
-    ValueError, with brentq's message, for xtol <= 0 or rtol < 4 eps, when
-    f has the same sign at both ends or when it returns NaN, and
-    RuntimeError after maxiter steps.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps; last x={xcur!r}")
 
 
 def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
@@ -232,19 +229,19 @@ def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
 
 
 def _determinant(bc: BoundarySpec, f13: float, z: float) -> tuple:
-    """Wall determinant at z and its z-derivative, both times e^s, from one Airy call.
+    """(D, dD/dz, Ai, Ai') at z, all times e^s, from one Airy call.
 
-    Ai(z) for a Dirichlet wall, Ai'(z) for Neumann and
+    D is Ai(z) for a Dirichlet wall, Ai'(z) for Neumann and
     F^(1/3) Ai'(z) + sigma Ai(z) for Robin; its zeros in z are the levels.
     """
     ai, aip, _ = scaled_airy(z)
     # Ai''(z) = z Ai(z) (DLMF 9.2.1).
     if bc is BoundarySpec.DIRICHLET:
-        return ai, aip
+        return ai, aip, ai, aip
     if bc is BoundarySpec.NEUMANN:
-        return aip, z * ai
+        return aip, z * ai, ai, aip
     sigma = bc.wall_slope
-    return f13 * aip + sigma * ai, f13 * z * ai + sigma * aip
+    return f13 * aip + sigma * ai, f13 * z * ai + sigma * aip, ai, aip
 
 
 def _certified_width(z: float, f13: float) -> float:
@@ -288,7 +285,7 @@ def _newton_root(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) -
     lo_positive = n % 2 == 0
     z = _newton_start(bc, n, field, lo, hi)
     for _ in range(_MAX_STEPS):
-        d, slope = _determinant(bc, f13, z)
+        d, slope, _, _ = _determinant(bc, f13, z)
         if d == 0.0:
             return z
         if (d > 0.0) == lo_positive:
@@ -312,8 +309,8 @@ def _certify_root(bc: BoundarySpec, z: float, field: float) -> None:
     """Raise unless the determinant changes sign within ``_certified_width`` of z."""
     f13 = field ** (1.0 / 3.0)
     width = _certified_width(z, f13)
-    below, _ = _determinant(bc, f13, z - width)
-    above, _ = _determinant(bc, f13, z + width)
+    below = _determinant(bc, f13, z - width)[0]
+    above = _determinant(bc, f13, z + width)[0]
     if not (below < 0.0 < above or above < 0.0 < below):
         raise ConsistencyError(
             f"determinant keeps its sign ({below:.3e}, {above:.3e}) within "
@@ -344,9 +341,17 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
             "Robin shift from the hard-wall zero has dropped below the rounding of z"
         )
     _certify_root(bc, z, field)
-    residual, _ = _determinant(bc, field ** (1.0 / 3.0), z)
-    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=z, residual=abs(residual),
-                      bracket=(e_lo, e_hi))
+    return _level(bc, n, field, z, e_val, (e_lo, e_hi))
+
+
+def _level(bc: BoundarySpec, n: int, field: float, z: float, e_val: float,
+           bracket: tuple) -> BoundState:
+    """The record of level n at its wall argument z: residual and wall data from one Airy call."""
+    d, slope, ai, aip = _determinant(bc, field ** (1.0 / 3.0), z)
+    psi0, dpsi0, _ = wall_data(z, n, ai, aip)
+    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=z,
+                      residual=abs(d / slope) / math.ulp(z), bracket=bracket,
+                      psi0=psi0, dpsi0=dpsi0)
 
 
 @lru_cache(maxsize=4096)
@@ -356,9 +361,7 @@ def _solve(bc: BoundarySpec, n: int, field: float) -> BoundState:
     table = root_table(n + 1)
     root = table.ai_zero(n + 1) if bc is BoundarySpec.DIRICHLET else table.ai_prime_zero(n + 1)
     e_val = -field ** (2.0 / 3.0) * root
-    residual, _ = _determinant(bc, field ** (1.0 / 3.0), root)
-    return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=root, residual=abs(residual),
-                      bracket=(e_val, e_val))
+    return _level(bc, n, field, root, e_val, (e_val, e_val))
 
 
 def energy(bc: BoundarySpec, n: int, field: float) -> BoundState:
@@ -385,8 +388,10 @@ def zero_energy_field() -> float:
 
 def zero_energy_field_solved() -> float:
     """The same crossing recovered from the solver instead of Gamma values."""
+    # Imported here so that only the searches along the field load scipy.optimize.
+    from scipy.optimize import brentq
 
     def ground(field: float) -> float:
         return energy(BoundarySpec.ROBIN_MINUS, 0, field).energy
 
-    return brent_root(ground, 2.0, 3.2, xtol=1e-10, rtol=1e-12)
+    return brentq(ground, 2.0, 3.2, xtol=1e-10, rtol=1e-12)

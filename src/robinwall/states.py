@@ -53,7 +53,7 @@ from scipy import special as sp  # noqa: F401
 from . import quadrature
 from .quadrature import integrate_batch, ray_transform
 from .special import root_table, scaled_airy
-from .spectrum import BoundarySpec, BoundState, ConsistencyError, energy
+from .spectrum import BoundarySpec, BoundState, ConsistencyError, energy, wall_data
 
 __all__ = [
     "StateFunctions",
@@ -103,9 +103,9 @@ class AiryUnitState:
 
     def __post_init__(self):
         ai0, aip0, s0 = scaled_airy(self.arg0)
-        norm = (-1.0) ** self.n * math.sqrt(aip0 * aip0 - self.arg0 * ai0 * ai0)
-        for name, value in (("norm", norm), ("s0", s0), ("psi0", ai0 / norm),
-                            ("dpsi0", -aip0 / norm), ("u_cut", _cut(self.arg0))):
+        psi0, dpsi0, norm = wall_data(self.arg0, self.n, ai0, aip0)
+        for name, value in (("norm", norm), ("s0", s0), ("psi0", psi0),
+                            ("dpsi0", dpsi0), ("u_cut", _cut(self.arg0))):
             object.__setattr__(self, name, value)
 
     def profile(self, u):
@@ -372,13 +372,13 @@ def momentum_integrals(sf: StateFunctions) -> tuple:
 def energy_identity_residual(sf: StateFunctions) -> float:
     """Mismatch of E against kinetic + wall + potential expectation values.
 
-    Integrating the kinetic term by parts moves one boundary term onto
-    the wall, where the wall condition turns it into -sigma psi(0)^2.
+    Integrating the kinetic term by parts moves one boundary term,
+    -psi(0) psi'(0) = -F^(2/3) p d, onto the wall; it vanishes at a hard
+    wall.
     """
     state = sf.state
     _, _, kinetic, _, mean_x = position_integrals(sf)
-    sigma = state.bc.wall_slope
-    wall = 0.0 if sigma is None else -sigma * sf.psi0 ** 2
+    wall = -state.field ** (2.0 / 3.0) * state.psi0 * state.dpsi0
     total = kinetic + wall - state.field * mean_x
     return float(abs(total - state.energy))
 

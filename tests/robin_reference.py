@@ -1,10 +1,11 @@
-"""Robin levels in the wall argument to 50 digits, with mpmath Airy functions.
+"""Robin levels in the wall argument and wall data to 50 digits, with mpmath Airy functions.
 
 The level of the wall psi'(0) = sigma psi(0) sits at a root of
 F^(1/3) Ai'(z) + sigma Ai(z) on the Airy line z = -E / F^(2/3).  Newton
 steps from a double start, with the slope from Ai''(z) = z Ai(z), double
 the digits each time, so a start within rounding of the root reaches 50
-digits in three or four steps.
+digits in three or four steps.  The wall data of the profile
+Ai(z + u) / N at a given double z are the references of the closed forms.
 """
 
 import mpmath
@@ -23,3 +24,12 @@ def robin_root(bc, field: float, start: float, dps: int = 50):
             if abs(step) <= mpmath.mpf(10) ** -dps * max(1, abs(z)):
                 return +z
     raise RuntimeError(f"reference Newton iteration did not settle near z={start!r}")
+
+
+def wall_data(z, n: int, dps: int = 50):
+    """(p, d) = (Ai(z), -Ai'(z)) / N at a double z, N = (-1)^n sqrt(Ai'(z)^2 - z Ai(z)^2), as mpfs."""
+    with mpmath.workdps(dps + 10):
+        z = mpmath.mpf(z)
+        ai, aip = mpmath.airyai(z), mpmath.airyai(z, derivative=1)
+        norm = (-1) ** n * mpmath.sqrt(aip * aip - z * ai * ai)
+        return +(ai / norm), +(-aip / norm)

@@ -330,3 +330,12 @@ def test_momentum_fisher_constant_is_field_free():
                         rel_tol=1e-8)
     assert math.isclose(constant("dirichlet", 0), C_DIRICHLET_0, rel_tol=1e-9)
     assert math.isclose(constant("neumann", 1), C_NEUMANN_1, rel_tol=1e-9)
+
+
+def test_weak_field_ground_state_is_refused_by_its_normalization():
+    # At F = 1e-9 the normalization Ai'^2 - z0 Ai^2 of robin- n = 0 cancels
+    # 4e9-fold.  Without a bound on that cancellation its closed form read
+    # 3.9999988 where I_x is about 4 + 2F, within 1e-6 of the quadrature
+    # route; the refusal names the cause.
+    with pytest.raises(DomainError, match="normalization Ai'\\^2 - z0 Ai\\^2 cancels 4e\\+09-fold"):
+        measure_state(build_state("robin-", 0, 1e-9))

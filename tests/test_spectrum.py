@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from robin_reference import robin_root
 from zero_reference import zeros_above
-from robinwall import spectrum
+from robinwall import special, spectrum
 from robinwall import (
     BoundarySpec,
     BoundState,
@@ -33,11 +33,17 @@ WALL_ORDER = ("robin-", "neumann", "robin+", "dirichlet")
 EPS = 2.220446049250313e-16
 
 
+def certified_ulps(state) -> float:
+    """A Robin level's certified half-width in z, in ulps of z."""
+    f13 = state.field ** (1.0 / 3.0)
+    return spectrum._certified_width(state.arg0, f13) / math.ulp(state.arg0)
+
+
 @pytest.mark.parametrize("n,ref", list(enumerate(RM_FIELD1)))
 def test_attractive_wall_levels_at_unit_field(n, ref):
     state = energy("robin-", n, 1.0)
     assert math.isclose(state.energy, ref, rel_tol=1e-12, abs_tol=1e-12)
-    assert state.residual < 1e-11
+    assert state.residual <= certified_ulps(state)
     assert state.bracket[0] < state.energy < state.bracket[1]
 
 
@@ -61,6 +67,9 @@ def test_hard_wall_levels_are_scaled_zeros(n, field):
     got_n = energy("neumann", n, field).energy
     assert math.isclose(got_d, -table.ai_zero(n + 1) * f23, rel_tol=1e-13)
     assert math.isclose(got_n, -table.ai_prime_zero(n + 1) * f23, rel_tol=1e-13)
+    # The residual is the zero table's own certificate: the next Newton step.
+    for bc in ("dirichlet", "neumann"):
+        assert energy(bc, n, field).residual <= special._ROOT_STEP_ULPS
 
 
 ARG0_FIELDS = [10.0 ** e for e in range(-6, 7)]
@@ -113,7 +122,7 @@ def test_wall_ordering_within_each_level(log_field, n):
 def test_solver_invariants(log_field, n, bc):
     field = 10.0 ** log_field
     state = energy(bc, n, field)
-    assert state.residual < 1e-11
+    assert state.residual <= certified_ulps(state)
     assert zeros_above(state.arg0) == n
 
 
@@ -269,8 +278,20 @@ def test_robin_level_below_rounding_is_a_domain_error():
 
 
 def test_bound_state_rejects_negative_level():
+    psi0, dpsi0, _ = spectrum.wall_data(0.5, 0, *special.scaled_airy(0.5)[:2])
     with pytest.raises(ValueError):
-        BoundState("robin-", -2, 1.0, 0.0, 0.0, 0.0, (0.0, 1.0))
+        BoundState("robin-", -2, 1.0, -0.5, 0.5, 0.0, (-1.0, 1.0), psi0, dpsi0)
+
+
+def test_residual_is_the_newton_step_in_ulps():
+    # The residual is |D / D'| at the level, in ulps of z: within the
+    # certified 4 ulps for this level at a huge field, where |D| itself
+    # reads 0.019.
+    state = energy("robin-", 204, 5.2e32)
+    assert state.residual <= certified_ulps(state)
+    f13 = 5.2e32 ** (1.0 / 3.0)
+    d, slope, _, _ = spectrum._determinant(state.bc, f13, state.arg0)
+    assert state.residual == abs(d / slope) / math.ulp(state.arg0)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from robinwall.quadrature import QuadratureError, ray_transform
 from robinwall import quadrature, special, states
 from robinwall.infomeasures import measure_state
 from robinwall.observables import dipole_element_quadrature, dipole_matrix
-from robinwall.spectrum import BoundarySpec, BoundState, ConsistencyError, energy
+from robinwall.spectrum import BoundarySpec, BoundState, ConsistencyError, energy, wall_data
 from robinwall.special import root_table, valley_airy
 from robinwall.states import (
     boundary_residual,
@@ -195,9 +195,10 @@ def test_robin_level_off_its_wall_condition_is_refused(bc, n, field):
     # alone is the Dirichlet state, whose miss of the Robin wall condition
     # (1 here, at most 2.6e-8 for solved levels) refuses it.
     zero = root_table(n + 1).ai_zero(n + 1)
+    psi0, dpsi0, _ = wall_data(zero, n, *special.scaled_airy(zero)[:2])
     mislabelled = BoundState(bc=BoundarySpec.parse(bc), n=n, field=field,
                              energy=-field ** (2.0 / 3.0) * zero, arg0=zero,
-                             residual=0.0, bracket=(0.0, 0.0))
+                             residual=0.0, bracket=(0.0, 0.0), psi0=psi0, dpsi0=dpsi0)
     with pytest.raises(ConsistencyError, match="misses its wall condition"):
         states.StateFunctions(mislabelled)
 
