@@ -43,7 +43,6 @@ from .spectrum import (
     DomainError,
     energy,
     zero_energy_field,
-    zero_energy_field_solved,
 )
 from .states import (
     StateFunctions,
@@ -89,6 +88,5 @@ __all__ = [
     "polarization",
     "root_table",
     "zero_energy_field",
-    "zero_energy_field_solved",
     "zero_field_mean_x",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from .infomeasures import entropy_crossing, fisher_product_maximum, measure_state
 from .observables import dipole_matrix, polarization
 from .oracle import fd_energies
-from .spectrum import BoundarySpec, energy
+from .spectrum import BoundarySpec, energy, field_roots
 from .states import build_state
 
 __all__ = ["main"]
@@ -353,7 +353,7 @@ def _handle_state(args) -> tuple:
                     for x, p_val in zip(xs.tolist(), sf.psi(xs).tolist())]
         top = args.k_max
         if top is None:
-            top = 5.0 * max(1.0, field ** (1.0 / 3.0))
+            top = 5.0 * max(1.0, field_roots(field)[0])
         ks = np.linspace(0.0, top, args.points)
         return [{"k": k, "gamma": g} for k, g in zip(ks.tolist(), sf.gamma(ks).tolist())]
 

@@ -26,6 +26,7 @@ from .spectrum import (
     BracketError,
     ConsistencyError,
     DomainError,
+    field_roots,
     wall_closed_form,
 )
 from .states import StateFunctions, build_state, momentum_integrals, position_integrals
@@ -86,7 +87,7 @@ def fisher_position_closed(state: BoundState) -> float:
     move it by more than 1e-6 relative, it is refused (see
     :func:`.spectrum.wall_closed_form`).
     """
-    return wall_closed_form(state, -1.0, 2.0, (4.0 / 3.0) * state.field ** (2.0 / 3.0),
+    return wall_closed_form(state, -1.0, 2.0, (4.0 / 3.0) * field_roots(state.field)[1],
                             "position Fisher information",
                             "4 times the slope integral of position_integrals still gives it")
 
@@ -172,7 +173,7 @@ def flat_well_approximation(field: float) -> FlatWellEntropies:
     if not field > 0.0:
         raise DomainError("field must be positive")
     a1 = -root_table(1).ai_zero(1)
-    width = 2.0 * a1 * field ** (-1.0 / 3.0)
+    width = 2.0 * a1 / field_roots(field)[0]
     log_term = math.log(a1) - math.log(field) / 3.0
     s_x = 2.0 * math.log(2.0) - 1.0 + log_term
     s_k = UNIT_WELL_MOMENTUM_ENTROPY - math.log(2.0) - log_term

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import quadrature
 from .quadrature import integrate_batch
-from .spectrum import BoundarySpec, BoundState, DomainError, energy, wall_closed_form
+from .spectrum import (
+    BoundarySpec,
+    BoundState,
+    DomainError,
+    energy,
+    field_roots,
+    wall_closed_form,
+)
 from .states import StateFunctions, position_integrals
 
 __all__ = [
@@ -53,7 +60,7 @@ def mean_position(state: BoundState) -> float:
     below a field of about 8.4e-5, it is refused (see
     :func:`.spectrum.wall_closed_form`).
     """
-    return wall_closed_form(state, 2.0, -1.0, 1.0 / (3.0 * state.field ** (1.0 / 3.0)),
+    return wall_closed_form(state, 2.0, -1.0, 1.0 / (3.0 * field_roots(state.field)[0]),
                             "mean position", "use mean_x_quadrature on the built state")
 
 
@@ -124,7 +131,7 @@ def dipole_matrix(bc, field: float, size: int) -> DipoleMatrix:
         raise ValueError("a coordinate matrix needs at least two levels")
     field = float(field)
     values = np.empty((size, size), dtype=float)
-    f_m13 = field ** (-1.0 / 3.0)
+    f_m13 = 1.0 / field_roots(field)[0]
     levels = [energy(bc, n, field) for n in range(size)]
     for n, level in enumerate(levels):
         values[n, n] = mean_position(level)
@@ -137,10 +144,15 @@ def _coupling(a: BoundState, b: BoundState, f_m13: float) -> float:
     """<a|x|b> = F^(-1/3) (2 d_a d_b - (z_a + z_b) p_a p_b) / (z_a - z_b)^2 on every wall.
 
     For a Dirichlet wall p = 0 and d = -1, which leaves 2 F^(-1/3) /
-    (z_a - z_b)^2; ``f_m13`` is F^(-1/3).
+    (z_a - z_b)^2; ``f_m13`` is F^(-1/3).  z_a + z_b enters with its
+    rounding error (Knuth's two-sum), one rounding fewer in the numerator.
     """
     za, zb = a.arg0, b.arg0
-    return f_m13 * (2.0 * a.dpsi0 * b.dpsi0 - (za + zb) * a.psi0 * b.psi0) / (za - zb) ** 2
+    total = za + zb
+    shift = total - za
+    total_lo = (za - (total - shift)) + (zb - shift)
+    pp = a.psi0 * b.psi0
+    return f_m13 * (2.0 * a.dpsi0 * b.dpsi0 - (total * pp + total_lo * pp)) / (za - zb) ** 2
 
 
 def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> float:

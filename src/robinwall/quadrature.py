@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .special import valley_airy
 
@@ -205,6 +204,10 @@ class HalfLineFourierTable:
     def transform_pair(self, k: np.ndarray) -> tuple:
         """(phi, d phi/dk) at every momentum of a 1-d array, from one set of phases."""
         k = np.asarray(k, dtype=float)
+        # Imported here so that only this table, which no library path
+        # builds, loads scipy.special.
+        from scipy.special import spherical_jn
+
         kk = np.abs(k)[:, None]
         panel = kk * self._mid
         inner = np.cos(panel) @ self._coeffs - 1j * (np.sin(panel) @ self._coeffs)

@@ -5,18 +5,20 @@ module is the substrate for the rest of the package: one vectorized
 evaluation of Ai and Ai' with the decaying exponential factored out and a
 cached table of polished zeros of both functions.
 
-Point values come from scipy's AMOS port.  Above ``SCALE_SWITCH`` the
-pair is returned times exp(s), s = (2/3) z^(3/2), together with s, so no
-value underflows: a caller forms Ai itself as ``ai * exp(-s)``, or a ratio
-of two profile values as ``exp(s1 - s2)`` times a ratio of scaled values.
-From ``AIRY_ARG_MAX`` on scipy has no scaled value; there the pair is
-reported as 0, which is what Ai(z) rounds to long before that argument.
-The momentum transform needs one complex value, Ai on the ray
-arg z = pi/3, which ``valley_airy`` takes from the same AMOS port.
+Point values come from the package's own evaluator, :mod:`._airy`, within
+3 ulp of 50-digit values (see its tests).  Above ``SCALE_SWITCH`` the pair
+is returned times exp(s), s = (2/3) z^(3/2), together with s, so no value
+underflows: a caller forms Ai itself as ``ai * exp(-s)``, or a ratio of two
+profile values as ``exp(s1 - s2)`` times a ratio of scaled values.  From
+``AIRY_ARG_MAX`` on the pair is reported as 0, which is what Ai(z) rounds
+to long before that argument.  The momentum transform needs one complex
+value, Ai on the ray arg z = pi/3, which ``valley_airy`` takes from the
+same evaluator.
 
-Zeros are seeded by scipy as well but then re-polished with Newton steps
-through Ai itself, which brings the table residuals from the seed accuracy
-(about 1e-11 for high indices) down to a few ulps.
+Zeros are seeded by the large-index expansions of DLMF §9.9(iv) and then
+polished with Newton steps through Ai itself, which brings them from the
+seed accuracy (0.05 for a'_1, 1e-14 relative from the thousandth zero on)
+to a step of a few ulps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
+
+from . import _airy as sp
+from ._airy import SCALE_SWITCH
 
 __all__ = [
     "AIRY_ARG_MAX",
@@ -38,10 +42,9 @@ __all__ = [
     "valley_airy",
 ]
 
-# Above this argument Ai and Ai' carry the factor exp((2/3) z^(3/2)).
-SCALE_SWITCH = 8.0
-
-# scipy's airye returns NaN from this argument on.
+# The pair is reported as 0 from this argument on, where Ai(z) e^s has
+# long been below any value a caller could use: exp(-s) underflows from
+# z = 104.
 AIRY_ARG_MAX = 2.0 ** 20
 
 # A polished zero is certified when the next Newton step would move it by
@@ -50,9 +53,6 @@ AIRY_ARG_MAX = 2.0 ** 20
 # the 3,000th zero), while the step stays within 2 ulps to 20,000 zeros.
 _ROOT_STEP_ULPS = 8.0
 
-# e^(i pi/3)
-_ROTATION = complex(0.5, math.sqrt(0.75))
-
 
 def scaled_airy(z):
     """Ai(z) e^s, Ai'(z) e^s and the exponent s, elementwise on an array.
@@ -60,23 +60,19 @@ def scaled_airy(z):
     s = (2/3) z^(3/2) above ``SCALE_SWITCH`` and 0 at or below it.  Every
     finite argument gives a finite pair; at and beyond ``AIRY_ARG_MAX``
     the pair is 0.  A scalar argument (a float, an int, a NumPy scalar or
-    a 0-d array) gives three Python floats from one AMOS call, with s
-    formed by libm ``pow``; array arguments keep the masked array path.
+    a 0-d array) gives three Python floats, with s formed by libm ``pow``;
+    array arguments keep the masked array path.
     """
     if isinstance(z, (float, int)) or getattr(z, "ndim", None) == 0:
         return _scaled_airy_scalar(float(z))
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError(f"Airy arguments must be finite, got {z!r}")
-    ai = np.empty_like(z)
-    aip = np.empty_like(z)
-    deep = z > SCALE_SWITCH
-    plain = ~deep
-    ai[plain], aip[plain], _, _ = sp.airy(z[plain])
-    ai[deep], aip[deep], _, _ = sp.airye(z[deep])
+    ai, aip = sp.airy(z)
     past = z >= AIRY_ARG_MAX
     ai[past] = 0.0
     aip[past] = 0.0
+    deep = z > SCALE_SWITCH
     s = np.where(deep, (2.0 / 3.0) * np.maximum(z, SCALE_SWITCH) ** 1.5, 0.0)
     return ai, aip, s
 
@@ -87,13 +83,11 @@ def _scaled_airy_scalar(z: float) -> tuple:
     if not math.isfinite(z):
         raise ValueError(f"Airy arguments must be finite, got {z!r}")
     if z <= SCALE_SWITCH:
-        ai, aip, _, _ = sp.airy(z)
-        return float(ai), float(aip), 0.0
+        return (*sp.airy(z), 0.0)
     s = (2.0 / 3.0) * z ** 1.5
     if z >= AIRY_ARG_MAX:
         return 0.0, 0.0, s
-    ai, aip, _, _ = sp.airye(z)
-    return float(ai), float(aip), s
+    return (*sp.airy(z), s)
 
 
 def valley_airy(eps: float) -> tuple:
@@ -101,11 +95,11 @@ def valley_airy(eps: float) -> tuple:
 
     J(eps) = 2 pi e^(i pi/3) Ai(eps e^(i pi/3)) is the integral of
     exp(i (q^3/3 - eps q)) from the -pi/2 valley to the pi/6 valley (DLMF
-    9.5.1 rotated by e^(-2 i pi/3)).  The factor is the scaling of scipy's
-    ``airye``, a pure phase here, so the pair stays of order 1.
+    9.5.1 rotated by e^(-2 i pi/3)).  The factor is a pure phase, which
+    cancels inside the evaluator (see :func:`._airy.valley`), so the pair
+    stays of order 1 and exact to a few ulps at any eps.
     """
-    ai, aip, _, _ = sp.airye(float(eps) * _ROTATION)
-    return complex(_ROTATION * ai), complex(_ROTATION * _ROTATION * aip)
+    return sp.valley(float(eps))
 
 
 @dataclass(frozen=True)
@@ -140,21 +134,11 @@ class AiryRootTable:
 
 def _newton_steps(a: np.ndarray, ap: np.ndarray) -> tuple:
     """Newton steps toward the zeros of Ai from a and of Ai' from ap."""
-    ai, aip, _, _ = sp.airy(a)
+    ai, aip = sp.airy(a)
     step_a = ai / aip
-    ai, aip, _, _ = sp.airy(ap)
+    ai, aip = sp.airy(ap)
     # Ai''(x) = x Ai(x), so the Newton slope for zeros of Ai' is x*Ai.
     return step_a, aip / (ap * ai)
-
-
-def _polish(seeds_a: np.ndarray, seeds_ap: np.ndarray, rounds: int = 2):
-    a = np.array(seeds_a, dtype=float)
-    ap = np.array(seeds_ap, dtype=float)
-    for _ in range(rounds):
-        step_a, step_ap = _newton_steps(a, ap)
-        a -= step_a
-        ap -= step_ap
-    return a, ap
 
 
 def _worst_step_ulps(a: np.ndarray, ap: np.ndarray) -> float:
@@ -163,19 +147,25 @@ def _worst_step_ulps(a: np.ndarray, ap: np.ndarray) -> float:
                      np.max(np.abs(step_ap) / np.spacing(np.abs(ap)))))
 
 
+# Newton rounds at most; the seed of a'_1, 0.05 off, settles in five.
+_POLISH_ROUNDS = 8
+
+
 def build_root_table(count: int) -> AiryRootTable:
     count = int(count)
     if count < 1:
         raise ValueError("root table needs at least one zero")
-    seeds_a, seeds_ap, _, _ = sp.ai_zeros(count)
-    a, ap = _polish(seeds_a, seeds_ap)
-    if _worst_step_ulps(a, ap) > _ROOT_STEP_ULPS:
-        a, ap = _polish(a, ap, rounds=1)
-        worst = _worst_step_ulps(a, ap)
-        if worst > _ROOT_STEP_ULPS:
-            raise RuntimeError(
-                f"Airy zero refinement stalled, worst Newton step {worst:.3g} ulp"
-            )
+    a, ap = sp.zero_seeds(count)
+    for _ in range(_POLISH_ROUNDS):
+        step_a, step_ap = _newton_steps(a, ap)
+        a -= step_a
+        ap -= step_ap
+        if max(np.max(np.abs(step_a) / np.spacing(np.abs(a))),
+               np.max(np.abs(step_ap) / np.spacing(np.abs(ap)))) <= 1.0:
+            break
+    worst = _worst_step_ulps(a, ap)
+    if worst > _ROOT_STEP_ULPS:
+        raise RuntimeError(f"Airy zero refinement stalled, worst Newton step {worst:.3g} ulp")
     decreasing = np.all(np.diff(a) < 0.0) and np.all(np.diff(ap) < 0.0)
     if not (decreasing and a[0] < 0.0 and ap[0] < 0.0):
         raise RuntimeError("Airy zero table is not strictly decreasing")

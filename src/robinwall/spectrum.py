@@ -38,7 +38,7 @@ from functools import lru_cache
 
 # Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
 # special, spectrum and states to count Airy points.
-from scipy import special as sp  # noqa: F401
+from . import _airy as sp  # noqa: F401
 
 from .special import AIRY_ARG_MAX, root_table, scaled_airy
 
@@ -49,10 +49,10 @@ __all__ = [
     "ConsistencyError",
     "DomainError",
     "energy",
+    "field_roots",
     "wall_closed_form",
     "wall_data",
     "zero_energy_field",
-    "zero_energy_field_solved",
 ]
 
 
@@ -144,6 +144,20 @@ class BoundState:
             raise ValueError("quantum number must be non-negative")
 
 
+def field_roots(field: float) -> tuple:
+    """F^(1/3) and F^(2/3) of a positive field, each within 5 eps.
+
+    ``field ** (2.0 / 3.0)`` carries the rounding of its exponent, about
+    3.7e-17 |ln F| relative, which put E up to 16 ulp off at F = 1e30.
+    ``math.cbrt`` of F and of F * F stay within 2.1 eps; where F * F would
+    leave the normal range, F^(2/3) is cbrt(F)^2, within 4.7 eps.
+    """
+    f13 = math.cbrt(field)
+    if 1e-150 < field < 1e150:
+        return f13, math.cbrt(field * field)
+    return f13, f13 * f13
+
+
 def wall_data(z: float, n: int, ai: float, aip: float) -> tuple:
     """(p, d, N) of level n at wall argument z, from Ai(z) and Ai'(z) scaled alike.
 
@@ -159,12 +173,11 @@ _EPS = 2.0 ** -52
 
 # Scale of the rounding bound of :func:`wall_closed_form`, in units of
 # eps kappa (|p d| + |z0|) |scale|.  Against 50-digit mpmath at the solved
-# z0 (4 walls, n <= 30, F from 1e-9 to 1e6) the forms stay within 4.6
-# units wherever z0 <= 0 or z0 > 2.1, which covers every refusal.  For
-# 0 < z0 < 2.1 (robin- n = 0 at 0.26 < F < 2.58) scipy's Airy values carry
-# up to tens of ulps and the forms reach 168 units, 1.5e-12 relative.
-# With 8 the attractive ground level keeps <x> from F = 8.4e-5 and I_x
-# from F = 7.1e-9.
+# z0 (4 walls, n in {0, 1, 3, 30}, 31 fields from 1e-9 to 1e6 and 40 from
+# 0.26 to 2.58, where 0 < z0 < 2.1 for robin- n = 0) <x> and I_x stay
+# within 4.3 units; with scipy's Airy values they reached 168 units in
+# that band.  With 8 the attractive ground level keeps <x> from
+# F = 8.4e-5 and I_x from F = 7.1e-9.
 _CANCELLATION_EPS = 8.0
 
 # Relative (at least absolute) rounding above which a closed form is refused.
@@ -201,12 +214,15 @@ def wall_closed_form(state: BoundState, z_weight: float, pd_weight: float, scale
 _STEP_ULPS = 4.0
 _MAX_STEPS = 100
 
-# Relative accuracy of scipy's Airy values, with margin over the 4e-15
-# seen near Robin roots.  At a Robin root both determinant terms have
-# size |Ai| and its slope in z is |Ai| |E+1| / F^(1/3), so this rounding
-# blurs the zero over 2 * _AIRY_RTOL * F^(1/3) / |E+1| in z, or
-# 2 * _AIRY_RTOL * F / |E+1| in E.
-_AIRY_RTOL = 1e-14
+# Relative accuracy of the Airy values, with a sixfold margin over the
+# 3 ulp (6.7e-16) that :mod:`._airy` keeps against 50-digit mpmath.  At a
+# Robin root both determinant terms have size |Ai| and its slope in z is
+# |Ai| |E+1| / F^(1/3), so this rounding blurs the zero over
+# 2 * _AIRY_RTOL * F^(1/3) / |E+1| in z, or 2 * _AIRY_RTOL * F / |E+1| in
+# E.  Dense scans of robin- n = 0 over F in [0.2, 0.4] and of robin+-
+# n <= 100 over F from 1e-12 to 1e8 certify every level with as little
+# as 5e-16.
+_AIRY_RTOL = 4e-15
 
 
 def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
@@ -224,7 +240,7 @@ def _robin_bracket(bc: BoundarySpec, n: int, field: float) -> tuple:
     if bc is BoundarySpec.ROBIN_PLUS:
         return table.ai_zero(n + 1), neumann
     if n == 0:
-        return neumann, 1.0 / field ** (2.0 / 3.0)
+        return neumann, 1.0 / field_roots(field)[1]
     return neumann, table.ai_zero(n)
 
 
@@ -262,7 +278,7 @@ def _newton_start(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) 
     side is the nearer one while F^(2/3) |a'| < 1.
     """
     sigma = bc.wall_slope
-    f13 = field ** (1.0 / 3.0)
+    f13 = field_roots(field)[0]
     neumann, other = (hi, lo) if bc is BoundarySpec.ROBIN_PLUS else (lo, hi)
     if f13 * f13 * abs(neumann) >= 1.0:
         z = neumann - sigma / (f13 * neumann)
@@ -281,7 +297,7 @@ def _newton_root(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) -
     within the certified width of z and returns z minus that step, or on
     an evaluation point when no double is left between the ends.
     """
-    f13 = field ** (1.0 / 3.0)
+    f13 = field_roots(field)[0]
     lo_positive = n % 2 == 0
     z = _newton_start(bc, n, field, lo, hi)
     for _ in range(_MAX_STEPS):
@@ -307,7 +323,7 @@ def _newton_root(bc: BoundarySpec, n: int, field: float, lo: float, hi: float) -
 
 def _certify_root(bc: BoundarySpec, z: float, field: float) -> None:
     """Raise unless the determinant changes sign within ``_certified_width`` of z."""
-    f13 = field ** (1.0 / 3.0)
+    f13 = field_roots(field)[0]
     width = _certified_width(z, f13)
     below = _determinant(bc, f13, z - width)[0]
     above = _determinant(bc, f13, z + width)[0]
@@ -325,7 +341,7 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
             f"{bc.value} level {n} needs field > {AIRY_ARG_MAX ** -1.5:.6g}: below it "
             "the wall-side Airy argument leaves the range of the scaled Airy functions"
         )
-    f23 = field ** (2.0 / 3.0)
+    f23 = field_roots(field)[1]
     e_lo = -1.0 if bc is BoundarySpec.ROBIN_MINUS and n == 0 else -f23 * hi
     e_hi = -f23 * lo
     z = _newton_root(bc, n, field, lo, hi)
@@ -347,7 +363,7 @@ def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
 def _level(bc: BoundarySpec, n: int, field: float, z: float, e_val: float,
            bracket: tuple) -> BoundState:
     """The record of level n at its wall argument z: residual and wall data from one Airy call."""
-    d, slope, ai, aip = _determinant(bc, field ** (1.0 / 3.0), z)
+    d, slope, ai, aip = _determinant(bc, field_roots(field)[0], z)
     psi0, dpsi0, _ = wall_data(z, n, ai, aip)
     return BoundState(bc=bc, n=n, field=field, energy=e_val, arg0=z,
                       residual=abs(d / slope) / math.ulp(z), bracket=bracket,
@@ -360,7 +376,7 @@ def _solve(bc: BoundarySpec, n: int, field: float) -> BoundState:
         return _solve_robin(bc, n, field)
     table = root_table(n + 1)
     root = table.ai_zero(n + 1) if bc is BoundarySpec.DIRICHLET else table.ai_prime_zero(n + 1)
-    e_val = -field ** (2.0 / 3.0) * root
+    e_val = -field_roots(field)[1] * root
     return _level(bc, n, field, root, e_val, (e_val, e_val))
 
 
@@ -385,13 +401,3 @@ def zero_energy_field() -> float:
     g23 = math.gamma(2.0 / 3.0)
     return g13 ** 3 / (3.0 * g23 ** 3)
 
-
-def zero_energy_field_solved() -> float:
-    """The same crossing recovered from the solver instead of Gamma values."""
-    # Imported here so that only the searches along the field load scipy.optimize.
-    from scipy.optimize import brentq
-
-    def ground(field: float) -> float:
-        return energy(BoundarySpec.ROBIN_MINUS, 0, field).energy
-
-    return brentq(ground, 2.0, 3.2, xtol=1e-10, rtol=1e-12)

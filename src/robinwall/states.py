@@ -44,16 +44,21 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 # Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
 # special, spectrum and states to count Airy points.
-from scipy import special as sp  # noqa: F401
-
+from . import _airy as sp  # noqa: F401
 from . import quadrature
 from .quadrature import integrate_batch, ray_transform
 from .special import root_table, scaled_airy
-from .spectrum import BoundarySpec, BoundState, ConsistencyError, energy, wall_data
+from .spectrum import (
+    BoundarySpec,
+    BoundState,
+    ConsistencyError,
+    energy,
+    field_roots,
+    wall_data,
+)
 
 __all__ = [
     "StateFunctions",
@@ -155,7 +160,7 @@ class StateFunctions:
 
     def __init__(self, state: BoundState):
         self.state = state
-        self.field_cbrt = f13 = state.field ** (1.0 / 3.0)
+        self.field_cbrt = f13 = field_roots(state.field)[0]
         self.unit = unit = AiryUnitState(arg0=state.arg0, n=state.n)
         if state.bc.is_robin:
             # A level on a hard-wall zero misses its own wall condition
@@ -235,6 +240,11 @@ def boundary_residual(sf: StateFunctions) -> float:
     return abs(sf.psi_prime(0.0) - sf.state.bc.wall_slope * sf.psi(0.0))
 
 
+def _entropy_density(r: np.ndarray) -> np.ndarray:
+    """-r ln r elementwise, 0 where r = 0."""
+    return -r * np.log(np.where(r > 0.0, r, 1.0))
+
+
 @functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
 def _position_pass(unit: AiryUnitState) -> tuple:
     """(N, S, K, O, <u>) of the Airy-unit density rho~ = psi~^2 over [0, u_cut].
@@ -262,7 +272,7 @@ def _position_pass(unit: AiryUnitState) -> tuple:
         p, dp = unit.profile(u)
         r = p * p
         ds = 6.0 * width[piece] * t * (1.0 - t)
-        return np.stack([r, -xlogy(r, r), dp * dp, r * r, u * r]) * ds
+        return np.stack([r, _entropy_density(r), dp * dp, r * r, u * r]) * ds
 
     # Two first pieces per node gap, each about half a hump of psi; the
     # tail gets about one piece per pi of psi's phase or log-decay.
@@ -325,7 +335,7 @@ def _momentum_pass(unit: AiryUnitState) -> tuple:
         jac = np.where(far, 6.0 / t ** 7, 1.0) * scale
         g = np.abs(phi) ** 2
         dg = 2.0 * (phi.conjugate() * dphi).real
-        return np.stack([g, -xlogy(g, g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
+        return np.stack([g, _entropy_density(g), dg * dg / np.maximum(g, 1e-300), g * g]) * jac
 
     # Just past the split the density's features are about one Airy unit
     # wide where psi oscillates at the wall (the caustic at kappa = K,
@@ -378,7 +388,7 @@ def energy_identity_residual(sf: StateFunctions) -> float:
     """
     state = sf.state
     _, _, kinetic, _, mean_x = position_integrals(sf)
-    wall = -state.field ** (2.0 / 3.0) * state.psi0 * state.dpsi0
+    wall = -field_roots(state.field)[1] * state.psi0 * state.dpsi0
     total = kinetic + wall - state.field * mean_x
     return float(abs(total - state.energy))
 

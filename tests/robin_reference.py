@@ -6,9 +6,15 @@ steps from a double start, with the slope from Ai''(z) = z Ai(z), double
 the digits each time, so a start within rounding of the root reaches 50
 digits in three or four steps.  The wall data of the profile
 Ai(z + u) / N at a given double z are the references of the closed forms.
+``zero_energy_field_solved`` finds the field where the attractive ground
+level crosses E = 0 through the solver itself, a check of the closed form
+``robinwall.zero_energy_field``.
 """
 
 import mpmath
+from scipy.optimize import brentq
+
+from robinwall import energy
 
 
 def robin_root(bc, field: float, start: float, dps: int = 50):
@@ -33,3 +39,12 @@ def wall_data(z, n: int, dps: int = 50):
         ai, aip = mpmath.airyai(z), mpmath.airyai(z, derivative=1)
         norm = (-1) ** n * mpmath.sqrt(aip * aip - z * ai * ai)
         return +(ai / norm), +(-aip / norm)
+
+
+def zero_energy_field_solved() -> float:
+    """The field where the robin- ground level crosses E = 0, by brentq over the solver."""
+
+    def ground(field: float) -> float:
+        return energy("robin-", 0, field).energy
+
+    return brentq(ground, 2.0, 3.2, xtol=1e-10, rtol=1e-12)

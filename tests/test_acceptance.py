@@ -17,6 +17,7 @@ import math
 import time
 
 import numpy as np
+from robin_reference import zero_energy_field_solved
 from zero_reference import zeros_above
 
 from robinwall import quadrature
@@ -36,7 +37,6 @@ from robinwall.oracle import fd_energies
 from robinwall.spectrum import (
     energy,
     zero_energy_field,
-    zero_energy_field_solved,
 )
 from robinwall.states import (
     build_state,

@@ -380,7 +380,7 @@ def test_oracle_check_names_an_unconverged_grid(capsys):
                            "--field", "1e300")
     assert code == 2
     (row,) = parse_csv(out)
-    assert row["energy"] == "1.0187929716474452e+200"
+    assert row["energy"] == "1.0187929716474711e+200"
     assert row["error"].startswith("neumann grid at field 1e+300 ")
     assert "did not converge" in row["error"]
 
@@ -471,27 +471,43 @@ def test_module_entry_point_runs():
 
 IMPORT_PROBE = """
 import contextlib, io, json, sys
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.constants", "mpmath")
 import robinwall.cli
-loaded = [m for m in heavy if m in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = robinwall.cli.main(["oracle-check", "--bc", "robin-", "--n", "0", "--field", "1"])
-print(json.dumps([loaded, code, [m for m in heavy if m in sys.modules]]))
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return robinwall.cli.main(list(argv))
+
+at_import = scipy_modules() + [m for m in ("mpmath",) if m in sys.modules]
+codes = [run(command, "--bc", "robin-", "--n", "0,1", "--field", "1")
+         for command in ("spectrum", "polarization", "measures")]
+after_calls = scipy_modules()
+codes.append(run("oracle-check", "--bc", "robin-", "--n", "0", "--field", "1"))
+# scipy's public subpackages (scipy.version comes with scipy itself).
+parts = {m.split(".")[1] for m in scipy_modules() if "." in m}
+print(json.dumps([at_import, after_calls, codes,
+                  sorted(p for p in parts if not p.startswith("_") and p != "version")]))
 """
 
 
 def test_import_loads_only_numpy_and_scipy_special():
     # A fresh interpreter: the test process itself has loaded all of scipy.
+    # The package evaluates its own Airy functions, so importing the CLI
+    # and running the spectrum, polarization and measures subcommands
+    # loads no scipy module at all; only the oracle's grid solve loads
+    # scipy.linalg.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_import, code, after_oracle = json.loads(proc.stdout)
+    at_import, after_calls, codes, after_oracle = json.loads(proc.stdout)
     assert at_import == []
-    # Only the grid solve of the oracle loads scipy.linalg.
-    assert code == 0
-    assert after_oracle == ["scipy.linalg"]
+    assert after_calls == []
+    assert codes == [0, 0, 0, 0]
+    assert after_oracle == ["linalg"]
 
 
 def test_installed_script_runs():

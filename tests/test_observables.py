@@ -19,7 +19,14 @@ from robinwall.observables import (
     zero_field_mean_x,
 )
 from robinwall.special import root_table, scaled_airy
-from robinwall.spectrum import BoundarySpec, BoundState, DomainError, energy, wall_data
+from robinwall.spectrum import (
+    BoundarySpec,
+    BoundState,
+    DomainError,
+    energy,
+    field_roots,
+    wall_data,
+)
 from robinwall.states import build_state
 
 # Nearest-neighbour coordinate couplings at field 1, frozen from a
@@ -150,7 +157,7 @@ def test_hard_wall_couplings_are_the_zero_table_closed_forms(field):
     # zeros, which it replaced, within 1.5 ulp) and 2 ulp from that form.
     size = 6
     table = root_table(size)
-    f_m13 = field ** (-1.0 / 3.0)
+    f_m13 = 1.0 / field_roots(field)[0]
     dirichlet = dipole_matrix("dirichlet", field, size)
     neumann = dipole_matrix("neumann", field, size)
     for n in range(size):
@@ -258,5 +265,5 @@ def test_closed_forms_against_fifty_digits(bc, n, field):
         sizes = (2 * abs(a.dpsi0 * b.dpsi0) + abs(a.arg0 + b.arg0) * abs(a.psi0 * b.psi0))
         bound = c_eps * (kappa + _kappa(b.psi0, b.dpsi0, b.arg0)) * sizes / (
             f13 * (a.arg0 - b.arg0) ** 2)
-        assert abs(_coupling(a, b, field ** (-1.0 / 3.0)) - want) <= bound
+        assert abs(_coupling(a, b, 1.0 / field_roots(field)[0]) - want) <= bound
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinwall import root_table
+from robinwall._airy import zero_seeds
 from robinwall.special import (
     AIRY_ARG_MAX,
     SCALE_SWITCH,
     build_root_table,
     scaled_airy,
 )
-from zero_reference import ZERO_OF_AI, ZERO_OF_AI_PRIME, asymptotic_zero
 
 # Reference values computed with mpmath at 30 significant digits.
 AIRY_SAMPLES = [
@@ -61,8 +61,8 @@ def test_airy_against_high_precision_reference(x, ai_ref, aip_ref):
 
 
 def test_scaled_airy_past_airye_range():
-    # scipy's airye turns NaN from AIRY_ARG_MAX on; the helper reports 0
-    # there, with a finite exponent, and keeps the leading asymptote
+    # The helper reports 0 from AIRY_ARG_MAX on, with a finite exponent,
+    # and keeps the leading asymptote
     # Ai(z) e^s ~ 1 / (2 sqrt(pi) z^(1/4)) just below it.
     ai, aip, s = scaled_airy([AIRY_ARG_MAX * (1.0 - 1e-9), AIRY_ARG_MAX, 1e30])
     assert math.isclose(ai[0], 0.5 / (math.sqrt(math.pi) * AIRY_ARG_MAX ** 0.25), rel_tol=1e-6)
@@ -177,10 +177,10 @@ def test_table_builds_past_three_thousand_zeros():
     # level 1000 of a Robin wall) builds 3,216 on its next request.  There
     # the asymptotic series is exact to rounding.
     table = build_root_table(3216)
+    seeds_a, seeds_ap = zero_seeds(3216)
     for n in (1000, 3000, 3216):
-        assert math.isclose(table.ai_zero(n), asymptotic_zero(ZERO_OF_AI, n), rel_tol=1e-14)
-        assert math.isclose(table.ai_prime_zero(n), asymptotic_zero(ZERO_OF_AI_PRIME, n),
-                            rel_tol=1e-14)
+        assert math.isclose(table.ai_zero(n), seeds_a[n - 1], rel_tol=1e-14)
+        assert math.isclose(table.ai_prime_zero(n), seeds_ap[n - 1], rel_tol=1e-14)
 
 
 def test_build_root_table_rejects_bad_count():
@@ -192,7 +192,6 @@ def test_build_root_table_rejects_bad_count():
 @settings(max_examples=30, deadline=None)
 def test_asymptotic_seed_close_to_polished(n):
     table = root_table(200)
-    seed = asymptotic_zero(ZERO_OF_AI, n)
-    assert abs(seed - table.ai_zero(n)) < 1e-6
-    seed_p = asymptotic_zero(ZERO_OF_AI_PRIME, n)
-    assert abs(seed_p - table.ai_prime_zero(n)) < 1e-6
+    seeds_a, seeds_ap = zero_seeds(n)
+    assert abs(seeds_a[-1] - table.ai_zero(n)) < 1e-6
+    assert abs(seeds_ap[-1] - table.ai_prime_zero(n)) < 1e-6

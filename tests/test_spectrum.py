@@ -3,11 +3,12 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robin_reference import robin_root
+from robin_reference import robin_root, zero_energy_field_solved
 from zero_reference import zeros_above
 from robinwall import special, spectrum
 from robinwall import (
@@ -19,7 +20,6 @@ from robinwall import (
     energy,
     root_table,
     zero_energy_field,
-    zero_energy_field_solved,
 )
 
 # Eigenvalues at field 1, solved independently with mpmath findroot on
@@ -35,8 +35,28 @@ EPS = 2.220446049250313e-16
 
 def certified_ulps(state) -> float:
     """A Robin level's certified half-width in z, in ulps of z."""
-    f13 = state.field ** (1.0 / 3.0)
+    f13 = spectrum.field_roots(state.field)[0]
     return spectrum._certified_width(state.arg0, f13) / math.ulp(state.arg0)
+
+
+# robin- n = 0 fields that scipy's Airy values, up to 83 ulp off near
+# z0 = 2, left uncertified ("determinant keeps its sign"): benchmark inputs
+# of cli-fresh (seeds 37, 133 and 713) and weak-spectrum (seed 32).
+FORMER_REFUSALS = [0.2839025122807366, 0.28527084975100847, 0.2904688582932503,
+                   0.2877930385852447]
+
+
+def test_attractive_ground_level_solves_through_the_former_refusal_band():
+    # 20,001 fields over [0.2, 0.4], where z0 runs through 2: every level
+    # certifies, and a 50-digit root lies within the certified width of
+    # every 1,000th and of each former refusal.
+    fields = np.linspace(0.2, 0.4, 20001).tolist()
+    for field in fields:
+        energy("robin-", 0, field)
+    for field in fields[::1000] + FORMER_REFUSALS:
+        state = energy("robin-", 0, field)
+        exact = robin_root(BoundarySpec.ROBIN_MINUS, field, state.arg0)
+        assert abs(state.arg0 - exact) <= certified_ulps(state) * math.ulp(state.arg0), field
 
 
 @pytest.mark.parametrize("n,ref", list(enumerate(RM_FIELD1)))
@@ -88,7 +108,7 @@ def test_level_carries_its_wall_argument(bc, n):
             assert state.arg0 == table.ai_zero(n + 1), field
         elif bc == "neumann":
             assert state.arg0 == table.ai_prime_zero(n + 1), field
-        assert state.energy == -field ** (2.0 / 3.0) * state.arg0, field
+        assert state.energy == -spectrum.field_roots(field)[1] * state.arg0, field
         assert build_state(bc, n, field).unit.arg0 == state.arg0, field
 
 
@@ -289,7 +309,7 @@ def test_residual_is_the_newton_step_in_ulps():
     # reads 0.019.
     state = energy("robin-", 204, 5.2e32)
     assert state.residual <= certified_ulps(state)
-    f13 = 5.2e32 ** (1.0 / 3.0)
+    f13 = spectrum.field_roots(5.2e32)[0]
     d, slope, _, _ = spectrum._determinant(state.bc, f13, state.arg0)
     assert state.residual == abs(d / slope) / math.ulp(state.arg0)
 
