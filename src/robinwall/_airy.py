@@ -78,7 +78,7 @@ def _taylor_rows(values: tuple) -> np.ndarray:
 
 _AI_ROWS = _taylor_rows(AI)
 _AI_TUPLES = [(tuple(f), tuple(df)) for f, df in _AI_ROWS.transpose(0, 2, 1).tolist()]
-_BI_TUPLES = [(tuple(f), tuple(df)) for f, df in _taylor_rows(BI).transpose(0, 2, 1).tolist()]
+_BI_ROWS = _taylor_rows(BI)
 _LAST = len(_AI_TUPLES) - 1
 # The first centre whose values carry e^zeta(c).
 _SCALED = round((SCALE_SWITCH - LOW) / STEP)
@@ -260,9 +260,9 @@ def valley(eps: float) -> tuple:
         value = complex(_horner(_U_EVEN, y), inv * _horner(_U_ODD, y))
         slope = complex(-inv * _horner(_V_ODD, y), _horner(_V_EVEN, y))
         return half * value / quarter, -half * quarter * slope
-    j = min(int((-eps - LOW) * (1.0 / STEP)), len(_BI_TUPLES) - 1)
+    j = min(int((-eps - LOW) * (1.0 / STEP)), len(_BI_ROWS) - 1)
     h = -eps - (LOW + STEP * (j + 0.5))
-    (ai, aip), (bi, bip) = _AI_TUPLES[j], _BI_TUPLES[j]
+    (ai, aip), (bi, bip) = _AI_TUPLES[j], _BI_ROWS[j].T.tolist()
     value = complex(_horner(ai, h), _horner(bi, h))
     slope = complex(_horner(aip, h), _horner(bip, h))
     r = math.sqrt(eps)

@@ -6,7 +6,7 @@ evaluation of Ai and Ai' with the decaying exponential factored out and a
 cached table of polished zeros of both functions.
 
 Point values come from the package's own evaluator, :mod:`._airy`, within
-3 ulp of 50-digit values (see its tests).  Above ``SCALE_SWITCH`` the pair
+4 ulp of 50-digit values (see ``tests/test_airy.py``).  Above ``SCALE_SWITCH`` the pair
 is returned times exp(s), s = (2/3) z^(3/2), together with s, so no value
 underflows: a caller forms Ai itself as ``ai * exp(-s)``, or a ratio of two
 profile values as ``exp(s1 - s2)`` times a ratio of scaled values.  From

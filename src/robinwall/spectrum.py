@@ -215,13 +215,14 @@ _STEP_ULPS = 4.0
 _MAX_STEPS = 100
 
 # Relative accuracy of the Airy values, with a sixfold margin over the
-# 3 ulp (6.7e-16) that :mod:`._airy` keeps against 50-digit mpmath.  At a
+# 2.9 ulp (at most 6.4e-16) by which :mod:`._airy` was measured to miss
+# 50-digit mpmath.  At a
 # Robin root both determinant terms have size |Ai| and its slope in z is
 # |Ai| |E+1| / F^(1/3), so this rounding blurs the zero over
 # 2 * _AIRY_RTOL * F^(1/3) / |E+1| in z, or 2 * _AIRY_RTOL * F / |E+1| in
-# E.  Dense scans of robin- n = 0 over F in [0.2, 0.4] and of robin+-
-# n <= 100 over F from 1e-12 to 1e8 certify every level with as little
-# as 5e-16.
+# E.  Dense scans of robin- n = 0 over F in [0.2, 0.4], and of both
+# Robin walls at seven levels up to n = 100 over F from 1e-12 to 1e8,
+# certify every level with as little as 5e-16.
 _AIRY_RTOL = 4e-15
 
 
