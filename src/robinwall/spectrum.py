@@ -175,8 +175,7 @@ _EPS = 2.0 ** -52
 # eps kappa (|p d| + |z0|) |scale|.  Against 50-digit mpmath at the solved
 # z0 (4 walls, n in {0, 1, 3, 30}, 31 fields from 1e-9 to 1e6 and 40 from
 # 0.26 to 2.58, where 0 < z0 < 2.1 for robin- n = 0) <x> and I_x stay
-# within 4.3 units; with scipy's Airy values they reached 168 units in
-# that band.  With 8 the attractive ground level keeps <x> from
+# within 4.3 units.  With 8 the attractive ground level keeps <x> from
 # F = 8.4e-5 and I_x from F = 7.1e-9.
 _CANCELLATION_EPS = 8.0
 
