@@ -12,27 +12,22 @@ finite-difference oracle and a table-emitting command line.
 from .infomeasures import (
     ENTROPY_FLOOR,
     FisherMaximum,
-    FlatWellEntropies,
     InfoRecord,
     entropy_crossing,
     fisher,
     fisher_position_closed,
     fisher_product_maximum,
-    flat_well_approximation,
     measure_state,
 )
 from .observables import (
     DipoleMatrix,
     PolarizationRecord,
-    dipole_element_quadrature,
     dipole_matrix,
-    hellmann_feynman_mean_x,
     mean_position,
-    mean_x_quadrature,
     polarization,
     zero_field_mean_x,
 )
-from .oracle import fd_energies, fd_moment
+from .oracle import fd_energies
 from .quadrature import QuadratureError
 from .special import AiryRootTable, root_table
 from .spectrum import (
@@ -42,14 +37,8 @@ from .spectrum import (
     ConsistencyError,
     DomainError,
     energy,
-    zero_energy_field,
 )
-from .states import (
-    StateFunctions,
-    boundary_residual,
-    build_state,
-    energy_identity_residual,
-)
+from .states import StateFunctions, build_state
 
 __version__ = "0.1.0"
 
@@ -63,30 +52,21 @@ __all__ = [
     "DipoleMatrix",
     "DomainError",
     "FisherMaximum",
-    "FlatWellEntropies",
     "InfoRecord",
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
-    "boundary_residual",
     "build_state",
-    "dipole_element_quadrature",
     "dipole_matrix",
     "energy",
-    "energy_identity_residual",
     "entropy_crossing",
     "fd_energies",
-    "fd_moment",
     "fisher",
     "fisher_position_closed",
     "fisher_product_maximum",
-    "flat_well_approximation",
-    "hellmann_feynman_mean_x",
     "mean_position",
-    "mean_x_quadrature",
     "measure_state",
     "polarization",
     "root_table",
-    "zero_energy_field",
     "zero_field_mean_x",
 ]

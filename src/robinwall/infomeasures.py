@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import root_table
 from .spectrum import (
     BoundarySpec,
     BoundState,
@@ -33,24 +32,17 @@ from .states import StateFunctions, build_state, momentum_integrals, position_in
 
 __all__ = [
     "ENTROPY_FLOOR",
-    "UNIT_WELL_MOMENTUM_ENTROPY",
     "FisherMaximum",
-    "FlatWellEntropies",
     "InfoRecord",
     "entropy_crossing",
     "fisher",
     "fisher_position_closed",
     "fisher_product_maximum",
-    "flat_well_approximation",
     "measure_state",
 ]
 
 # Lower bound on the total position+momentum entropy of any pure state.
 ENTROPY_FLOOR = 1.0 + math.log(math.pi)
-
-# Momentum entropy of the lowest level of a unit-width flat box; feeds the
-# box model of the hard-wall ground state.
-UNIT_WELL_MOMENTUM_ENTROPY = 2.5189
 
 # Largest |norm - 1| a measured state may show in either space.
 _NORM_TOLERANCE = 1e-6
@@ -151,34 +143,6 @@ def measure_state(sf: StateFunctions) -> InfoRecord:
         CGL_k=cgl_k,
         CGL_product=cgl_x * cgl_k,
     )
-
-
-@dataclass(frozen=True)
-class FlatWellEntropies:
-    """Box-model entropies of the hard-wall ground state."""
-
-    width: float
-    S_x: float
-    S_k: float
-    S_t: float
-
-
-def flat_well_approximation(field: float) -> FlatWellEntropies:
-    """Model the hard-wall ground state as a flat box spanning the well.
-
-    The box width is set by the lowest Airy zero, which fixes both
-    entropies up to known constants and makes their sum field-free.
-    """
-    field = float(field)
-    if not field > 0.0:
-        raise DomainError("field must be positive")
-    a1 = -root_table(1).ai_zero(1)
-    width = 2.0 * a1 / field_roots(field)[0]
-    log_term = math.log(a1) - math.log(field) / 3.0
-    s_x = 2.0 * math.log(2.0) - 1.0 + log_term
-    s_k = UNIT_WELL_MOMENTUM_ENTROPY - math.log(2.0) - log_term
-    s_t = math.log(2.0) - 1.0 + UNIT_WELL_MOMENTUM_ENTROPY
-    return FlatWellEntropies(width=width, S_x=s_x, S_k=s_k, S_t=s_t)
 
 
 def _search_bracket(bracket, xtol: float) -> tuple:

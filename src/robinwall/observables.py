@@ -3,9 +3,7 @@
 Every quantity here has one closed form for all four walls, in the
 levels' wall data (z0, p, d) of :class:`.spectrum.BoundState`, from the
 Airy antiderivatives (Albright, J. Phys. A 10, 485, 1977), so the default
-paths never integrate.  Quadrature twins and a finite-difference route
-through the energy derivative exist for cross-checking, not for
-production use.
+paths never integrate.
 """
 
 from __future__ import annotations
@@ -14,26 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
-from .quadrature import integrate_batch
-from .spectrum import (
-    BoundarySpec,
-    BoundState,
-    DomainError,
-    energy,
-    field_roots,
-    wall_closed_form,
-)
-from .states import StateFunctions, position_integrals
+from .spectrum import BoundarySpec, BoundState, energy, field_roots, wall_closed_form
 
 __all__ = [
     "DipoleMatrix",
     "PolarizationRecord",
-    "dipole_element_quadrature",
     "dipole_matrix",
-    "hellmann_feynman_mean_x",
     "mean_position",
-    "mean_x_quadrature",
     "polarization",
     "zero_field_mean_x",
 ]
@@ -61,7 +46,9 @@ def mean_position(state: BoundState) -> float:
     :func:`.spectrum.wall_closed_form`).
     """
     return wall_closed_form(state, 2.0, -1.0, 1.0 / (3.0 * field_roots(state.field)[0]),
-                            "mean position", "use mean_x_quadrature on the built state")
+                            "mean position",
+                            "the last value of position_integrals on the built state "
+                            "still gives it")
 
 
 @dataclass(frozen=True)
@@ -83,27 +70,6 @@ def polarization(state: BoundState) -> PolarizationRecord:
         zero_field_mean_x=reference,
         dipole=mean - reference,
     )
-
-
-def mean_x_quadrature(sf: StateFunctions) -> float:
-    """Mean coordinate straight from the density, for cross-checks."""
-    return position_integrals(sf)[4]
-
-
-def hellmann_feynman_mean_x(bc, n: int, field: float) -> float:
-    """Mean coordinate as minus the field derivative of the level energy.
-
-    Central difference in the field with step max(1e-4 F, 1e-6);
-    completely independent of the wavefunction, so it cross-checks solver
-    and closed form at once.
-    """
-    field = float(field)
-    step = max(1e-4 * field, 1e-6)
-    if step >= field:
-        raise DomainError("difference step must stay below the field itself")
-    upper = energy(bc, n, field + step).energy
-    lower = energy(bc, n, field - step).energy
-    return -(upper - lower) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -153,16 +119,3 @@ def _coupling(a: BoundState, b: BoundState, f_m13: float) -> float:
     total_lo = (za - (total - shift)) + (zb - shift)
     pp = a.psi0 * b.psi0
     return f_m13 * (2.0 * a.dpsi0 * b.dpsi0 - (total * pp + total_lo * pp)) / (za - zb) ** 2
-
-
-def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> float:
-    """Coordinate matrix element by direct integration of the profiles.
-
-    One adaptive pass over [min of the two cuts, 0] to the fixed pass
-    tolerance, 1e-10 absolute or relative.
-    """
-    lo = min(sf_n.x_cut, sf_m.x_cut)
-    tol = quadrature._PASS_TOLERANCE
-    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], tol, tol)
-    return float(values[0])
-

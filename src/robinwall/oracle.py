@@ -85,7 +85,7 @@ def _refuse_unresolved(bc: BoundarySpec, field: float, coarse: np.ndarray,
     The scale is max(|E|, F^(2/3)): beyond 1e-2 the extrapolated error is
     about the correction's square, above the oracle's 1e-4.  The field's
     energy unit F^(2/3) keeps a level that passes through zero energy
-    (robin- n=0 at zero_energy_field()) measurable.
+    (robin- n=0 near F = 2.581) measurable.
     """
     correction = np.abs(fine - coarse) / np.maximum(np.abs(fine), field ** (2.0 / 3.0))
     bad = np.nonzero(correction > 1e-2)[0]

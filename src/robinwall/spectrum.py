@@ -52,7 +52,6 @@ __all__ = [
     "field_roots",
     "wall_closed_form",
     "wall_data",
-    "zero_energy_field",
 ]
 
 
@@ -393,11 +392,3 @@ def energy(bc: BoundarySpec, n: int, field: float) -> BoundState:
             "Robin wall keeps a bound level (E = -1), every other state unbinds"
         )
     return _solve(bc, n, field)
-
-
-def zero_energy_field() -> float:
-    """Field at which the attractive-wall ground level crosses zero energy."""
-    g13 = math.gamma(1.0 / 3.0)
-    g23 = math.gamma(2.0 / 3.0)
-    return g13 ** 3 / (3.0 * g23 ** 3)
-

@@ -52,7 +52,6 @@ from . import quadrature
 from .quadrature import integrate_batch, ray_transform
 from .special import root_table, scaled_airy
 from .spectrum import (
-    BoundarySpec,
     BoundState,
     ConsistencyError,
     energy,
@@ -62,9 +61,7 @@ from .spectrum import (
 
 __all__ = [
     "StateFunctions",
-    "boundary_residual",
     "build_state",
-    "energy_identity_residual",
     "momentum_integrals",
     "position_integrals",
 ]
@@ -79,6 +76,13 @@ _X_CUT_THRESHOLD = 1e-20
 
 # Results each memoized pass keeps, least recently used out first.
 _PASS_MEMO_SIZE = 256
+
+# A zero of psi just outside the wall, at u = p / d within this range,
+# kinks -rho~ ln(rho~) next to u = 0: a robin+ level has p / d = -F^(1/3),
+# so from about F = 6.4e-8 down.  A hard wall's p / d stays outside it, within
+# rounding of 0 (at most 1.4e-14 for Dirichlet levels below n = 400) or
+# beyond 1e11 (Neumann).
+_ZERO_OUTSIDE = (-4e-3, -1e-12)
 
 # Largest relative miss of a Robin state's own wall condition: solved
 # levels miss by at most 2.6e-8 (both Robin walls, n <= 300, fields from
@@ -233,13 +237,6 @@ def build_state(bc, n: int, field: float) -> StateFunctions:
     return StateFunctions(energy(bc, n, field))
 
 
-def boundary_residual(sf: StateFunctions) -> float:
-    """How well the evaluated profile satisfies its own wall condition."""
-    if sf.state.bc is BoundarySpec.DIRICHLET:
-        return abs(sf.psi(0.0))
-    return abs(sf.psi_prime(0.0) - sf.state.bc.wall_slope * sf.psi(0.0))
-
-
 def _entropy_density(r: np.ndarray) -> np.ndarray:
     """-r ln r elementwise, 0 where r = 0."""
     return -r * np.log(np.where(r > 0.0, r, 1.0))
@@ -256,9 +253,10 @@ def _position_pass(unit: AiryUnitState) -> tuple:
     logarithmic kink, and maps each piece [a, b] by u = a + (b - a) s(t)
     with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  The first
     call takes each node gap as its two halves in t and the tail, from the
-    last node (or the wall) to u_cut, as ``_tail_pieces`` equal parts, so
-    that one call meets the tolerance; the interval budget of
-    :func:`.quadrature.integrate_batch` grows with these pieces.
+    last node (or the wall) to u_cut, as ``_tail_pieces`` equal parts, and
+    halves the first piece where psi has a zero just outside the wall
+    (``_ZERO_OUTSIDE``), so that one call meets the tolerance; the interval
+    budget of :func:`.quadrature.integrate_batch` grows with these pieces.
     """
     nodes = root_table(unit.n + 1).a[:unit.n][::-1] - unit.arg0
     edges = np.concatenate(([0.0], nodes, [unit.u_cut]))
@@ -279,6 +277,8 @@ def _position_pass(unit: AiryUnitState) -> tuple:
     tail = _tail_pieces(unit.arg0 + edges[-2])
     points = np.concatenate((np.linspace(0.0, gaps, 2 * gaps + 1),
                              gaps + np.arange(1, tail + 1) / tail))
+    if unit.dpsi0 and _ZERO_OUTSIDE[0] < unit.psi0 / unit.dpsi0 < _ZERO_OUTSIDE[1]:
+        points = np.insert(points, 1, 0.5 * points[1])
     tol = quadrature._PASS_TOLERANCE
     values, _ = integrate_batch(integrand, points, tol, tol)
     return tuple(float(v) for v in values)
@@ -377,18 +377,3 @@ def momentum_integrals(sf: StateFunctions) -> tuple:
     norm, entropy, fisher, onicescu = _momentum_pass(sf.unit)
     values = (norm, entropy + 0.5 * math.log(f13), fisher / (f13 * f13), onicescu / f13)
     return tuple(2.0 * v for v in values)
-
-
-def energy_identity_residual(sf: StateFunctions) -> float:
-    """Mismatch of E against kinetic + wall + potential expectation values.
-
-    Integrating the kinetic term by parts moves one boundary term,
-    -psi(0) psi'(0) = -F^(2/3) p d, onto the wall; it vanishes at a hard
-    wall.
-    """
-    state = sf.state
-    _, _, kinetic, _, mean_x = position_integrals(sf)
-    wall = -field_roots(state.field)[1] * state.psi0 * state.dpsi0
-    total = kinetic + wall - state.field * mean_x
-    return float(abs(total - state.energy))
-

@@ -8,8 +8,10 @@ digits in three or four steps.  The wall data of the profile
 Ai(z + u) / N at a given double z are the references of the closed forms.
 ``zero_energy_field_solved`` finds the field where the attractive ground
 level crosses E = 0 through the solver itself, a check of the closed form
-``robinwall.zero_energy_field``.
+``zero_energy_field``.
 """
+
+import math
 
 import mpmath
 from scipy.optimize import brentq
@@ -39,6 +41,13 @@ def wall_data(z, n: int, dps: int = 50):
         ai, aip = mpmath.airyai(z), mpmath.airyai(z, derivative=1)
         norm = (-1) ** n * mpmath.sqrt(aip * aip - z * ai * ai)
         return +(ai / norm), +(-aip / norm)
+
+
+def zero_energy_field() -> float:
+    """Field at which the attractive-wall ground level crosses zero energy."""
+    g13 = math.gamma(1.0 / 3.0)
+    g23 = math.gamma(2.0 / 3.0)
+    return g13 ** 3 / (3.0 * g23 ** 3)
 
 
 def zero_energy_field_solved() -> float:

@@ -17,7 +17,12 @@ import math
 import time
 
 import numpy as np
-from robin_reference import zero_energy_field_solved
+from reference_routes import (
+    energy_identity_residual,
+    flat_well_approximation,
+    hellmann_feynman_mean_x,
+)
+from robin_reference import zero_energy_field, zero_energy_field_solved
 from zero_reference import zeros_above
 
 from robinwall import quadrature
@@ -25,25 +30,12 @@ from robinwall.infomeasures import (
     ENTROPY_FLOOR,
     entropy_crossing,
     fisher_product_maximum,
-    flat_well_approximation,
     measure_state,
 )
-from robinwall.observables import (
-    hellmann_feynman_mean_x,
-    mean_position,
-    polarization,
-)
+from robinwall.observables import mean_position, polarization
 from robinwall.oracle import fd_energies
-from robinwall.spectrum import (
-    energy,
-    zero_energy_field,
-)
-from robinwall.states import (
-    build_state,
-    energy_identity_residual,
-    momentum_integrals,
-    position_integrals,
-)
+from robinwall.spectrum import energy
+from robinwall.states import build_state, momentum_integrals, position_integrals
 
 RECORDS = []
 

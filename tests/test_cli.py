@@ -492,7 +492,7 @@ print(json.dumps([at_import, after_calls, codes,
 """
 
 
-def test_import_loads_only_numpy_and_scipy_special():
+def test_cli_loads_no_scipy_module_outside_the_oracle():
     # A fresh interpreter: the test process itself has loaded all of scipy.
     # The package evaluates its own Airy functions, so importing the CLI
     # and running the spectrum, polarization and measures subcommands

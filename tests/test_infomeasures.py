@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_routes import flat_well_approximation
 from robinwall import states
 from robinwall.infomeasures import (
     ENTROPY_FLOOR,
@@ -17,7 +18,6 @@ from robinwall.infomeasures import (
     fisher,
     fisher_position_closed,
     fisher_product_maximum,
-    flat_well_approximation,
     measure_state,
 )
 from robinwall.spectrum import BracketError, ConsistencyError, DomainError, energy

@@ -5,16 +5,14 @@ import math
 import mpmath
 import pytest
 
+from reference_routes import dipole_element_quadrature, hellmann_feynman_mean_x
 from robin_reference import wall_data as reference_wall_data
 from robinwall import spectrum
 from robinwall.infomeasures import fisher_position_closed
 from robinwall.observables import (
     _coupling,
-    dipole_element_quadrature,
     dipole_matrix,
-    hellmann_feynman_mean_x,
     mean_position,
-    mean_x_quadrature,
     polarization,
     zero_field_mean_x,
 )
@@ -27,7 +25,7 @@ from robinwall.spectrum import (
     field_roots,
     wall_data,
 )
-from robinwall.states import build_state
+from robinwall.states import build_state, position_integrals
 
 # Nearest-neighbour coordinate couplings at field 1, frozen from a
 # 30-digit evaluation of the closed forms.
@@ -52,7 +50,7 @@ def test_zero_field_reference_mean():
 def test_mean_position_three_routes_agree(state_of):
     state = energy("robin-", 0, 1.0)
     closed = mean_position(state)
-    assert math.isclose(closed, mean_x_quadrature(state_of("robin-", 0, 1.0)), rel_tol=1e-9)
+    assert math.isclose(closed, position_integrals(state_of("robin-", 0, 1.0))[4], rel_tol=1e-9)
     assert abs(closed - hellmann_feynman_mean_x("robin-", 0, 1.0)) < 1e-8
 
 
@@ -86,7 +84,7 @@ def test_mean_position_rejects_near_degenerate_normalization():
 def test_weak_field_ground_mean_is_refused():
     # The closed form cancels here: it used to return -0.5959 where the
     # profile's mean is -0.49999998.
-    with pytest.raises(DomainError, match="mean_x_quadrature"):
+    with pytest.raises(DomainError, match="position_integrals"):
         polarization(energy("robin-", 0, 1e-7))
 
 
@@ -107,7 +105,7 @@ def _smallest_accepted_ground_field() -> float:
 def test_ground_mean_matches_quadrature_where_accepted(field):
     field = field or _smallest_accepted_ground_field()
     closed = mean_position(energy("robin-", 0, field))
-    assert abs(closed - mean_x_quadrature(build_state("robin-", 0, field))) < 1e-6
+    assert abs(closed - position_integrals(build_state("robin-", 0, field))[4]) < 1e-6
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin-"])

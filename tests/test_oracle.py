@@ -6,6 +6,7 @@ import re
 import pytest
 
 import robinwall.oracle
+from robin_reference import zero_energy_field
 from robinwall.oracle import _POINTS, _solve_grid, _x_min, fd_energies, fd_moment
 from robinwall.observables import mean_position
 from robinwall.spectrum import (
@@ -13,7 +14,6 @@ from robinwall.spectrum import (
     ConsistencyError,
     DomainError,
     energy,
-    zero_energy_field,
 )
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import robinwall
@@ -22,31 +23,22 @@ PUBLIC = [
     "DipoleMatrix",
     "DomainError",
     "FisherMaximum",
-    "FlatWellEntropies",
     "InfoRecord",
     "PolarizationRecord",
     "QuadratureError",
     "StateFunctions",
-    "boundary_residual",
     "build_state",
-    "dipole_element_quadrature",
     "dipole_matrix",
     "energy",
-    "energy_identity_residual",
     "entropy_crossing",
     "fd_energies",
-    "fd_moment",
     "fisher",
     "fisher_position_closed",
     "fisher_product_maximum",
-    "flat_well_approximation",
-    "hellmann_feynman_mean_x",
     "mean_position",
-    "mean_x_quadrature",
     "measure_state",
     "polarization",
     "root_table",
-    "zero_energy_field",
     "zero_field_mean_x",
 ]
 
@@ -55,7 +47,7 @@ _NOQA_F401 = re.compile(r"#\s*noqa:.*\bF401\b")
 
 
 def test_public_surface_is_pinned():
-    assert len(set(robinwall.__all__)) == len(robinwall.__all__) == 35
+    assert len(set(robinwall.__all__)) == len(robinwall.__all__) == 26
     assert sorted(robinwall.__all__) == sorted(PUBLIC)
     stale = []
     for path in sorted(SOURCE.glob("*.py")):
@@ -64,6 +56,41 @@ def test_public_surface_is_pinned():
         stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", [])
                   if not hasattr(module, attr)]
     assert stale == []
+
+
+def _loads_by_owner() -> dict:
+    """{name: top-level definitions of the package that load it}, None for module code.
+
+    A load is a Name or an Attribute read anywhere in ``src/robinwall/``
+    outside ``__init__.py``; its owner is the function or class at the top
+    of the module that holds it.
+    """
+    loads = defaultdict(set)
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads[node.id].add(owner)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads[node.attr].add(owner)
+    return loads
+
+
+def test_every_public_name_has_a_library_caller():
+    # A public name is dead when every load of it sits inside its own
+    # definition or that of another dead public name, so a record that
+    # only a dead function builds is dead with it.
+    loads = _loads_by_owner()
+    dead = set()
+    while True:
+        grown = {name for name in robinwall.__all__ if loads[name] <= dead | {name}}
+        if grown == dead:
+            break
+        dead = grown
+    assert sorted(dead) == []
 
 
 def _unused_imports(path: Path) -> list:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robin_reference import robin_root, zero_energy_field_solved
+from robin_reference import robin_root, zero_energy_field, zero_energy_field_solved
 from zero_reference import zeros_above
 from robinwall import special, spectrum
 from robinwall import (
@@ -19,7 +19,6 @@ from robinwall import (
     build_state,
     energy,
     root_table,
-    zero_energy_field,
 )
 
 # Eigenvalues at field 1, solved independently with mpmath findroot on

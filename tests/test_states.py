@@ -12,11 +12,12 @@ from scipy.special import xlogy
 from scipy.integrate import quad
 
 from quadpack_reference import fourier_half_line
+from reference_routes import boundary_residual, dipole_element_quadrature, energy_identity_residual
 from robin_reference import robin_root
 from robinwall.quadrature import QuadratureError, ray_transform
 from robinwall import _airy, quadrature, special, states
 from robinwall.infomeasures import measure_state
-from robinwall.observables import dipole_element_quadrature, dipole_matrix
+from robinwall.observables import dipole_matrix
 from robinwall.spectrum import (
     BoundarySpec,
     BoundState,
@@ -26,13 +27,7 @@ from robinwall.spectrum import (
     wall_data,
 )
 from robinwall.special import root_table, valley_airy
-from robinwall.states import (
-    boundary_residual,
-    build_state,
-    energy_identity_residual,
-    momentum_integrals,
-    position_integrals,
-)
+from robinwall.states import build_state, momentum_integrals, position_integrals
 from transform_reference import contour_reference, direct_reference, elementwise_ray_transform
 
 # Reference value of psi(-1) for the attractive wall ground state at
@@ -494,6 +489,15 @@ def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
                 points["position"] += pos_points
                 points["momentum"] += mom_points
     assert points["position"] <= 143_472 and points["momentum"] <= 87_696
+    # Below about F = 6.4e-8 a robin+ level has a zero of psi just outside
+    # the wall, where robin+ n = 1 took a second position call at these fields.
+    for bc in ("dirichlet", "neumann", "robin-", "robin+"):
+        for n in range(4):
+            for field in (1e-9, 3e-9, 1e-8):
+                unit = build_state(bc, n, field).unit
+                states._position_pass.__wrapped__(unit)
+                states._momentum_pass.__wrapped__(unit)
+                assert [count for count, _ in calls[-2:]] == [1, 1], (bc, n, field)
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
