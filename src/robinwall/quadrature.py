@@ -1,4 +1,4 @@
-"""Adaptive quadrature and the momentum transform.
+"""Quadrature and the momentum transform.
 
 Position-space integrands in this package are Airy profiles on a
 truncated half-line, smooth apart from the logarithmic kink that
@@ -11,10 +11,11 @@ like 1/k, so every density integral has a slow algebraic tail.
   ray rotated into the complex plane plus, below kappa = sqrt(eps), one
   closed-form Airy term; psi's cut never enters, and :mod:`.states`
   applies the field.
-* :func:`integrate_batch` is QUADPACK's adaptive G10/K21 strategy for a
-  vector-valued integrand evaluated on a whole interval in one array call;
-  it is the only adaptive rule of the package and carries every position
-  functional and every momentum functional of a state in one pass each.
+* :func:`integrate_batch` is QUADPACK's G10/K21 pair on fixed pieces, for
+  a vector-valued integrand evaluated on all of them in one array call;
+  it is the only quadrature rule of the package and carries every
+  position functional and every momentum functional of a state in one
+  pass each.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ _TO_LEGENDRE = (np.polynomial.legendre.legvander(_PANEL_NODES, _PANEL_ORDER - 1)
 _FILON_PHASES = 2.0 * (-1j) ** _DEGREES
 
 
-# Absolute and relative tolerance of every adaptive pass over a state.
+# Absolute and relative tolerance of every pass over a state.
 # Callers read it at call time, so a test may set it for one run.
 _PASS_TOLERANCE = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive rule stopped short; ``estimate`` is an array for a vector pass."""
+    """Quadrature missed its tolerance; ``estimate`` is an array for a vector pass."""
 
     def __init__(self, message: str, estimate: float, error_bound: float):
         super().__init__(message)
@@ -91,18 +92,22 @@ _GAUSS_WEIGHTS[1:10:2] = _WG
 _GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 
-# integrate_batch bisects at most max(_MAX_SUBDIVISIONS - 1, 2 * pieces) times
-# past its first pieces, so the budget grows with the pieces a pass starts from.
-_MAX_SUBDIVISIONS = 200
 
+def integrate_batch(f, points, abs_tol: float, rel_tol: float):
+    """Integrate a vector-valued f from points[0] to points[-1]: (values, errors).
 
-def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
-    """qk21 on every interval [lo_j, hi_j] from one call of f.
-
-    Returns the Kronrod values and qk21's error estimates, both shaped
-    (intervals, components).  A non-finite sample raises
-    :class:`QuadratureError` at once: bisection cannot remove it.
+    ``f`` maps a 1-d array of points to an array of shape (m, points).
+    ``points`` are sorted breakpoints, and the rule is QUADPACK's qk21 on
+    every interval between neighbours, all from one call of f: 21 points
+    per interval, and no bisection.  The values and qk21's error estimates
+    are summed per component, interval by interval; every component must
+    meet err <= max(abs_tol, rel_tol*|I|) on its own (the passes over a
+    state set both to ``_PASS_TOLERANCE``), or the rule raises
+    :class:`QuadratureError` with the per-component estimates.  A
+    non-finite sample raises at once.
     """
+    edges = np.asarray(points, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     x = ((0.5 * (hi + lo))[:, None] + half[:, None] * _KRONROD_NODES).ravel()
     fx = np.asarray(f(x), dtype=float)
@@ -113,62 +118,24 @@ def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
                               estimate=math.nan, error_bound=math.inf)
     fx = fx.reshape(fx.shape[0], lo.size, _KRONROD_NODES.size)
     resk = fx @ _KRONROD_WEIGHTS
-    resg = fx @ _GAUSS_WEIGHTS
-    resabs = np.abs(fx) @ _KRONROD_WEIGHTS
-    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KRONROD_WEIGHTS
-    dh = np.abs(half)
-    err = np.abs(resk - resg) * dh
-    resasc = resasc * dh
-    resabs = resabs * dh
+    err = np.abs(resk - fx @ _GAUSS_WEIGHTS) * half
+    resabs = (np.abs(fx) @ _KRONROD_WEIGHTS) * half
+    resasc = (np.abs(fx - 0.5 * resk[..., None]) @ _KRONROD_WEIGHTS) * half
     scaled = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc != 0.0)
     err = np.where((resasc != 0.0) & (err != 0.0), resasc * np.minimum(1.0, scaled ** 1.5), err)
-    return (resk * half).T, np.maximum(50.0 * _EPS * resabs, err).T
-
-
-def integrate_batch(f, points, abs_tol: float, rel_tol: float):
-    """Integrate a vector-valued f from points[0] to points[-1]: (values, errors).
-
-    ``f`` maps a 1-d array of points to an array of shape (m, points).
-    ``points`` are sorted breakpoints; every interval between neighbours is
-    evaluated in one first call.  The rule is QUADPACK's qag with the qk21
-    pair: it bisects the interval whose worst component sits furthest above
-    its tolerance and evaluates both halves in one call of 42 points.  It
-    stops once every component meets sum(err_i) <= max(abs_tol, rel_tol*|I_i|)
-    on its own (the passes over a state set both to ``_PASS_TOLERANCE``);
-    after ``_MAX_SUBDIVISIONS - 1`` bisections, or twice as many as it had
-    first pieces if that is more, it raises :class:`QuadratureError` with
-    the per-component estimates.
-    """
-    edges = np.asarray(points, dtype=float)
-    start = edges.size - 1
-    limit = start + max(_MAX_SUBDIVISIONS - 1, 2 * start)
-    lo = np.empty(limit)
-    hi = np.empty(limit)
-    lo[:start], hi[:start] = edges[:-1], edges[1:]
-    first, first_err = _kronrod(f, lo[:start], hi[:start])
-    vals = np.empty((limit, first.shape[1]))
-    errs = np.empty_like(vals)
-    vals[:start], errs[:start] = first, first_err
-    n = start
-    while True:
-        total = vals[:n].sum(axis=0)
-        err = errs[:n].sum(axis=0)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(err <= tol):
-            return total, err
-        if n == limit:
-            worst = int(np.argmax(err / tol))
-            raise QuadratureError(
-                f"{limit} intervals left component {worst} with error "
-                f"{err[worst]:.3e} above its tolerance {tol[worst]:.3e}",
-                estimate=total, error_bound=float(err[worst]))
-        j = int(np.argmax(np.max(errs[:n] / tol, axis=1)))
-        mid = 0.5 * (lo[j] + hi[j])
-        halves, half_errs = _kronrod(f, np.array([lo[j], mid]), np.array([mid, hi[j]]))
-        lo[n], hi[n], hi[j] = mid, hi[j], mid
-        vals[j], vals[n] = halves
-        errs[j], errs[n] = half_errs
-        n += 1
+    err = np.maximum(50.0 * _EPS * resabs, err)
+    # Summed interval by interval, in order: along the contiguous axis NumPy
+    # would add pairwise, and the sums would move in their last bits.
+    total = np.ascontiguousarray((resk * half).T).sum(axis=0)
+    err = np.ascontiguousarray(err.T).sum(axis=0)
+    tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+    if not np.all(err <= tol):
+        worst = int(np.argmax(err / tol))
+        raise QuadratureError(
+            f"one qk21 call left component {worst} with error "
+            f"{err[worst]:.3e} above its tolerance {tol[worst]:.3e}",
+            estimate=total, error_bound=float(err[worst]))
+    return total, err
 
 
 # Off every library path; perfbench/tracing.py still wraps its methods.

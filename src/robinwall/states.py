@@ -24,11 +24,11 @@ Numerically delicate points handled here:
   :func:`.quadrature.ray_transform` gives the transform exactly from the
   wall data alone, so nothing on the momentum side depends on the cut.
 * Every integral over a state runs on :func:`.quadrature.integrate_batch`,
-  one adaptive pass per space and both in Airy units, with the field
+  one qk21 call per space and both in Airy units, with the field
   applied exactly at the end: :func:`position_integrals` takes psi and
-  psi' from one Airy call per interval of u, starting from pieces split
-  at the nodes of psi, and :func:`momentum_integrals` takes phi and phi'
-  from one ray call per interval of k / F^(1/3).
+  psi' from one Airy call on pieces of u split at the nodes of psi, and
+  :func:`momentum_integrals` takes phi and phi' from one ray call on
+  pieces of k / F^(1/3).
 * Both passes meet one fixed tolerance (``quadrature._PASS_TOLERANCE``)
   and are memoized on the state's :class:`AiryUnitState`, keyed on (z0, n)
   alone.  A hard wall's record carries no trace of the field, so a sweep
@@ -247,16 +247,15 @@ def _position_pass(unit: AiryUnitState) -> tuple:
     """(N, S, K, O, <u>) of the Airy-unit density rho~ = psi~^2 over [0, u_cut].
 
     The five integrands rho~, -rho~ ln(rho~), (d psi~/du)^2, rho~^2 and
-    u rho~ share one evaluation of psi~ and its slope per interval.  The
+    u rho~ share one evaluation of psi~ and its slope.  The
     pass runs over the pieces between the interior nodes of psi,
     u_k = a_k - arg0 at the zeros a_k of Ai, where -rho~ ln(rho~) has a
     logarithmic kink, and maps each piece [a, b] by u = a + (b - a) s(t)
-    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  The first
-    call takes each node gap as its two halves in t and the tail, from the
-    last node (or the wall) to u_cut, as ``_tail_pieces`` equal parts, and
-    halves the first piece where psi has a zero just outside the wall
-    (``_ZERO_OUTSIDE``), so that one call meets the tolerance; the interval
-    budget of :func:`.quadrature.integrate_batch` grows with these pieces.
+    with s(t) = t^2 (3 - 2t), whose flat ends smooth the kink.  The one
+    qk21 call takes each node gap as its two halves in t and the tail, from
+    the last node (or the wall) to u_cut, as ``_tail_pieces`` equal parts,
+    and halves the first piece where psi has a zero just outside the wall
+    (``_ZERO_OUTSIDE``), so that the call meets the tolerance.
     """
     nodes = root_table(unit.n + 1).a[:unit.n][::-1] - unit.arg0
     edges = np.concatenate(([0.0], nodes, [unit.u_cut]))
@@ -272,7 +271,7 @@ def _position_pass(unit: AiryUnitState) -> tuple:
         ds = 6.0 * width[piece] * t * (1.0 - t)
         return np.stack([r, _entropy_density(r), dp * dp, r * r, u * r]) * ds
 
-    # Two first pieces per node gap, each about half a hump of psi; the
+    # Two pieces per node gap, each about half a hump of psi; the
     # tail gets about one piece per pi of psi's phase or log-decay.
     tail = _tail_pieces(unit.arg0 + edges[-2])
     points = np.concatenate((np.linspace(0.0, gaps, 2 * gaps + 1),
@@ -299,7 +298,7 @@ def _tail_pieces(xi: float) -> int:
 
 
 def position_integrals(sf: StateFunctions) -> tuple:
-    """(norm, S_x, integral of psi'^2, O_x, <x>) from one adaptive pass.
+    """(norm, S_x, integral of psi'^2, O_x, <x>) from one quadrature pass.
 
     The pass runs on the density in Airy units u = -F^(1/3) x, a pure
     function of ``sf.unit`` (see :func:`_position_pass`), and the field
@@ -318,11 +317,11 @@ def _momentum_pass(unit: AiryUnitState) -> tuple:
     phi~(kappa) = F^(1/6) phi(k) at kappa = k / F^(1/3) is the transform of
     the wall data psi~(0) and the wall slope at eps = -arg0, so the pass
     reads those alone and the cut never enters.  The four integrands share
-    one phi~ and phi~' call per interval of u: kappa = u K on [0, 1] and
+    one phi~ and phi~' call, in u: kappa = u K on [0, 1] and
     kappa = K / (2 - u)^6 on [1, 2], with K = max(sqrt|eps|, 1) the
     wavenumber or decay rate of psi at the wall in Airy units (from eps = 1
-    on, the split sqrt(eps) of the ray).  The first call takes the pieces of
-    :func:`_momentum_points`, which meet the tolerance in that call.
+    on, the split sqrt(eps) of the ray).  The one qk21 call takes the
+    pieces of :func:`_momentum_points`, which meet the tolerance.
     """
     arg0 = unit.arg0
     scale = max(math.sqrt(abs(arg0)), 1.0)
@@ -347,7 +346,7 @@ def _momentum_pass(unit: AiryUnitState) -> tuple:
 
 
 def _momentum_points(n: int, ratio: float) -> np.ndarray:
-    """First breakpoints of the momentum pass of level n, in u on [0, 2].
+    """Breakpoints of the momentum pass of level n, in u on [0, 2].
 
     Below the split the density has about n humps, crowded toward
     kappa = 0 like the ray phase's slope K^2 - kappa^2, and the caustic at
@@ -365,7 +364,7 @@ def _momentum_points(n: int, ratio: float) -> np.ndarray:
 
 
 def momentum_integrals(sf: StateFunctions) -> tuple:
-    """(norm, S_k, I_k, O_k) of the momentum density from one adaptive pass.
+    """(norm, S_k, I_k, O_k) of the momentum density from one quadrature pass.
 
     The pass runs on the density in Airy units kappa = k / F^(1/3),
     F^(1/3) gamma, a pure function of the wall data in ``sf.unit`` (see

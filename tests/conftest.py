@@ -20,7 +20,7 @@ def state_of():
 
 @pytest.fixture
 def pass_tolerance(monkeypatch):
-    """Setter of the one tolerance every adaptive pass meets, for this test only.
+    """Setter of the one tolerance every quadrature pass meets, for this test only.
 
     Both pass memos are emptied at each setting and at teardown, so no
     result computed at one tolerance serves another.

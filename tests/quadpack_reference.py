@@ -7,9 +7,11 @@ import math
 
 from scipy.integrate import quad
 
-from robinwall.quadrature import _MAX_SUBDIVISIONS, _PASS_TOLERANCE, QuadratureError
+from robinwall.quadrature import _PASS_TOLERANCE, QuadratureError
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+# Subintervals QUADPACK may make before it gives up.
+_LIMIT = 200
 
 
 def _weighted(psi, x_cut: float, k: float, weight: str) -> float:
@@ -21,7 +23,7 @@ def _weighted(psi, x_cut: float, k: float, weight: str) -> float:
         wvar=k,
         epsabs=_PASS_TOLERANCE,
         epsrel=_PASS_TOLERANCE,
-        limit=_MAX_SUBDIVISIONS,
+        limit=_LIMIT,
         maxp1=100,
         full_output=1,
     )

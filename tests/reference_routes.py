@@ -18,8 +18,9 @@ other:
 import math
 from dataclasses import dataclass
 
+from scipy.integrate import quad
+
 from robinwall import quadrature
-from robinwall.quadrature import integrate_batch
 from robinwall.special import root_table
 from robinwall.spectrum import BoundarySpec, DomainError, energy, field_roots
 from robinwall.states import StateFunctions, position_integrals
@@ -48,13 +49,14 @@ def hellmann_feynman_mean_x(bc, n: int, field: float) -> float:
 def dipole_element_quadrature(sf_n: StateFunctions, sf_m: StateFunctions) -> float:
     """Coordinate matrix element by direct integration of the profiles.
 
-    One adaptive pass over [min of the two cuts, 0] to the fixed pass
-    tolerance, 1e-10 absolute or relative.
+    SciPy's adaptive QUADPACK route over [min of the two cuts, 0] to the
+    fixed pass tolerance, 1e-10 absolute or relative, independent of the
+    library's fixed rule.
     """
     lo = min(sf_n.x_cut, sf_m.x_cut)
     tol = quadrature._PASS_TOLERANCE
-    values, _ = integrate_batch(lambda x: [x * sf_n.psi(x) * sf_m.psi(x)], [lo, 0.0], tol, tol)
-    return float(values[0])
+    return quad(lambda x: x * sf_n.psi(x) * sf_m.psi(x), lo, 0.0, epsabs=tol, epsrel=tol,
+                limit=200)[0]
 
 
 def boundary_residual(sf: StateFunctions) -> float:

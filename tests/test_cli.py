@@ -130,7 +130,7 @@ _FISHERMAX = ("fishermax", "--n", "1", "--lo", "0.005", "--hi", "0.05", "--xtol"
                  ("--k-max", "8"), id="state-wavefunction--k-max"),
 ])
 def test_removed_options_are_usage_errors(capsys, argv, extra):
-    # Every adaptive pass meets one fixed tolerance; oracle-check is the one
+    # Every quadrature pass meets one fixed tolerance; oracle-check is the one
     # route to finite-difference energies; crossing and fishermax search the
     # field themselves; only the _table sweeps take --jobs; the --matrix
     # table always spans levels 0 to SIZE - 1; a wavefunction profile has

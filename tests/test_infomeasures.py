@@ -105,9 +105,8 @@ def test_high_levels_are_measured(bc, n, field):
 @pytest.mark.parametrize("field", [1e-6, 1.0, 1e3])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
 def test_level_200_is_measured(bc, field):
-    # The position pass starts from two pieces in each of the 201 gaps
-    # between the nodes of psi; its interval budget grows with them (199
-    # bisections would not do).
+    # The position pass takes two pieces in each of the 201 gaps between
+    # the nodes of psi, all in its one qk21 call.
     rec = measure_state(build_state(bc, 200, field))
     assert rec.S_t >= ENTROPY_FLOOR
 
@@ -115,7 +114,7 @@ def test_level_200_is_measured(bc, field):
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin+", "robin-"])
 def test_level_300_is_measured(bc):
     # Below the split the momentum density has about n humps; the momentum
-    # pass starts from n + 2 pieces there, so its budget grows with them.
+    # pass takes n + 2 pieces there, all in its one qk21 call.
     rec = measure_state(build_state(bc, 300, 1.0))
     assert rec.S_t >= ENTROPY_FLOOR
 
@@ -198,15 +197,23 @@ def test_hard_wall_measures_follow_the_exact_field_laws(bc):
             assert memo.cache_info().misses == done
 
 
-def test_robin_records_match_a_thousandfold_tighter_tolerance(pass_tolerance):
-    # Both passes start from pieces that meet the 1e-10 tolerance in one
-    # call, with no bisection; the records must still agree with passes run
-    # to 1e-13 (the tightest the reference reaches: at 1e-14 it stops at
-    # qk21's 50-eps floor).  The worst value is off by 1.7e-13.
+def test_robin_records_match_a_thousandfold_tighter_tolerance(monkeypatch, pass_tolerance):
+    # Both passes lay out pieces that meet the 1e-10 tolerance in one qk21
+    # call; the records must still agree with passes run on every piece
+    # quartered, to 1e-13 (the tightest the reference reaches: at 1e-14 it
+    # meets qk21's 50-eps floor).  The worst value is off by 1.7e-13.
     rng = np.random.default_rng(2022)
     cases = [(bc, n, field) for bc in ("robin-", "robin+") for n in range(4)
              for field in 10.0 ** rng.uniform(-2.0, 3.0, size=2)]
     recs = [measure_state(build_state(*case)) for case in cases]
+    real = states.integrate_batch
+
+    def quartered(f, points, abs_tol, rel_tol):
+        edges = np.asarray(points)
+        quarters = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4.0
+        return real(f, np.append(quarters.ravel(), edges[-1]), abs_tol, rel_tol)
+
+    monkeypatch.setattr(states, "integrate_batch", quartered)
     pass_tolerance(1e-13)
     for case, rec in zip(cases, recs):
         ref = measure_state(build_state(*case))

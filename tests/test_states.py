@@ -15,7 +15,7 @@ from quadpack_reference import fourier_half_line
 from reference_routes import boundary_residual, dipole_element_quadrature, energy_identity_residual
 from robin_reference import robin_root
 from robinwall.quadrature import QuadratureError, ray_transform
-from robinwall import _airy, quadrature, special, states
+from robinwall import _airy, special, states
 from robinwall.infomeasures import measure_state
 from robinwall.observables import dipole_matrix
 from robinwall.spectrum import (
@@ -80,8 +80,8 @@ def test_unit_norm_both_sides(state_of, bc, n, field):
 
 
 def test_unconverged_momentum_pass_raises(pass_tolerance):
-    # The vector rule stops silently at its interval limit; the pass must
-    # turn that into an error that still carries the estimate and bound.
+    # One qk21 call on the pass's pieces misses a 1e-15 tolerance; the
+    # error must still carry the estimate and bound.
     sf = build_state("robin-", 0, 1.0)
     pass_tolerance(1e-15)
     with pytest.raises(QuadratureError) as info:
@@ -428,76 +428,74 @@ def test_momentum_side_does_not_see_the_cut(monkeypatch, bc, n, field):
     assert states._momentum_pass.cache_info().misses == 1
 
 
+def _counted_passes(monkeypatch) -> list:
+    """Integrand points of every pass from here on, one entry per call of f."""
+    real = states.integrate_batch
+    points = []
+
+    def counted(f, edges, abs_tol, rel_tol):
+        def g(x):
+            points.append(x.size)
+            return f(x)
+
+        return real(g, edges, abs_tol, rel_tol)
+
+    monkeypatch.setattr(states, "integrate_batch", counted)
+    return points
+
+
 def test_robin_passes_stay_within_their_cost(monkeypatch):
-    # Each bisection of a pass costs one qk21 call and one Python iteration.
-    # Starting from one piece per gap took 169 calls (7,350 points) in
-    # position and 115 (5,082) in momentum on these 24 states; the layout
-    # from the state's geometry takes one call per pass, on 5,481 and 4,179.
-    kronrod = quadrature._kronrod
-    cost = {"calls": 0, "points": 0}
-
-    def counted(f, lo, hi):
-        cost["calls"] += 1
-        cost["points"] += lo.size * 21
-        return kronrod(f, lo, hi)
-
-    monkeypatch.setattr(quadrature, "_kronrod", counted)
+    # Each pass is one qk21 call, 21 points per piece.  Starting from one
+    # piece per gap and bisecting took 169 calls (7,350 points) in position
+    # and 115 (5,082) in momentum on these 24 states; the layout from the
+    # state's geometry takes one call per pass, on 5,481 and 4,179.
+    points = _counted_passes(monkeypatch)
     sfs = [build_state(bc, n, field) for bc in ("robin+", "robin-") for n in range(4)
            for field in (0.02, 1.0, 50.0)]
     states._position_pass.cache_clear()
     states._momentum_pass.cache_clear()
     for sf in sfs:
         position_integrals(sf)
-    assert cost["calls"] <= 24 and cost["points"] <= 5481
-    cost.update(calls=0, points=0)
+    assert len(points) == 24 and sum(points) <= 5481
+    points.clear()
     for sf in sfs:
         momentum_integrals(sf)
-    assert cost["calls"] <= 24 and cost["points"] <= 4179
+    assert len(points) == 24 and sum(points) <= 4179
 
 
-def test_every_pass_meets_its_tolerance_in_one_call(monkeypatch):
-    # The first pieces of both passes are laid out from the state's
-    # geometry so that the first integrand call already meets the
-    # tolerance: no bisection, so no further call, on any of these 120
-    # states.  Two pieces per node gap and tail, 2 (n // 2 + 1) below the
-    # momentum split and two above it took 536 position and 548 momentum
-    # calls here, on 143,472 and 87,696 points; this layout takes 141,057
-    # and 79,527, and may take no more points than that earlier one.
-    real = states.integrate_batch
-    calls = []
+def test_no_pass_misses_its_tolerance_in_its_one_call(monkeypatch):
+    # The pieces of both passes are laid out from the state's geometry so
+    # that one qk21 call meets the tolerance: no pass raises on any of
+    # these states.  Two pieces per node gap and tail, 2 (n // 2 + 1) below
+    # the momentum split and two above it took 536 position and 548
+    # momentum calls on the first 120 states, on 143,472 and 87,696 points;
+    # this layout takes 141,057 and 79,527, and may take no more points
+    # than that earlier one.
+    points = _counted_passes(monkeypatch)
 
-    def counted(f, points, abs_tol, rel_tol):
-        calls.append([0, 0])
+    def passes(bc, n, field):
+        unit = build_state(bc, n, field).unit
+        try:
+            states._position_pass.__wrapped__(unit)
+            states._momentum_pass.__wrapped__(unit)
+        except QuadratureError as exc:
+            pytest.fail(f"{bc} n = {n} at F = {field}: {exc}")
+        return points[-2:]
 
-        def g(x):
-            calls[-1][0] += 1
-            calls[-1][1] += x.size
-            return f(x)
-
-        return real(g, points, abs_tol, rel_tol)
-
-    monkeypatch.setattr(states, "integrate_batch", counted)
-    points = {"position": 0, "momentum": 0}
+    total = {"position": 0, "momentum": 0}
     for bc in ("dirichlet", "neumann", "robin-", "robin+"):
         for n in (0, 1, 3, 10, 30, 100):
             for field in (1e-6, 1e-3, 1.0, 1e3, 1e6):
-                unit = build_state(bc, n, field).unit
-                states._position_pass.__wrapped__(unit)
-                states._momentum_pass.__wrapped__(unit)
-                (pos_calls, pos_points), (mom_calls, mom_points) = calls[-2:]
-                assert (pos_calls, mom_calls) == (1, 1), (bc, n, field)
-                points["position"] += pos_points
-                points["momentum"] += mom_points
-    assert points["position"] <= 143_472 and points["momentum"] <= 87_696
+                pos_points, mom_points = passes(bc, n, field)
+                total["position"] += pos_points
+                total["momentum"] += mom_points
+    assert total["position"] <= 143_472 and total["momentum"] <= 87_696
     # Below about F = 6.4e-8 a robin+ level has a zero of psi just outside
-    # the wall, where robin+ n = 1 took a second position call at these fields.
+    # the wall, where robin+ n = 1 once missed in its first call.
     for bc in ("dirichlet", "neumann", "robin-", "robin+"):
         for n in range(4):
             for field in (1e-9, 3e-9, 1e-8):
-                unit = build_state(bc, n, field).unit
-                states._position_pass.__wrapped__(unit)
-                states._momentum_pass.__wrapped__(unit)
-                assert [count for count, _ in calls[-2:]] == [1, 1], (bc, n, field)
+                passes(bc, n, field)
 
 
 def test_momentum_density_is_even_bit_for_bit(state_of):
