@@ -1,6 +1,12 @@
 """Ai and Ai' on the real line, Ai + i Bi below it, and the zero seeds.
 
-The package's one Airy evaluator, built from standard expansions:
+The package's one Airy evaluator.  ``airy(z)`` returns Ai(z) e^s,
+Ai'(z) e^s and s, with s = (2/3) z^(3/2) above ``SCALE_SWITCH`` and 0 at
+or below it, so no value underflows: a caller forms Ai itself as
+``ai * exp(-s)``, or a ratio of two profile values as ``exp(s1 - s2)``
+times a ratio of scaled values.  From ``AIRY_ARG_MAX`` = 2^20 on the pair
+is reported as 0, which is what Ai(z) rounds to long before that argument.
+The values are built from standard expansions:
 
 * On [LOW, HIGH] = [-10, 12]: Taylor steps of ``_TERMS`` terms from the
   nearest centre of a grid of step 1/16, with coefficients from
@@ -21,7 +27,8 @@ The package's one Airy evaluator, built from standard expansions:
 
 A scalar runs as Python floats and an array as NumPy, with the same
 operations in the same order, and exp, cos and sin are NumPy's in both;
-so a scalar's values are its array element's, bit for bit.
+so a scalar's pair is its array element's, bit for bit.  A scalar's s is
+libm ``pow``, which NumPy's array power can miss by 2 ulp.
 """
 
 from __future__ import annotations
@@ -32,7 +39,12 @@ import numpy as np
 
 from ._airy_centres import AI, BI, LOW, SCALE_SWITCH, STEP
 
-__all__ = ["SCALE_SWITCH", "airy", "valley", "zero_seeds"]
+__all__ = ["AIRY_ARG_MAX", "SCALE_SWITCH", "airy", "valley", "zero_seeds"]
+
+# The pair is reported as 0 from this argument on, where Ai(z) e^s has
+# long been below any value a caller could use: exp(-s) underflows from
+# z = 104.
+AIRY_ARG_MAX = 2.0 ** 20
 
 # Taylor steps up to this argument, the scaled series above it.
 HIGH = LOW + STEP * (len(AI) // 2)
@@ -174,10 +186,15 @@ def _rise(z, c, sqrt):
 
 
 def _scalar(z: float) -> tuple:
+    # s stays a Python float: NumPy's array power can differ from libm pow
+    # in the last bit, and the energies the tests pin rest on libm.
+    s = (2.0 / 3.0) * z ** 1.5 if z > SCALE_SWITCH else 0.0
+    if z >= AIRY_ARG_MAX:
+        return 0.0, 0.0, s
     if z < LOW:
-        return _below(-z, math.sqrt, _float_cos, _float_sin)
+        return (*_below(-z, math.sqrt, _float_cos, _float_sin), s)
     if z > HIGH:
-        return _above(z, math.sqrt)
+        return (*_above(z, math.sqrt), s)
     j = int((z - LOW) * (1.0 / STEP))
     j = max(min(j, _LAST), _SCALED) if z > SCALE_SWITCH else min(j, _SCALED - 1)
     c = LOW + STEP * (j + 0.5)
@@ -186,8 +203,8 @@ def _scalar(z: float) -> tuple:
     ai, aip = _horner(row, h), _horner(slope_row, h)
     if z > SCALE_SWITCH:
         rise = float(np.exp(_rise(z, c, math.sqrt)))
-        return ai * rise, aip * rise
-    return ai, aip
+        return ai * rise, aip * rise, s
+    return ai, aip, s
 
 
 def _float_cos(x: float) -> float:
@@ -220,15 +237,22 @@ def _taylor(z: np.ndarray) -> tuple:
 
 
 def airy(z):
-    """Ai(z) and Ai'(z), both times e^zeta, zeta = (2/3) z^(3/2), above ``SCALE_SWITCH``.
+    """Ai(z) e^s, Ai'(z) e^s and s, s = (2/3) z^(3/2) above ``SCALE_SWITCH`` and 0 at or below it.
 
-    A Python float gives two Python floats; anything else is taken as a
-    float array and gives two arrays of its shape.  Arguments must be
-    finite.
+    Every finite argument gives a finite pair; at and beyond
+    ``AIRY_ARG_MAX`` the pair is 0.  A scalar (a float, an int, a NumPy
+    scalar or a 0-d array) gives three Python floats, with s formed by libm
+    ``pow``; anything else is taken as a float array and gives three arrays
+    of its shape.  A non-finite argument raises ValueError.
     """
-    if isinstance(z, float):
-        return _scalar(float(z))
+    if isinstance(z, (float, int)) or getattr(z, "ndim", None) == 0:
+        z = float(z)
+        if not math.isfinite(z):
+            raise ValueError(f"Airy arguments must be finite, got {z!r}")
+        return _scalar(z)
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"Airy arguments must be finite, got {z!r}")
     flat = z.ravel()
     low = flat < LOW
     high = flat > HIGH
@@ -241,7 +265,12 @@ def airy(z):
         ai[low], aip[low] = _below(-flat[low], np.sqrt, np.cos, np.sin)
         ai[high], aip[high] = _above(flat[high], np.sqrt)
         ai[mid], aip[mid] = _taylor(flat[mid])
-    return ai.reshape(z.shape), aip.reshape(z.shape)
+    ai, aip = ai.reshape(z.shape), aip.reshape(z.shape)
+    past = z >= AIRY_ARG_MAX
+    ai[past] = 0.0
+    aip[past] = 0.0
+    s = np.where(z > SCALE_SWITCH, (2.0 / 3.0) * np.maximum(z, SCALE_SWITCH) ** 1.5, 0.0)
+    return ai, aip, s
 
 
 def valley(eps: float) -> tuple:
@@ -249,7 +278,12 @@ def valley(eps: float) -> tuple:
 
     zeta = (2/3) eps^(3/2) and eps >= 0.  By DLMF 9.2.11 these are
     e^(i pi/3) Ai(eps e^(i pi/3)) and e^(2 i pi/3) Ai'(eps e^(i pi/3)),
-    both times e^(i zeta).
+    both times e^(i zeta): J / 2 pi and (dJ/d eps) / 2 pi times that phase,
+    where J(eps) = 2 pi e^(i pi/3) Ai(eps e^(i pi/3)) is the integral of
+    exp(i (q^3/3 - eps q)) from the -pi/2 valley to the pi/6 valley (DLMF
+    9.5.1 rotated by e^(-2 i pi/3)).  The phase cancels inside the
+    evaluator, so the pair stays of order 1 and exact to a few ulps at any
+    eps.
     """
     if eps > -LOW:
         r = math.sqrt(eps)

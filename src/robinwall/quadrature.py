@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .special import valley_airy
+from . import _airy
 
 __all__ = [
     "QuadratureError",
@@ -287,10 +287,10 @@ def ray_transform(kappa, psi0: float, dpsi0: float, eps: float) -> tuple:
     dphi = h * (c0 * m0 + 2.0 * kappa * beta * h * m1 + (beta + 2j * c0 * kappa) * h2 * m2
                 + 1j * c0 * h2 * h * m3)
     if down.any():
-        # valley_airy carries exp(i Phi(sqrt(eps))), so the phase left is
+        # _airy.valley carries exp(i Phi(sqrt(eps))), so the phase left is
         # Phi(kappa) - Phi(sqrt(eps)), formed as a square times a sum.
         r = math.sqrt(eps)
-        j, dj = valley_airy(eps)
+        j, dj = _airy.valley(eps)
         c = 2.0 * math.pi * (c1 * j - c0 * dj)
         q = kappa[down]
         valley = c * np.exp(-1j * ((q - r) * (q - r) * (q + 2.0 * r) / 3.0))

@@ -36,11 +36,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
-# special, spectrum and states to count Airy points.
-from . import _airy as sp  # noqa: F401
-
-from .special import AIRY_ARG_MAX, root_table, scaled_airy
+# Called as ``sp.airy``: perfbench/tracing.py counts Airy points there.
+from . import _airy as sp
+from .special import root_table
 
 __all__ = [
     "BoundarySpec",
@@ -249,7 +247,7 @@ def _determinant(bc: BoundarySpec, f13: float, z: float) -> tuple:
     D is Ai(z) for a Dirichlet wall, Ai'(z) for Neumann and
     F^(1/3) Ai'(z) + sigma Ai(z) for Robin; its zeros in z are the levels.
     """
-    ai, aip, _ = scaled_airy(z)
+    ai, aip, _ = sp.airy(z)
     # Ai''(z) = z Ai(z) (DLMF 9.2.1).
     if bc is BoundarySpec.DIRICHLET:
         return ai, aip, ai, aip
@@ -335,9 +333,9 @@ def _certify_root(bc: BoundarySpec, z: float, field: float) -> None:
 
 def _solve_robin(bc: BoundarySpec, n: int, field: float) -> BoundState:
     lo, hi = _robin_bracket(bc, n, field)
-    if hi >= AIRY_ARG_MAX:
+    if hi >= sp.AIRY_ARG_MAX:
         raise DomainError(
-            f"{bc.value} level {n} needs field > {AIRY_ARG_MAX ** -1.5:.6g}: below it "
+            f"{bc.value} level {n} needs field > {sp.AIRY_ARG_MAX ** -1.5:.6g}: below it "
             "the wall-side Airy argument leaves the range of the scaled Airy functions"
         )
     f23 = field_roots(field)[1]

@@ -45,12 +45,11 @@ import math
 
 import numpy as np
 
-# Unused here, but perfbench/tracing.py wraps the ``sp`` attribute of
-# special, spectrum and states to count Airy points.
-from . import _airy as sp  # noqa: F401
+# Called as ``sp.airy``: perfbench/tracing.py counts Airy points there.
+from . import _airy as sp
 from . import quadrature
 from .quadrature import integrate_batch, ray_transform
-from .special import root_table, scaled_airy
+from .special import root_table
 from .spectrum import (
     BoundState,
     ConsistencyError,
@@ -111,7 +110,7 @@ class AiryUnitState:
     u_cut: float = dataclasses.field(init=False, compare=False)
 
     def __post_init__(self):
-        ai0, aip0, s0 = scaled_airy(self.arg0)
+        ai0, aip0, s0 = sp.airy(self.arg0)
         psi0, dpsi0, norm = wall_data(self.arg0, self.n, ai0, aip0)
         for name, value in (("norm", norm), ("s0", s0), ("psi0", psi0),
                             ("dpsi0", dpsi0), ("u_cut", _cut(self.arg0))):
@@ -120,7 +119,7 @@ class AiryUnitState:
     def profile(self, u):
         """psi~ and d psi~ / du at 1-d array u, from one scaled Airy call."""
         xi = self.arg0 + u
-        ai, aip, s = scaled_airy(xi)
+        ai, aip, s = sp.airy(xi)
         expo = self.s0 - s
         if self.s0 > 0.0:
             # At weak field s0 and s(xi) are huge and nearly equal, so

@@ -27,7 +27,7 @@ AIRY_BOUNDS = [
     ((8.0, 12.0), 2.0),
     ((12.0, 14.0), 4.0),
     ((14.0, 1024.0), 4.0),
-    ((1024.0, 2.0 ** 20), 4.0),
+    ((1024.0, math.nextafter(2.0 ** 20, 0.0)), 4.0),
 ]
 
 
@@ -68,9 +68,9 @@ def test_airy_against_fifty_digits(span, bound):
     arrays = _airy.airy(np.array(zs))
     for i, z in enumerate(zs):
         got = _airy.airy(z)
-        assert got == (arrays[0][i], arrays[1][i]), z
+        assert got[:2] == (arrays[0][i], arrays[1][i]), z
         refs, sizes = _reference(z)
-        for value, ref, size in zip(got, refs, sizes):
+        for value, ref, size in zip(got[:2], refs, sizes):
             assert abs(value - ref) <= bound * math.ulp(float(size)), z
 
 

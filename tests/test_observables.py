@@ -16,7 +16,8 @@ from robinwall.observables import (
     polarization,
     zero_field_mean_x,
 )
-from robinwall.special import root_table, scaled_airy
+from robinwall._airy import airy
+from robinwall.special import root_table
 from robinwall.spectrum import (
     BoundarySpec,
     BoundState,
@@ -74,7 +75,7 @@ def test_polarization_record():
 
 def test_mean_position_rejects_near_degenerate_normalization():
     z = (1.0 - 1e-13) / 1e-8 ** (2.0 / 3.0)
-    psi0, dpsi0, _ = wall_data(z, 0, *scaled_airy(z)[:2])
+    psi0, dpsi0, _ = wall_data(z, 0, *airy(z)[:2])
     bad = BoundState(bc=BoundarySpec.ROBIN_MINUS, n=0, field=1e-8, energy=-1.0 + 1e-13,
                      arg0=z, residual=0.0, bracket=(-1.0, -0.9), psi0=psi0, dpsi0=dpsi0)
     with pytest.raises(DomainError, match="normalization"):

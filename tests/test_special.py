@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinwall import root_table
-from robinwall._airy import zero_seeds
-from robinwall.special import (
-    AIRY_ARG_MAX,
-    SCALE_SWITCH,
-    build_root_table,
-    scaled_airy,
-)
+from robinwall._airy import AIRY_ARG_MAX, SCALE_SWITCH, airy, zero_seeds
+from robinwall.special import build_root_table
 
 # Reference values computed with mpmath at 30 significant digits.
 AIRY_SAMPLES = [
@@ -54,7 +49,7 @@ AI_PRIME_ZEROS = [
 
 @pytest.mark.parametrize("x,ai_ref,aip_ref", AIRY_SAMPLES)
 def test_airy_against_high_precision_reference(x, ai_ref, aip_ref):
-    ai, aip, s = scaled_airy(x)
+    ai, aip, s = airy(x)
     assert s == (0.0 if x <= SCALE_SWITCH else (2.0 / 3.0) * x ** 1.5)
     assert math.isclose(ai * math.exp(-s), ai_ref, rel_tol=5e-13)
     assert math.isclose(aip * math.exp(-s), aip_ref, rel_tol=5e-13)
@@ -64,7 +59,7 @@ def test_scaled_airy_past_airye_range():
     # The helper reports 0 from AIRY_ARG_MAX on, with a finite exponent,
     # and keeps the leading asymptote
     # Ai(z) e^s ~ 1 / (2 sqrt(pi) z^(1/4)) just below it.
-    ai, aip, s = scaled_airy([AIRY_ARG_MAX * (1.0 - 1e-9), AIRY_ARG_MAX, 1e30])
+    ai, aip, s = airy([AIRY_ARG_MAX * (1.0 - 1e-9), AIRY_ARG_MAX, 1e30])
     assert math.isclose(ai[0], 0.5 / (math.sqrt(math.pi) * AIRY_ARG_MAX ** 0.25), rel_tol=1e-6)
     assert list(ai[1:]) == [0.0, 0.0]
     assert list(aip[1:]) == [0.0, 0.0]
@@ -73,9 +68,9 @@ def test_scaled_airy_past_airye_range():
 
 def test_airy_rejects_non_finite():
     with pytest.raises(ValueError):
-        scaled_airy(float("nan"))
+        airy(float("nan"))
     with pytest.raises(ValueError):
-        scaled_airy([0.0, float("inf")])
+        airy([0.0, float("inf")])
 
 
 def _scalar_path_arguments():
@@ -90,14 +85,13 @@ def _scalar_path_arguments():
 
 
 def test_scalar_path_matches_array_path_bit_for_bit():
-    # A scalar takes one AMOS call instead of the masked array path.  The
-    # pair must be the array path's element exactly; s is libm pow, as the
-    # 0-d array path gave it; NumPy's array power can miss it by 1 ulp of
-    # z^(3/2), up to 2 ulp of s.
+    # A scalar runs as Python floats instead of the masked array path.  The
+    # pair must be the array path's element exactly; s is libm pow, and
+    # NumPy's array power can miss it by 1 ulp of z^(3/2), up to 2 ulp of s.
     z = _scalar_path_arguments()
-    ai, aip, s = scaled_airy(z)
+    ai, aip, s = airy(z)
     for i, x in enumerate(z.tolist()):
-        got = scaled_airy(x)
+        got = airy(x)
         assert [v.hex() for v in got[:2]] == [ai[i].hex(), aip[i].hex()], x
         ref = (2.0 / 3.0) * math.pow(x, 1.5) if x > SCALE_SWITCH else 0.0
         assert got[2].hex() == ref.hex(), x
@@ -108,10 +102,10 @@ def test_scalar_path_matches_array_path_bit_for_bit():
     2.5, 3, np.float64(2.5), np.int64(3), np.array(2.5), np.float64(40.0), np.array(2.0 ** 21),
 ], ids=["float", "int", "float64", "int64", "0-d", "float64-deep", "0-d-past"])
 def test_scalar_inputs_give_three_python_floats(z):
-    got = scaled_airy(z)
+    got = airy(z)
     assert len(got) == 3
     assert all(type(v) is float for v in got)
-    ref = scaled_airy(np.atleast_1d(np.asarray(z, dtype=float)))
+    ref = airy(np.atleast_1d(np.asarray(z, dtype=float)))
     assert [v.hex() for v in got[:2]] == [float(r[0]).hex() for r in ref[:2]]
 
 
@@ -119,7 +113,7 @@ def test_scalar_inputs_give_three_python_floats(z):
                                np.array(math.inf)])
 def test_scalar_non_finite_raises(z):
     with pytest.raises(ValueError, match="finite"):
-        scaled_airy(z)
+        airy(z)
 
 
 def test_zero_tables_match_reference():
@@ -134,8 +128,8 @@ def test_zero_residuals_polished():
     # Polished roots satisfy the defining equations essentially to rounding.
     table = root_table(40)
     for k in (1, 5, 17, 40):
-        assert abs(scaled_airy(table.ai_zero(k))[0]) < 5e-12
-        assert abs(scaled_airy(table.ai_prime_zero(k))[1]) < 5e-12
+        assert abs(airy(table.ai_zero(k))[0]) < 5e-12
+        assert abs(airy(table.ai_prime_zero(k))[1]) < 5e-12
 
 
 def test_zero_interlacing():

@@ -156,7 +156,7 @@ def test_robin_levels_across_the_domain(log_field, n, bc):
     # the two certificate points and the residual.  The count bounds the
     # work of one level without timing it (at most 10 measured here).
     field = 10.0 ** log_field
-    with mock.patch.object(spectrum, "scaled_airy", wraps=spectrum.scaled_airy) as airy:
+    with mock.patch.object(spectrum.sp, "airy", wraps=spectrum.sp.airy) as airy:
         state = spectrum._solve_robin(bc, n, field)
     assert airy.call_count <= 12
     lo, hi = state.bracket
@@ -297,7 +297,7 @@ def test_robin_level_below_rounding_is_a_domain_error():
 
 
 def test_bound_state_rejects_negative_level():
-    psi0, dpsi0, _ = spectrum.wall_data(0.5, 0, *special.scaled_airy(0.5)[:2])
+    psi0, dpsi0, _ = spectrum.wall_data(0.5, 0, *spectrum.sp.airy(0.5)[:2])
     with pytest.raises(ValueError):
         BoundState("robin-", -2, 1.0, -0.5, 0.5, 0.0, (-1.0, 1.0), psi0, dpsi0)
 

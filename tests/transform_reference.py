@@ -15,7 +15,7 @@ import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
 
 from robinwall.quadrature import _DOWN_DIRECTION, _RAY_DIRECTION, _RAY_S, _RAY_W
-from robinwall.special import valley_airy
+from robinwall._airy import valley
 
 _DPS = 30
 
@@ -138,12 +138,12 @@ def elementwise_ray_transform(kappa, psi0, dpsi0, eps):
     dphi = np.sum((c0 + b * z * (2.0 * qc + z)) * wave, axis=1)
     if down.any():
         r = math.sqrt(eps)
-        j, dj = valley_airy(eps)
+        j, dj = valley(eps)
         qd = q[down]
-        valley = (2.0 * math.pi * (c1 * j - c0 * dj)
-                  * np.exp(-1j * ((qd - r) * (qd - r) * (qd + 2.0 * r) / 3.0)))
-        phi[down] += valley
-        dphi[down] -= gap[down] * valley
+        between = (2.0 * math.pi * (c1 * j - c0 * dj)
+                   * np.exp(-1j * ((qd - r) * (qd - r) * (qd + 2.0 * r) / 3.0)))
+        phi[down] += between
+        dphi[down] -= gap[down] * between
     phi = -1j * phi
     neg = kappa < 0.0
     phi[neg] = np.conj(phi[neg])
